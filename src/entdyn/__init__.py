@@ -11,6 +11,7 @@ from .errors import (
     InvalidStateError,
     LeakyStateError,
     NoConvergenceError,
+    NonFiniteError,
     NonUniqueSteadyStateError,
     NotHermitianError,
     NotPSDError,
@@ -77,6 +78,7 @@ __all__ = [
     "NonUniqueSteadyStateError",
     "RequiresZeroYError",
     "StepUnderflowError",
+    "NonFiniteError",
     # quantum
     "bell_state",
     "density_from_pure",

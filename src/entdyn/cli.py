@@ -303,10 +303,9 @@ def _write_csv(path: str, header: list[str], rows) -> int:
 
 
 def _check_emitted_densities(traj: Trajectory):
-    for state in traj.states:
-        validate_density(
-            state, herm_atol=_EMIT_TOL, trace_atol=_EMIT_TOL, eig_floor=-_EMIT_TOL
-        )
+    validate_density(
+        traj.states, herm_atol=_EMIT_TOL, trace_atol=_EMIT_TOL, eig_floor=-_EMIT_TOL
+    )
 
 
 def _time_grid(values: dict) -> TimeGrid:

@@ -51,3 +51,7 @@ class RequiresZeroYError(EntdynError):
 
 class StepUnderflowError(EntdynError):
     """The adaptive integrator needs a step below the representable floor."""
+
+
+class NonFiniteError(EntdynError):
+    """A propagation overflowed: its scaled generator or its states hold inf or NaN."""

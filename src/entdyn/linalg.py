@@ -29,20 +29,26 @@ __all__ = [
 _COND_LIMIT = 1e12
 
 
-def _as_matrix(m, name: str = "matrix") -> np.ndarray:
+def _as_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
     out = np.asarray(m, dtype=complex)
-    if out.ndim != 2:
-        raise DimensionMismatchError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
-    if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
+    if out.ndim != 2 and not (stacked and out.ndim == 3):
+        shape = "2-dimensional or a stack of matrices" if stacked else "2-dimensional"
+        raise DimensionMismatchError(f"{name} must be {shape}, got ndim={out.ndim}")
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
 
-def _as_square(m, name: str = "matrix") -> np.ndarray:
-    out = _as_matrix(m, name)
-    if out.shape[0] != out.shape[1]:
+def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    out = _as_matrix(m, name, stacked)
+    if out.shape[-2] != out.shape[-1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {out.shape}")
     return out
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
 
 
 def kron(a, b) -> np.ndarray:
@@ -55,12 +61,13 @@ def hermitian_eig(m, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (values, vectors) with values real and ascending and vectors
     orthonormal in columns, so m = vectors @ diag(values) @ vectors†.
+    An (N, n, n) stack gives (N, n) values and (N, n, n) vectors.
 
     Raises NotHermitianError if max|m - m†| exceeds atol, NoConvergenceError
     if the underlying solver fails.
     """
-    mat = _as_square(m)
-    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
+    mat = _as_square(m, stacked=True)
+    dev = np.abs(mat - _dagger(mat)).max() if mat.size else 0.0
     if dev > atol:
         raise NotHermitianError(f"max|m - m†| = {dev:.3e} exceeds {atol:.1e}")
     try:
@@ -74,13 +81,15 @@ def sqrt_psd(m, clip: float = 1e-10) -> np.ndarray:
     """Principal square root of a positive-semidefinite Hermitian matrix.
 
     Eigenvalues in [-clip, 0) are treated as round-off and clipped to zero;
-    anything more negative raises NotPSDError.
+    anything more negative raises NotPSDError. An (N, n, n) stack gives the
+    root of every matrix in it.
     """
     values, vectors = hermitian_eig(m)
-    if values.size and values[0] < -clip:
-        raise NotPSDError(f"eigenvalue {values[0]:.3e} below -{clip:.1e}")
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
-    return 0.5 * (root + root.conj().T)
+    lowest = values[..., 0].min() if values.size else 0.0
+    if lowest < -clip:
+        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{clip:.1e}")
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ _dagger(vectors)
+    return 0.5 * (root + _dagger(root))
 
 
 def expm(m) -> np.ndarray:

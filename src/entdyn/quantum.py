@@ -1,7 +1,10 @@
 """States, vectorization, subspace maps, and entanglement measures.
 
 Density matrices and state vectors are plain complex ndarrays; invariants
-are enforced by the validate_* helpers rather than wrapper classes.
+are enforced by the validate_* helpers rather than wrapper classes. The
+density-matrix functions that trajectories sample (validate_density,
+purity, bloch_from_density, embed_23 and both concurrences) take one
+matrix or an (N, n, n) stack of them, with the same checks per matrix.
 
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
@@ -14,8 +17,10 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    EntdynError,
     InvalidStateError,
     LeakyStateError,
+    NoConvergenceError,
     NotHermitianError,
     NotPSDError,
     OutsideBlochBallError,
@@ -43,10 +48,48 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
 #: population allowed outside the central block when restricting
 _LEAK_TOL = 1e-9
+
+#: matrices per stacked LAPACK call; bounds the eigh and svd temporaries
+#: of a long trajectory to a fixed size
+_BLOCK = 256
+
+
+def _matrices(rho, size: int | None = None) -> np.ndarray:
+    """rho as one complex square matrix or an (N, n, n) stack; size fixes n."""
+    mat = np.asarray(rho, dtype=complex)
+    if (
+        mat.ndim not in (2, 3)
+        or mat.shape[-2] != mat.shape[-1]
+        or (size is not None and mat.shape[-1] != size)
+    ):
+        want = "a square matrix" if size is None else f"shape ({size}, {size})"
+        raise DimensionMismatchError(f"expected {want} or a stack of them, got shape {mat.shape}")
+    return mat
+
+
+def _per_matrix(kernel, mat: np.ndarray) -> np.ndarray:
+    """Apply kernel, which maps a stack to one float per matrix, in blocks of _BLOCK.
+
+    The kernel checks a whole block at once. When a block fails, its matrices
+    are rerun one at a time, so the error raised is the one the first failing
+    matrix raises on its own, exactly as from a loop of single calls.
+    """
+    stack = mat.reshape((-1,) + mat.shape[-2:])
+    out = np.empty(len(stack))
+    for start in range(0, len(stack), _BLOCK):
+        block = stack[start : start + _BLOCK]
+        try:
+            out[start : start + len(block)] = kernel(block)
+        except (EntdynError, ValueError):
+            for k in range(len(block)):
+                kernel(block[k : k + 1])
+            raise
+    return out
 
 
 def bell_state() -> np.ndarray:
@@ -72,21 +115,30 @@ def validate_density(
 ) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity of a density matrix.
 
-    Returns the validated array. Raises NotHermitianError, InvalidStateError,
-    or NotPSDError respectively.
+    rho may be one matrix or an (N, n, n) stack; every matrix is checked and
+    the error is that of the first one to fail. Returns the validated array.
+    Raises NotHermitianError, InvalidStateError, or NotPSDError respectively.
     """
-    mat = np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"density matrix must be square, got shape {mat.shape}")
-    dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > herm_atol:
-        raise NotHermitianError(f"max|rho - rho†| = {dev:.3e} exceeds {herm_atol:.1e}")
-    tr = np.trace(mat)
-    if abs(tr - 1.0) > trace_atol:
-        raise InvalidStateError(f"trace {tr:.12f} deviates from 1 beyond {trace_atol:.1e}")
-    values, _ = linalg.hermitian_eig(0.5 * (mat + mat.conj().T))
-    if values[0] < eig_floor:
-        raise NotPSDError(f"eigenvalue {values[0]:.3e} below {eig_floor:.1e}")
+    mat = _matrices(rho)
+
+    def lowest_eigenvalues(block):
+        adjoint = block.conj().swapaxes(-1, -2)
+        dev = np.abs(block - adjoint).max()
+        if dev > herm_atol:
+            raise NotHermitianError(f"max|rho - rho†| = {dev:.3e} exceeds {herm_atol:.1e}")
+        traces = np.trace(block, axis1=-2, axis2=-1)
+        worst = int(np.argmax(np.abs(traces - 1.0)))
+        if abs(traces[worst] - 1.0) > trace_atol:
+            raise InvalidStateError(
+                f"trace {traces[worst]:.12f} deviates from 1 beyond {trace_atol:.1e}"
+            )
+        values, _ = linalg.hermitian_eig(0.5 * (block + adjoint))
+        lowest = values[:, 0]
+        if lowest.min() < eig_floor:
+            raise NotPSDError(f"eigenvalue {lowest.min():.3e} below {eig_floor:.1e}")
+        return lowest
+
+    _per_matrix(lowest_eigenvalues, mat)
     return mat
 
 
@@ -116,13 +168,12 @@ def devectorize(r, validate: bool = False) -> np.ndarray:
 
 
 def bloch_from_density(rho) -> np.ndarray:
-    """Bloch vector (tr(X rho), tr(Y rho), tr(Z rho)) of a qubit state."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (2, 2):
-        raise DimensionMismatchError(f"expected shape (2, 2), got {mat.shape}")
-    return np.array(
-        [np.trace(p @ mat).real for p in (PAULI_X, PAULI_Y, PAULI_Z)]
-    )
+    """Bloch vector (tr(X rho), tr(Y rho), tr(Z rho)) of a qubit state.
+
+    A stack of N states gives an (N, 3) array.
+    """
+    mat = _matrices(rho, 2)
+    return np.einsum("pij,...ji->...p", _PAULIS, mat).real
 
 
 def density_from_bloch(s) -> np.ndarray:
@@ -158,24 +209,24 @@ def restrict_23(rho) -> np.ndarray:
 
 
 def embed_23(rho) -> np.ndarray:
-    """Embed a 2x2 state into the central block of a 4x4 matrix."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (2, 2):
-        raise DimensionMismatchError(f"expected shape (2, 2), got {mat.shape}")
-    out = np.zeros((4, 4), dtype=complex)
-    out[1:3, 1:3] = mat
+    """Embed a 2x2 state, or each of a stack, into the central block of a 4x4 matrix."""
+    mat = _matrices(rho, 2)
+    out = np.zeros(mat.shape[:-2] + (4, 4), dtype=complex)
+    out[..., 1:3, 1:3] = mat
     return out
 
 
-def purity(rho) -> float:
-    """tr(rho^2), 1 for pure states, 1/n for the maximally mixed state."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    return float(np.trace(mat @ mat).real)
+def purity(rho) -> float | np.ndarray:
+    """tr(rho^2), 1 for pure states, 1/n for the maximally mixed state.
+
+    A stack of N states gives an array of N purities.
+    """
+    mat = _matrices(rho)
+    values = np.einsum("...ij,...ji->...", mat, mat).real
+    return float(values) if mat.ndim == 2 else values
 
 
-def concurrence(rho) -> float:
+def concurrence(rho) -> float | np.ndarray:
     """Two-qubit concurrence of a density matrix.
 
     With S the principal square root of rho and K = kron(Y, Y), the matrix
@@ -186,18 +237,31 @@ def concurrence(rho) -> float:
     sqrt(eps) noise a sqrt-of-eigenvalue extraction would put on the zero
     modes. The concurrence is max(l1 - l2 - l3 - l4, 0) over those values
     in descending order. Conjugation is entrywise in the standard basis.
+
+    A state within 1e-8 of Hermitian is replaced by its Hermitian part
+    before the square root. A stack of N states gives an array of N values.
     """
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (4, 4):
-        raise DimensionMismatchError(f"expected shape (4, 4), got {mat.shape}")
-    dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > 1e-8:
-        raise NotHermitianError(f"max|rho - rho†| = {dev:.3e} exceeds 1e-8")
-    root = linalg.sqrt_psd(mat, clip=1e-9)
-    lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0.0))
+    mat = _matrices(rho, 4)
+
+    def block_concurrence(block):
+        adjoint = block.conj().swapaxes(-1, -2)
+        dev = np.abs(block - adjoint).max()
+        if dev > 1e-8:
+            raise NotHermitianError(f"max|rho - rho†| = {dev:.3e} exceeds 1e-8")
+        root = linalg.sqrt_psd(0.5 * (block + adjoint), clip=1e-9)
+        try:
+            lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
+        return np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0)
+
+    values = _per_matrix(block_concurrence, mat)
+    return float(values[0]) if mat.ndim == 2 else values
 
 
-def concurrence_2x2_embedded(rho) -> float:
-    """Concurrence of a qubit state embedded in the central (2,3) block."""
+def concurrence_2x2_embedded(rho) -> float | np.ndarray:
+    """Concurrence of a qubit state embedded in the central (2,3) block.
+
+    A stack of N states gives an array of N values.
+    """
     return concurrence(embed_23(rho))

@@ -8,6 +8,8 @@ import pytest
 
 import entdyn
 from entdyn import cli
+from entdyn.evolution import TimeGrid, unitary_evolve
+from entdyn.generators import HamiltonianParams, build_hamiltonian
 from helpers import read_csv
 
 
@@ -65,6 +67,22 @@ class TestTrajectoryScenarios:
     def test_drive_only_rejects_zero_coupling(self, tmp_path):
         code, _ = run(tmp_path, "fig-nogo", "--y", "0")
         assert code == 1
+
+    def test_non_finite_propagation_is_a_numerical_failure(self, tmp_path, capsys):
+        code, out = run(tmp_path, "evolve", "--t-max", "1e300", "--steps", "2")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("entdyn: numerical failure: ")
+        assert "Traceback" not in err
+
+    def test_fast_oscillation_keeps_norm(self, tmp_path):
+        code, _ = run(tmp_path, "fig1", "--y", "1e9")
+        assert code == 0
+        h = build_hamiltonian(HamiltonianParams(a=1.0, b=1.0, c=0.5e9))
+        v0 = np.array([0, 1, 0, 0], dtype=complex)
+        traj = unitary_evolve(h, v0, TimeGrid(0.0, np.pi, 201))
+        assert np.max(np.abs(traj.observables["norm"] - 1.0)) <= 1e-12
 
     def test_evolve_settles_to_fixed_point(self, tmp_path):
         code, out = run(tmp_path, "evolve", "--t-max", "8", "--steps", "80")

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+import entdyn.evolution
 from entdyn.errors import (
     DimensionMismatchError,
     InvalidStateError,
+    NonFiniteError,
     NonUniqueSteadyStateError,
     NotHermitianError,
     StepUnderflowError,
@@ -24,6 +26,7 @@ from entdyn.generators import (
 )
 from entdyn.linalg import expm, hermitian_eig
 from entdyn.quantum import bell_state, density_from_pure, restrict_23, vectorize
+from helpers import random_hermitian, random_pure
 
 
 def central_dephasing_generator(rate=1.0):
@@ -93,6 +96,16 @@ class TestUnitaryEvolve:
         with pytest.raises(InvalidStateError):
             unitary_evolve(np.zeros((2, 2)), np.array([1, 1]), TimeGrid(0, 1, 3))
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_matches_per_sample_exponentials(self, sign):
+        rng = np.random.default_rng(41)
+        h = random_hermitian(rng, 4)
+        v0 = random_pure(rng, 4)
+        grid = TimeGrid(-1.5, 6.0, 401)
+        traj = unitary_evolve(h, v0, grid, sign=sign)
+        reference = np.array([expm(sign * 1j * t * h) @ v0 for t in grid.times])
+        assert np.max(np.abs(traj.states - reference)) <= 1e-12
+
 
 class TestPropagateExpm:
     def test_central_dephasing_decay(self):
@@ -129,6 +142,45 @@ class TestPropagateExpm:
     def test_rejects_mismatched_state(self):
         with pytest.raises(DimensionMismatchError):
             propagate_expm(np.zeros((16, 16)), np.zeros(4), TimeGrid(0, 1, 3))
+
+    @pytest.mark.parametrize("t_start", [0.0, 2.5])
+    @pytest.mark.parametrize(
+        "gen",
+        [
+            wm_full_generator(FeedbackParams(m=3.0, f=0.7, mu=0.5, gamma=1.0, y=0.3)),
+            central_dephasing_generator(1.3),
+        ],
+        ids=["feedback", "dephasing"],
+    )
+    def test_matches_per_sample_exponentials(self, gen, t_start):
+        grid = TimeGrid(t_start, t_start + 10.0, 2001)
+        r0 = bell_vector()
+        traj = propagate_expm(gen, r0, grid)
+        reference = np.array([expm(gen * t) @ r0 for t in grid.times])
+        assert np.max(np.abs(traj.states.reshape(grid.n_samples, -1) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("samples", [2, 201, 2001])
+    def test_two_exponentials_per_grid(self, samples, monkeypatch):
+        calls = []
+
+        def counting_expm(m):
+            calls.append(m)
+            return expm(m)
+
+        monkeypatch.setattr(entdyn.evolution, "expm", counting_expm)
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        propagate_expm(gen, bell_vector(), TimeGrid(0.0, 5.0, samples))
+        assert len(calls) <= 2
+
+    def test_overflowing_generator_scale_raises(self):
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        with pytest.raises(NonFiniteError):
+            propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1e308, 2))
+
+    def test_non_finite_states_raise(self):
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        with pytest.raises(NonFiniteError):
+            propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1e300, 3))
 
 
 class TestPropagateOde:

@@ -119,6 +119,16 @@ class TestSqrtPsd:
         with pytest.raises(NotPSDError):
             sqrt_psd(np.diag([1.0, -1e-6]))
 
+    def test_stack_gives_each_root(self):
+        rng = np.random.default_rng(15)
+        a = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
+        stack = a @ a.conj().swapaxes(-1, -2)
+        roots = sqrt_psd(stack)
+        assert roots.shape == stack.shape
+        assert np.max(np.abs(roots - [sqrt_psd(m) for m in stack])) <= 1e-13
+        with pytest.raises(NotPSDError):
+            sqrt_psd(np.array([np.eye(2), np.diag([1.0, -1e-6])]))
+
 
 class TestExpm:
     def test_zero_matrix(self):

@@ -255,3 +255,62 @@ class TestEmbeddedConcurrence:
             full = concurrence(embed_23(rho))
             assert abs(concurrence_2x2_embedded(rho) - full) <= 1e-10
             assert abs(concurrence_2x2_embedded(restrict_23(embed_23(rho))) - full) <= 1e-10
+
+
+def random_stack(rng, count, n):
+    return np.array([random_density(rng, n) for _ in range(count)])
+
+
+class TestStacks:
+    """A stack of N matrices behaves like N single-matrix calls.
+
+    600 matrices span three blocks of the stacked kernels.
+    """
+
+    def test_stacked_calls_equal_per_matrix_calls(self):
+        rng = np.random.default_rng(51)
+        states = random_stack(rng, 600, 4)
+        states[100] = density_from_pure(bell_state())
+        states[400] = np.diag([1.0, 0.0, 0.0, 0.0])
+        assert validate_density(states) is not None
+        single = np.array([concurrence(rho) for rho in states])
+        assert np.max(np.abs(concurrence(states) - single)) <= 1e-14
+        assert np.max(np.abs(purity(states) - [purity(rho) for rho in states])) <= 1e-14
+
+    def test_stacked_qubit_calls_equal_per_matrix_calls(self):
+        rng = np.random.default_rng(52)
+        states = random_stack(rng, 600, 2)
+        single = np.array([concurrence_2x2_embedded(rho) for rho in states])
+        assert np.max(np.abs(concurrence_2x2_embedded(states) - single)) <= 1e-14
+        bloch = np.array([bloch_from_density(rho) for rho in states])
+        assert np.max(np.abs(bloch_from_density(states) - bloch)) <= 1e-14
+        assert np.array_equal(embed_23(states), [embed_23(rho) for rho in states])
+
+    @pytest.mark.parametrize("function", [concurrence, validate_density])
+    def test_first_failing_matrix_sets_the_error(self, function):
+        rng = np.random.default_rng(53)
+        states = random_stack(rng, 600, 4)
+        # sample 300 is indefinite; sample 301, in the same block, is far
+        # from Hermitian, and a block-wide check alone would report it first
+        states[300] = np.diag([1.5, -0.5, 0.0, 0.0])
+        states[301, 0, 1] += 1e-3
+        with pytest.raises(NotPSDError) as single:
+            function(states[300])
+        with pytest.raises(NotPSDError) as stacked:
+            function(states)
+        assert str(stacked.value) == str(single.value)
+
+    def test_rejects_stack_of_wrong_shape(self):
+        with pytest.raises(DimensionMismatchError):
+            concurrence(np.zeros((3, 2, 2)))
+        with pytest.raises(DimensionMismatchError):
+            validate_density(np.zeros((2, 3, 4, 4)))
+
+
+def test_concurrence_accepts_round_off_asymmetry():
+    # Integrated states drift 1e-10 to 3e-10 from Hermitian: inside the
+    # 1e-8 gate, so their Hermitian part is used
+    rho = decayed_coherence_state(0.5)
+    drifted = rho.copy()
+    drifted[1, 2] += 3e-10
+    assert abs(concurrence(drifted) - concurrence(rho)) <= 1e-9

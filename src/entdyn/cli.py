@@ -1,8 +1,9 @@
 """Command-line scenarios.
 
-Each scenario writes one CSV file (header row, comma separator, floats at 9
-significant digits, newline endings) and keeps stdout clean; diagnostics go
-to stderr. Exit status 0 on success, 1 on configuration errors, 2 on
+Each scenario runner returns a table, {column name: array}, and
+run_scenario writes it as one CSV file (header row, comma separator, floats
+at 9 significant digits, newline endings). stdout stays clean; diagnostics
+go to stderr. Exit status 0 on success, 1 on configuration errors, 2 on
 numerical failures.
 
 Parameter precedence is flag over config-file key over scenario default.
@@ -51,6 +52,9 @@ _GRID_MIN = 0.1
 
 #: density-matrix tolerance applied to every emitted state row
 _EMIT_TOL = 1e-8
+
+#: CSV rows formatted per write; bounds the temporaries of a large grid
+_WRITE_BLOCK = 256
 
 
 class ConfigError(Exception):
@@ -285,21 +289,27 @@ def parse_config(argv: list[str]) -> ScenarioConfig:
     return ScenarioConfig(ns.scenario, merged, out)
 
 
-def _format(value) -> str:
-    return f"{float(value):.9g}"
+def _write_csv(path: str, table: dict) -> int:
+    """Write {column name: array} as CSV rows and return the row count.
 
-
-def _write_csv(path: str, header: list[str], rows) -> int:
-    count = 0
+    The columns broadcast against each other, so an (m, f) grid passes its
+    edges as m[:, None] and f[None, :]; rows come out in C order. Rows are
+    formatted _WRITE_BLOCK at a time, so a grid column is never expanded
+    to its full length.
+    """
+    columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in table.values()))
+    shape = columns[0].shape
+    step = max(1, _WRITE_BLOCK // int(np.prod(shape[1:])))
+    line = ("%.9g," * len(columns))[:-1] + "\n"
     try:
         with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_format(v) for v in row) + "\n")
-                count += 1
+            fh.write(",".join(table) + "\n")
+            for start in range(0, shape[0], step):
+                block = np.stack([c[start : start + step].reshape(-1) for c in columns], axis=1)
+                fh.write("".join(line % tuple(row) for row in block.tolist()))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
-    return count
+    return int(np.prod(shape))
 
 
 def _check_emitted_densities(traj: Trajectory):
@@ -312,32 +322,30 @@ def _time_grid(values: dict) -> TimeGrid:
     return TimeGrid(0.0, values["t_max"], values["steps"] + 1)
 
 
-def _run_fig1(values: dict, out: str) -> int:
+def _run_fig1(values: dict) -> dict:
     y = values["y"][0]
     h = build_hamiltonian(HamiltonianParams(a=values["a"], b=values["a"], c=y / 2))
     traj = unitary_evolve(h, np.array([0, 1, 0, 0], dtype=complex), _time_grid(values), sign=values["sign"])
     for norm in traj.observables["norm"]:
         if abs(norm - 1.0) > _EMIT_TOL:
             raise InvalidStateError(f"propagated norm {norm:.12f} drifted from 1")
-    rows = zip(traj.times, traj.observables["concurrence"])
-    return _write_csv(out, ["t", "concurrence"], rows)
+    return {"t": traj.times, "concurrence": traj.observables["concurrence"]}
 
 
-def _run_fig2(values: dict, out: str) -> int:
+def _run_fig2(values: dict) -> dict:
     rates = np.zeros((4, 4))
     rates[1, 2] = rates[2, 1] = values["gamma"]
     gen = assemble_liouvillian(None, [phenomenological_superop(rates)])
     r0 = vectorize(density_from_pure(bell_state()))
     traj = propagate_expm(gen, r0, _time_grid(values))
     _check_emitted_densities(traj)
-    rows = zip(traj.times, traj.observables["concurrence"])
-    return _write_csv(out, ["t", "concurrence"], rows)
+    return {"t": traj.times, "concurrence": traj.observables["concurrence"]}
 
 
-def _run_fig_nogo(values: dict, out: str) -> int:
+def _run_fig_nogo(values: dict) -> dict:
     grid = _time_grid(values)
     rho0 = restrict_23(density_from_pure(bell_state()))
-    rows = []
+    columns: dict[str, list] = {"y": [], "t": [], "concurrence": [], "bloch_norm": []}
     for y in values["y"]:
         params = FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y)
         traj = propagate_expm(wm_subspace_generator(params), vectorize(rho0), grid)
@@ -347,30 +355,24 @@ def _run_fig_nogo(values: dict, out: str) -> int:
             f"fig-nogo y={y:g}: |Bloch fixed point| = {np.linalg.norm(fixed_point):.3e}",
             file=sys.stderr,
         )
-        for k, t in enumerate(traj.times):
-            rows.append(
-                (y, t, traj.observables["concurrence"][k], traj.observables["bloch_norm"][k])
-            )
-    return _write_csv(out, ["y", "t", "concurrence", "bloch_norm"], rows)
+        columns["y"].append(np.full(traj.times.size, y))
+        columns["t"].append(traj.times)
+        columns["concurrence"].append(traj.observables["concurrence"])
+        columns["bloch_norm"].append(traj.observables["bloch_norm"])
+    return {name: np.concatenate(series) for name, series in columns.items()}
 
 
 def _log_grid(upper: float, points: int) -> np.ndarray:
     return np.logspace(np.log10(_GRID_MIN), np.log10(upper), points)
 
 
-def _run_fig4(values: dict, out: str) -> int:
-    m_grid = _log_grid(values["m_max"], values["points"])
-    f_grid = _log_grid(values["f_max"], values["points"])
-    sweep = concurrence_sweep(m_grid, f_grid, values["gamma"])
-    rows = (
-        (m_grid[i], f_grid[j], sweep.concurrence[i, j], sweep.log10_one_minus_concurrence[i, j])
-        for i in range(m_grid.size)
-        for j in range(f_grid.size)
-    )
-    return _write_csv(out, ["m", "f", "concurrence", "log10_one_minus_concurrence"], rows)
+def _run_fig4(values: dict) -> dict:
+    table = _run_sweep({**values, "mu": 0.0})
+    del table["purity"]
+    return table
 
 
-def _run_evolve(values: dict, out: str) -> int:
+def _run_evolve(values: dict) -> dict:
     y = values["y"][0]
     params = FeedbackParams(
         m=values["m"], f=values["f"], mu=values["mu"], gamma=values["gamma"], y=y
@@ -387,11 +389,14 @@ def _run_evolve(values: dict, out: str) -> int:
     r0 = vectorize(density_from_pure(bell_state()))
     traj = propagate_expm(gen, r0, _time_grid(values))
     _check_emitted_densities(traj)
-    rows = zip(traj.times, traj.observables["concurrence"], traj.observables["purity"])
-    return _write_csv(out, ["t", "concurrence", "purity"], rows)
+    return {
+        "t": traj.times,
+        "concurrence": traj.observables["concurrence"],
+        "purity": traj.observables["purity"],
+    }
 
 
-def _run_steady(values: dict, out: str) -> int:
+def _run_steady(values: dict) -> dict:
     y = values["y"][0]
     params = FeedbackParams(
         m=values["m"], f=values["f"], mu=values["mu"], gamma=values["gamma"], y=y
@@ -399,43 +404,30 @@ def _run_steady(values: dict, out: str) -> int:
     rho = steady_state(wm_subspace_generator(params))
     validate_density(rho, herm_atol=_EMIT_TOL, trace_atol=_EMIT_TOL, eig_floor=-_EMIT_TOL)
     bloch = bloch_from_density(rho)
-    conc = concurrence_2x2_embedded(rho)
-    pur = purity(rho)
     if y == 0 and params.f > 0:
         closed = steady_state_closed_form(params)
         conc_closed, pur_closed = closed.concurrence, closed.purity
     else:
         conc_closed = pur_closed = float("nan")
-    row = (
-        params.m, params.f, params.mu, params.gamma, y,
-        bloch[0], bloch[1], bloch[2], conc, pur, conc_closed, pur_closed,
-    )
-    header = [
-        "m", "f", "mu", "gamma", "y",
-        "bloch_x", "bloch_y", "bloch_z", "concurrence", "purity",
-        "concurrence_closed_form", "purity_closed_form",
-    ]
-    return _write_csv(out, header, [row])
+    return {
+        "m": params.m, "f": params.f, "mu": params.mu, "gamma": params.gamma, "y": y,
+        "bloch_x": bloch[0], "bloch_y": bloch[1], "bloch_z": bloch[2],
+        "concurrence": concurrence_2x2_embedded(rho), "purity": purity(rho),
+        "concurrence_closed_form": conc_closed, "purity_closed_form": pur_closed,
+    }
 
 
-def _run_sweep(values: dict, out: str) -> int:
+def _run_sweep(values: dict) -> dict:
     m_grid = _log_grid(values["m_max"], values["points"])
     f_grid = _log_grid(values["f_max"], values["points"])
     sweep = concurrence_sweep(m_grid, f_grid, values["gamma"], mu=values["mu"])
-    purity_grid = 0.5 * (1.0 + sweep.concurrence**2)
-    rows = (
-        (
-            m_grid[i],
-            f_grid[j],
-            sweep.concurrence[i, j],
-            purity_grid[i, j],
-            sweep.log10_one_minus_concurrence[i, j],
-        )
-        for i in range(m_grid.size)
-        for j in range(f_grid.size)
-    )
-    header = ["m", "f", "concurrence", "purity", "log10_one_minus_concurrence"]
-    return _write_csv(out, header, rows)
+    return {
+        "m": m_grid[:, None],
+        "f": f_grid[None, :],
+        "concurrence": sweep.concurrence,
+        "purity": 0.5 * (1.0 + sweep.concurrence**2),
+        "log10_one_minus_concurrence": sweep.log10_one_minus_concurrence,
+    }
 
 
 _RUNNERS = {
@@ -451,7 +443,7 @@ _RUNNERS = {
 
 def run_scenario(config: ScenarioConfig):
     """Execute a resolved scenario and report the written file on stderr."""
-    rows = _RUNNERS[config.scenario](config.values, config.out)
+    rows = _write_csv(config.out, _RUNNERS[config.scenario](config.values))
     print(f"{config.scenario}: wrote {config.out} ({rows} rows)", file=sys.stderr)
 
 

@@ -54,4 +54,9 @@ class StepUnderflowError(EntdynError):
 
 
 class NonFiniteError(EntdynError):
-    """A propagation overflowed: its scaled generator or its states hold inf or NaN."""
+    """A matrix operand, a scaled generator or a propagated state holds inf or NaN.
+
+    Raised for non-finite input to the matrix checks in linalg, including an
+    operator that overflowed while a generator was assembled, and for a
+    propagation that overflowed.
+    """

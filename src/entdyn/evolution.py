@@ -22,7 +22,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     StepUnderflowError,
 )
-from .linalg import expm, hermitian_eig
+from .linalg import _as_square, expm, hermitian_eig
 
 __all__ = [
     "TimeGrid",
@@ -112,10 +112,7 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     the convention for the evolution operator and must be +1 or -1; measures
     built from |v(t)| are identical for both choices.
     """
-    ham = np.asarray(h, dtype=complex)
-    if ham.ndim != 2 or ham.shape[0] != ham.shape[1]:
-        raise DimensionMismatchError(f"Hamiltonian must be square, got shape {ham.shape}")
-    energies, basis = hermitian_eig(ham)
+    energies, basis = hermitian_eig(_as_square(h, "Hamiltonian"))
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     v = np.asarray(v0, dtype=complex).reshape(-1)
@@ -137,13 +134,17 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     return Trajectory(times, states, obs)
 
 
-def _check_generator_and_state(l, r0) -> tuple[np.ndarray, np.ndarray]:
-    gen = np.asarray(l, dtype=complex)
-    if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-        raise DimensionMismatchError(f"generator must be square, got shape {gen.shape}")
+def _check_generator(l) -> tuple[np.ndarray, int]:
+    """The generator as a finite square matrix of size n², with n."""
+    gen = _as_square(l, "generator")
     n = int(round(np.sqrt(gen.shape[0])))
     if n * n != gen.shape[0]:
         raise DimensionMismatchError(f"generator size {gen.shape[0]} is not a perfect square")
+    return gen, n
+
+
+def _check_generator_and_state(l, r0) -> tuple[np.ndarray, np.ndarray]:
+    gen, _ = _check_generator(l)
     r = np.asarray(r0, dtype=complex).reshape(-1)
     if r.size != gen.shape[0]:
         raise DimensionMismatchError(
@@ -270,13 +271,8 @@ def steady_state(l) -> np.ndarray:
     either several normalizable steady states or none, and raises
     NonUniqueSteadyStateError. The result is validated as a density matrix.
     """
-    gen = np.asarray(l, dtype=complex)
-    if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
-        raise DimensionMismatchError(f"generator must be square, got shape {gen.shape}")
+    gen, n = _check_generator(l)
     size = gen.shape[0]
-    n = int(round(np.sqrt(size)))
-    if n * n != size:
-        raise DimensionMismatchError(f"generator size {size} is not a perfect square")
     trace_row = quantum.vectorize(np.eye(n, dtype=complex))
     stacked = np.vstack([gen, trace_row])
     rhs = np.zeros(size + 1, dtype=complex)

@@ -11,8 +11,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotHermitianError
-from .linalg import kron
+from .errors import DimensionMismatchError
+from .linalg import _as_square, _check_hermitian, kron
 
 __all__ = [
     "HamiltonianParams",
@@ -68,19 +68,10 @@ def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
     return h
 
 
-def _square(mat, name: str) -> np.ndarray:
-    out = np.asarray(mat, dtype=complex)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {out.shape}")
-    return out
-
-
 def hamiltonian_superop(h, atol: float = 1e-10) -> np.ndarray:
     """Superoperator of the coherent part, -i (H rho - rho H)."""
-    mat = _square(h, "h")
-    dev = np.max(np.abs(mat - mat.conj().T)) if mat.size else 0.0
-    if dev > atol:
-        raise NotHermitianError(f"max|h - h†| = {dev:.3e} exceeds {atol:.1e}")
+    mat = _as_square(h, "h")
+    _check_hermitian(mat, atol, "h")
     eye = np.eye(mat.shape[0], dtype=complex)
     return -1j * (kron(mat, eye) - kron(eye, mat.T))
 
@@ -90,23 +81,30 @@ def lindblad_dissipator_superop(v) -> np.ndarray:
 
     For several collapse operators, sum one superoperator per operator.
     """
-    mat = _square(v, "v")
+    mat = _as_square(v, "v")
     eye = np.eye(mat.shape[0], dtype=complex)
-    vdv = mat.conj().T @ mat
+    with np.errstate(over="ignore", invalid="ignore"):
+        vdv = mat.conj().T @ mat
     return kron(mat, mat.conj()) - 0.5 * kron(vdv, eye) - 0.5 * kron(eye, vdv.T)
 
 
-def validate_dephasing_rates(rates) -> np.ndarray:
-    """Check a dephasing-rate matrix: real, symmetric, nonnegative, zero diagonal."""
+def _check_rates(rates, kind: str) -> np.ndarray:
+    """rates as a real square matrix with a zero diagonal and nonnegative entries."""
     mat = np.asarray(rates, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"rates must be square, got shape {mat.shape}")
     if np.any(np.diag(mat) != 0):
-        raise ValueError("dephasing rates must have a zero diagonal")
+        raise ValueError(f"{kind} rates must have a zero diagonal")
+    if np.any(mat < 0):
+        raise ValueError(f"{kind} rates must be nonnegative")
+    return mat
+
+
+def validate_dephasing_rates(rates) -> np.ndarray:
+    """Check a dephasing-rate matrix: real, symmetric, nonnegative, zero diagonal."""
+    mat = _check_rates(rates, "dephasing")
     if np.max(np.abs(mat - mat.T)) > 0:
         raise ValueError("dephasing rates must be symmetric")
-    if np.any(mat < 0):
-        raise ValueError("dephasing rates must be nonnegative")
     return mat
 
 
@@ -116,14 +114,7 @@ def validate_relaxation_rates(rates) -> np.ndarray:
     Entry (n, k) is the rate of the population transfer from level k to
     level n; no symmetry is required.
     """
-    mat = np.asarray(rates, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"rates must be square, got shape {mat.shape}")
-    if np.any(np.diag(mat) != 0):
-        raise ValueError("relaxation rates must have a zero diagonal")
-    if np.any(mat < 0):
-        raise ValueError("relaxation rates must be nonnegative")
-    return mat
+    return _check_rates(rates, "relaxation")
 
 
 def phenomenological_superop(dephasing, relaxation=None) -> np.ndarray:

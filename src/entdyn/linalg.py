@@ -2,6 +2,9 @@
 
 Thin wrappers over LAPACK-backed routines. Each function checks its inputs
 and raises a typed error instead of leaking library exceptions upward.
+The operand checks other modules share live here too: _as_square for
+shape and finiteness, where a non-finite entry raises NonFiniteError, and
+_check_hermitian for the Hermiticity deviation.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatchError,
     NoConvergenceError,
+    NonFiniteError,
     NotHermitianError,
     NotPSDError,
     SingularMatrixError,
@@ -22,7 +26,6 @@ __all__ = [
     "sqrt_psd",
     "expm",
     "solve_linear",
-    "eig_real_3x3",
 ]
 
 #: relative condition-number gate for solve_linear
@@ -35,20 +38,36 @@ def _as_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
         shape = "2-dimensional or a stack of matrices" if stacked else "2-dimensional"
         raise DimensionMismatchError(f"{name} must be {shape}, got ndim={out.ndim}")
     if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteError(f"{name} contains non-finite entries")
     return out
 
 
-def _as_square(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+def _as_square(m, name: str = "matrix", *, stacked: bool = False, size: int | None = None) -> np.ndarray:
+    """m as a finite complex square matrix, or an (N, n, n) stack if stacked; size fixes n."""
     out = _as_matrix(m, name, stacked)
     if out.shape[-2] != out.shape[-1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {out.shape}")
+    if size is not None and out.shape[-1] != size:
+        raise DimensionMismatchError(f"{name} must be {size}x{size}, got shape {out.shape}")
     return out
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of every matrix in a stack."""
     return np.swapaxes(m, -1, -2).conj()
+
+
+def _check_hermitian(m: np.ndarray, atol: float, name: str = "m") -> np.ndarray:
+    """Raise NotHermitianError if max|m - m†| exceeds atol; return m†.
+
+    m is one matrix or a stack, already through _as_square. Callers that
+    symmetrise reuse the returned adjoint.
+    """
+    adjoint = _dagger(m)
+    dev = np.abs(m - adjoint).max() if m.size else 0.0
+    if dev > atol:
+        raise NotHermitianError(f"max|{name} - {name}†| = {dev:.3e} exceeds {atol:.1e}")
+    return adjoint
 
 
 def kron(a, b) -> np.ndarray:
@@ -67,9 +86,7 @@ def hermitian_eig(m, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
     if the underlying solver fails.
     """
     mat = _as_square(m, stacked=True)
-    dev = np.abs(mat - _dagger(mat)).max() if mat.size else 0.0
-    if dev > atol:
-        raise NotHermitianError(f"max|m - m†| = {dev:.3e} exceeds {atol:.1e}")
+    _check_hermitian(mat, atol)
     try:
         values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -119,20 +136,3 @@ def solve_linear(a, b) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     return x
-
-
-def eig_real_3x3(a) -> np.ndarray:
-    """Eigenvalues (complex, unordered) of a real 3x3 matrix.
-
-    The only non-Hermitian eigenproblem in scope; kept separate so the
-    Hermitian path never sees non-normal input.
-    """
-    mat = np.asarray(a)
-    if mat.shape != (3, 3):
-        raise DimensionMismatchError(f"expected shape (3, 3), got {mat.shape}")
-    if np.iscomplexobj(mat) and np.any(mat.imag != 0):
-        raise ValueError("expected a real matrix")
-    mat = np.asarray(mat.real, dtype=float)
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix contains non-finite entries")
-    return np.linalg.eigvals(mat)

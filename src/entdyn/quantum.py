@@ -21,10 +21,10 @@ from .errors import (
     InvalidStateError,
     LeakyStateError,
     NoConvergenceError,
-    NotHermitianError,
     NotPSDError,
     OutsideBlochBallError,
 )
+from .linalg import _as_square, _check_hermitian
 
 __all__ = [
     "PAULI_X",
@@ -59,19 +59,6 @@ _LEAK_TOL = 1e-9
 _BLOCK = 256
 
 
-def _matrices(rho, size: int | None = None) -> np.ndarray:
-    """rho as one complex square matrix or an (N, n, n) stack; size fixes n."""
-    mat = np.asarray(rho, dtype=complex)
-    if (
-        mat.ndim not in (2, 3)
-        or mat.shape[-2] != mat.shape[-1]
-        or (size is not None and mat.shape[-1] != size)
-    ):
-        want = "a square matrix" if size is None else f"shape ({size}, {size})"
-        raise DimensionMismatchError(f"expected {want} or a stack of them, got shape {mat.shape}")
-    return mat
-
-
 def _per_matrix(kernel, mat: np.ndarray) -> np.ndarray:
     """Apply kernel, which maps a stack to one float per matrix, in blocks of _BLOCK.
 
@@ -85,7 +72,7 @@ def _per_matrix(kernel, mat: np.ndarray) -> np.ndarray:
         block = stack[start : start + _BLOCK]
         try:
             out[start : start + len(block)] = kernel(block)
-        except (EntdynError, ValueError):
+        except EntdynError:
             for k in range(len(block)):
                 kernel(block[k : k + 1])
             raise
@@ -119,13 +106,10 @@ def validate_density(
     the error is that of the first one to fail. Returns the validated array.
     Raises NotHermitianError, InvalidStateError, or NotPSDError respectively.
     """
-    mat = _matrices(rho)
+    mat = _as_square(rho, "rho", stacked=True)
 
     def lowest_eigenvalues(block):
-        adjoint = block.conj().swapaxes(-1, -2)
-        dev = np.abs(block - adjoint).max()
-        if dev > herm_atol:
-            raise NotHermitianError(f"max|rho - rho†| = {dev:.3e} exceeds {herm_atol:.1e}")
+        adjoint = _check_hermitian(block, herm_atol, "rho")
         traces = np.trace(block, axis1=-2, axis2=-1)
         worst = int(np.argmax(np.abs(traces - 1.0)))
         if abs(traces[worst] - 1.0) > trace_atol:
@@ -144,10 +128,7 @@ def validate_density(
 
 def vectorize(rho) -> np.ndarray:
     """Flatten a density matrix row-major into a Liouville vector."""
-    mat = np.asarray(rho, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
-    return mat.reshape(-1).copy()
+    return _as_square(rho, "rho").reshape(-1).copy()
 
 
 def devectorize(r, validate: bool = False) -> np.ndarray:
@@ -172,7 +153,7 @@ def bloch_from_density(rho) -> np.ndarray:
 
     A stack of N states gives an (N, 3) array.
     """
-    mat = _matrices(rho, 2)
+    mat = _as_square(rho, "rho", stacked=True, size=2)
     return np.einsum("pij,...ji->...p", _PAULIS, mat).real
 
 
@@ -210,7 +191,7 @@ def restrict_23(rho) -> np.ndarray:
 
 def embed_23(rho) -> np.ndarray:
     """Embed a 2x2 state, or each of a stack, into the central block of a 4x4 matrix."""
-    mat = _matrices(rho, 2)
+    mat = _as_square(rho, "rho", stacked=True, size=2)
     out = np.zeros(mat.shape[:-2] + (4, 4), dtype=complex)
     out[..., 1:3, 1:3] = mat
     return out
@@ -221,7 +202,7 @@ def purity(rho) -> float | np.ndarray:
 
     A stack of N states gives an array of N purities.
     """
-    mat = _matrices(rho)
+    mat = _as_square(rho, "rho", stacked=True)
     values = np.einsum("...ij,...ji->...", mat, mat).real
     return float(values) if mat.ndim == 2 else values
 
@@ -241,13 +222,10 @@ def concurrence(rho) -> float | np.ndarray:
     A state within 1e-8 of Hermitian is replaced by its Hermitian part
     before the square root. A stack of N states gives an array of N values.
     """
-    mat = _matrices(rho, 4)
+    mat = _as_square(rho, "rho", stacked=True, size=4)
 
     def block_concurrence(block):
-        adjoint = block.conj().swapaxes(-1, -2)
-        dev = np.abs(block - adjoint).max()
-        if dev > 1e-8:
-            raise NotHermitianError(f"max|rho - rho†| = {dev:.3e} exceeds 1e-8")
+        adjoint = _check_hermitian(block, 1e-8, "rho")
         root = linalg.sqrt_psd(0.5 * (block + adjoint), clip=1e-9)
         try:
             lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)

@@ -1,6 +1,8 @@
 """Shared random generators and assertion helpers for the test suite."""
 import numpy as np
 
+from entdyn.errors import DimensionMismatchError
+
 
 def random_hermitian(rng, n):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -24,6 +26,23 @@ def random_density(rng, n):
 def random_pure(rng, n):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def eig_real_3x3(a) -> np.ndarray:
+    """Eigenvalues (complex, unordered) of a real 3x3 matrix.
+
+    The only non-Hermitian eigenproblem the tests need: the Bloch matrices
+    of the feedback model, checked against their closed-form spectra.
+    """
+    mat = np.asarray(a)
+    if mat.shape != (3, 3):
+        raise DimensionMismatchError(f"expected shape (3, 3), got {mat.shape}")
+    if np.iscomplexobj(mat) and np.any(mat.imag != 0):
+        raise ValueError("expected a real matrix")
+    mat = np.asarray(mat.real, dtype=float)
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix contains non-finite entries")
+    return np.linalg.eigvals(mat)
 
 
 def assert_multiset_close(actual, expected, tol):

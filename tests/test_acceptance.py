@@ -28,7 +28,7 @@ from entdyn.generators import (
     build_hamiltonian,
     phenomenological_superop,
 )
-from entdyn.linalg import eig_real_3x3, expm, hermitian_eig, kron
+from entdyn.linalg import expm, hermitian_eig, kron
 from entdyn.quantum import (
     bell_state,
     concurrence,
@@ -38,7 +38,7 @@ from entdyn.quantum import (
     restrict_23,
     vectorize,
 )
-from helpers import assert_multiset_close, random_density, random_unitary
+from helpers import assert_multiset_close, eig_real_3x3, random_density, random_unitary
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,25 @@ class TestTrajectoryScenarios:
         assert err.startswith("entdyn: numerical failure: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("steady", "--m", "1e308", "--f", "1e308"),
+            ("evolve", "--m", "1e308", "--f", "1e308"),
+            ("evolve", "--c", "1e308"),
+        ],
+    )
+    def test_overflowing_generator_is_a_numerical_failure(self, tmp_path, capsys, argv):
+        # a RuntimeWarning would reach stderr outside pytest; here it raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run(tmp_path, *argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("entdyn: numerical failure: ")
+        assert "Traceback" not in err
+
     def test_fast_oscillation_keeps_norm(self, tmp_path):
         code, _ = run(tmp_path, "fig1", "--y", "1e9")
         assert code == 0
@@ -112,6 +132,35 @@ class TestGridScenarios:
         assert len(rows) == 25
         for row in rows:
             assert abs(row[3] - 0.5 * (1 + row[2] ** 2)) <= 1e-6
+
+
+class TestCsvWriter:
+    def test_number_format(self, tmp_path):
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308, 1 / 3, 123456789.5]
+        out = tmp_path / "edge.csv"
+        assert cli._write_csv(str(out), {f"c{k}": [v] for k, v in enumerate(values)}) == 1
+        assert out.read_text().splitlines()[1] == (
+            "nan,inf,-inf,-0,4.94065646e-324,1.79769313e+308,0.333333333,123456790"
+        )
+
+    def test_grid_rows_in_c_order_m_outer(self, tmp_path, monkeypatch):
+        # blocks smaller than one grid row still give one row per (m, f) pair
+        monkeypatch.setattr(cli, "_WRITE_BLOCK", 2)
+        code, out = run(tmp_path, "sweep", "--points", "4", "--m-max", "10", "--f-max", "1000")
+        assert code == 0
+        _, rows = read_csv(out)
+        m_grid = sorted({row[0] for row in rows})
+        f_grid = sorted({row[1] for row in rows})
+        assert [(row[0], row[1]) for row in rows] == [(m, f) for m in m_grid for f in f_grid]
+        assert len(m_grid) == len(f_grid) == 4
+
+    def test_fig4_is_sweep_at_zero_splitting_without_purity(self, tmp_path):
+        argv = ("--points", "9", "--gamma", "0.3", "--m-max", "50")
+        _, fig4 = run(tmp_path, "fig4", *argv, name="fig4.csv")
+        _, sweep = run(tmp_path, "sweep", *argv, "--mu", "0", name="sweep.csv")
+        lines = sweep.read_text().splitlines(keepends=True)
+        dropped = "".join(",".join(line.split(",")[:3] + line.split(",")[4:]) for line in lines)
+        assert fig4.read_bytes() == dropped.encode("ascii")
 
 
 class TestSteadyScenario:

@@ -15,7 +15,7 @@ from entdyn.feedback import (
     wm_full_generator,
     wm_subspace_generator,
 )
-from entdyn.linalg import eig_real_3x3, kron
+from entdyn.linalg import kron
 from entdyn.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -27,7 +27,7 @@ from entdyn.quantum import (
     restrict_23,
     vectorize,
 )
-from helpers import assert_multiset_close, random_density
+from helpers import assert_multiset_close, eig_real_3x3, random_density
 
 
 def random_params(rng, y=0.0):

@@ -7,8 +7,8 @@ from entdyn.errors import (
     NotPSDError,
     SingularMatrixError,
 )
-from entdyn.linalg import eig_real_3x3, expm, hermitian_eig, kron, solve_linear, sqrt_psd
-from helpers import assert_multiset_close, random_hermitian
+from entdyn.linalg import expm, hermitian_eig, kron, solve_linear, sqrt_psd
+from helpers import assert_multiset_close, eig_real_3x3, random_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)

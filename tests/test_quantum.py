@@ -5,6 +5,7 @@ from entdyn.errors import (
     DimensionMismatchError,
     InvalidStateError,
     LeakyStateError,
+    NonFiniteError,
     NotHermitianError,
     NotPSDError,
     OutsideBlochBallError,
@@ -305,6 +306,13 @@ class TestStacks:
             concurrence(np.zeros((3, 2, 2)))
         with pytest.raises(DimensionMismatchError):
             validate_density(np.zeros((2, 3, 4, 4)))
+
+    @pytest.mark.parametrize("function", [purity, bloch_from_density, embed_23, vectorize])
+    def test_rejects_non_finite_entries(self, function):
+        rho = 0.5 * np.eye(2, dtype=complex)
+        rho[0, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            function(rho)
 
 
 def test_concurrence_accepts_round_off_asymmetry():

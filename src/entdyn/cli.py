@@ -3,8 +3,9 @@
 Each scenario runner returns a table, {column name: array}, and
 run_scenario writes it as one CSV file (header row, comma separator, floats
 at 9 significant digits, newline endings). stdout stays clean; diagnostics
-go to stderr. Exit status 0 on success, 1 on configuration errors, 2 on
-numerical failures.
+go to stderr. Exit status 0 on success, 1 on invalid input (a ValueError,
+from the command line or from the library's parameter checks), 2 on
+numerical failures (an EntdynError).
 
 Parameter precedence is flag over config-file key over scenario default.
 Config files are plain text, one `key = value` per line, `#` comments.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .feedback import (
     bloch_steady_state,
     bloch_system,
     concurrence_sweep,
+    embedding_hamiltonian,
     steady_state_closed_form,
     wm_full_generator,
     wm_subspace_generator,
@@ -57,23 +59,13 @@ _EMIT_TOL = 1e-8
 _WRITE_BLOCK = 256
 
 
-class ConfigError(Exception):
-    """Invalid flags or config-file content; maps to exit status 1."""
+class ConfigError(ValueError):
+    """Invalid flags, config-file content or output path; maps to exit status 1."""
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _parse_sign(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sign must be +1 or -1, got {text!r}")
-    if value not in (1, -1):
-        raise argparse.ArgumentTypeError(f"sign must be +1 or -1, got {text!r}")
-    return value
 
 
 def _float_list(text: str) -> list[float]:
@@ -97,7 +89,7 @@ _KEY_TYPES = {
     "m_max": float,
     "f_max": float,
     "points": int,
-    "sign": _parse_sign,
+    "sign": int,
     "out": str,
 }
 
@@ -187,7 +179,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--points", type=int, default=None, help="grid points per axis")
     parser.add_argument("--config", default=None, help="config file path")
     parser.add_argument("--out", default=None, help="output CSV path (default <scenario>.csv)")
-    parser.add_argument("--sign", type=_parse_sign, default=None, help="evolution sign convention, +1 or -1")
+    parser.add_argument("--sign", type=int, default=None, help="evolution sign convention, +1 or -1")
     return parser
 
 
@@ -226,41 +218,30 @@ def _require(condition: bool, message: str):
 
 
 def _validate_values(scenario: str, values: dict):
-    for key in ("gamma", "m", "f"):
-        if values.get(key) is not None and key in values:
-            _require(values[key] >= 0, f"{key} must be nonnegative, got {values[key]}")
-    for key in ("gamma", "m", "f", "mu", "a", "b", "c", "t_max", "m_max", "f_max"):
-        value = values.get(key)
-        if value is not None and not np.isfinite(value):
-            raise ConfigError(f"{key} must be finite, got {value}")
-    if "t_max" in values:
-        _require(values["t_max"] > 0, f"t-max must be positive, got {values['t_max']}")
-    if "steps" in values:
-        _require(values["steps"] >= 1, f"steps must be at least 1, got {values['steps']}")
+    """The rules only the command line knows; the library checks the physical parameters."""
     if "points" in values:
         _require(values["points"] >= 2, f"points must be at least 2, got {values['points']}")
     for key in ("m_max", "f_max"):
         if key in values:
             _require(
-                values[key] > _GRID_MIN,
-                f"{key.replace('_', '-')} must exceed the grid floor {_GRID_MIN}",
+                _GRID_MIN < values[key] < np.inf,
+                f"{key.replace('_', '-')} must be finite and exceed the grid floor {_GRID_MIN},"
+                f" got {values[key]}",
             )
-    if scenario in ("fig4", "sweep"):
-        _require(values["gamma"] > 0, "gamma must be positive for steady-state sweeps")
     if "y" in values:
-        ys = values["y"]
-        _require(all(np.isfinite(v) for v in ys), "y values must be finite")
         if scenario == "fig-nogo":
-            _require(all(v != 0 for v in ys), "fig-nogo requires nonzero y")
+            _require(all(v != 0 for v in values["y"]), "fig-nogo requires nonzero y")
         else:
-            _require(len(ys) == 1, f"scenario {scenario} accepts a single --y")
+            _require(len(values["y"]) == 1, f"scenario {scenario} accepts a single --y")
 
 
 def parse_config(argv: list[str]) -> ScenarioConfig:
     """Resolve argv (and an optional config file) into a ScenarioConfig.
 
     Raises ConfigError on unknown flags or keys, values of the wrong type,
-    keys outside the scenario's parameter set, and out-of-range values.
+    keys outside the scenario's parameter set, and the command-line rules
+    of _validate_values. Physical parameters are checked by the library
+    when the scenario runs.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
@@ -344,18 +325,19 @@ def _run_fig2(values: dict) -> dict:
 
 def _run_fig_nogo(values: dict) -> dict:
     grid = _time_grid(values)
-    rho0 = restrict_23(density_from_pure(bell_state()))
+    r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+    # every parameter set is checked before the first stderr line
+    runs = [FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y) for y in values["y"]]
     columns: dict[str, list] = {"y": [], "t": [], "concurrence": [], "bloch_norm": []}
-    for y in values["y"]:
-        params = FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y)
-        traj = propagate_expm(wm_subspace_generator(params), vectorize(rho0), grid)
+    for params in runs:
+        traj = propagate_expm(wm_subspace_generator(params), r0, grid)
         _check_emitted_densities(traj)
         fixed_point = bloch_steady_state(bloch_system(params))
         print(
-            f"fig-nogo y={y:g}: |Bloch fixed point| = {np.linalg.norm(fixed_point):.3e}",
+            f"fig-nogo y={params.y:g}: |Bloch fixed point| = {np.linalg.norm(fixed_point):.3e}",
             file=sys.stderr,
         )
-        columns["y"].append(np.full(traj.times.size, y))
+        columns["y"].append(np.full(traj.times.size, params.y))
         columns["t"].append(traj.times)
         columns["concurrence"].append(traj.observables["concurrence"])
         columns["bloch_norm"].append(traj.observables["bloch_norm"])
@@ -372,22 +354,18 @@ def _run_fig4(values: dict) -> dict:
     return table
 
 
+def _feedback_params(values: dict) -> FeedbackParams:
+    return FeedbackParams(values["m"], values["f"], values["mu"], values["gamma"], values["y"][0])
+
+
 def _run_evolve(values: dict) -> dict:
-    y = values["y"][0]
-    params = FeedbackParams(
-        m=values["m"], f=values["f"], mu=values["mu"], gamma=values["gamma"], y=y
-    )
-    overrides = (values["a"], values["b"], values["c"])
-    if any(v is not None for v in overrides):
-        a = values["a"] if values["a"] is not None else params.mu / 2
-        b = values["b"] if values["b"] is not None else -params.mu / 2
-        c = values["c"] if values["c"] is not None else params.y / 2
-        hamiltonian = HamiltonianParams(a, b, c)
-    else:
-        hamiltonian = None
+    params = _feedback_params(values)
+    overrides = {key: values[key] for key in ("a", "b", "c") if values[key] is not None}
+    hamiltonian = replace(embedding_hamiltonian(params), **overrides)
+    grid = _time_grid(values)
     gen = wm_full_generator(params, hamiltonian=hamiltonian)
     r0 = vectorize(density_from_pure(bell_state()))
-    traj = propagate_expm(gen, r0, _time_grid(values))
+    traj = propagate_expm(gen, r0, grid)
     _check_emitted_densities(traj)
     return {
         "t": traj.times,
@@ -397,20 +375,16 @@ def _run_evolve(values: dict) -> dict:
 
 
 def _run_steady(values: dict) -> dict:
-    y = values["y"][0]
-    params = FeedbackParams(
-        m=values["m"], f=values["f"], mu=values["mu"], gamma=values["gamma"], y=y
-    )
+    params = _feedback_params(values)
     rho = steady_state(wm_subspace_generator(params))
-    validate_density(rho, herm_atol=_EMIT_TOL, trace_atol=_EMIT_TOL, eig_floor=-_EMIT_TOL)
     bloch = bloch_from_density(rho)
-    if y == 0 and params.f > 0:
+    if params.y == 0 and params.f > 0:
         closed = steady_state_closed_form(params)
         conc_closed, pur_closed = closed.concurrence, closed.purity
     else:
         conc_closed = pur_closed = float("nan")
     return {
-        "m": params.m, "f": params.f, "mu": params.mu, "gamma": params.gamma, "y": y,
+        "m": params.m, "f": params.f, "mu": params.mu, "gamma": params.gamma, "y": params.y,
         "bloch_x": bloch[0], "bloch_y": bloch[1], "bloch_z": bloch[2],
         "concurrence": concurrence_2x2_embedded(rho), "purity": purity(rho),
         "concurrence_closed_form": conc_closed, "purity_closed_form": pur_closed,
@@ -449,13 +423,12 @@ def run_scenario(config: ScenarioConfig):
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        config = parse_config(sys.argv[1:] if argv is None else argv)
-    except ConfigError as exc:
-        print(f"entdyn: error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        run_scenario(config)
-    except EntdynError as exc:
+        run_scenario(parse_config(sys.argv[1:] if argv is None else argv))
+    # LinAlgError subclasses ValueError, so it is matched first
+    except (EntdynError, np.linalg.LinAlgError) as exc:
         print(f"entdyn: numerical failure: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        print(f"entdyn: error: {exc}", file=sys.stderr)
+        return 1
     return 0

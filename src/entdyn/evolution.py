@@ -112,9 +112,9 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     the convention for the evolution operator and must be +1 or -1; measures
     built from |v(t)| are identical for both choices.
     """
-    energies, basis = hermitian_eig(_as_square(h, "Hamiltonian"))
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+    energies, basis = hermitian_eig(_as_square(h, "Hamiltonian"))
     v = np.asarray(v0, dtype=complex).reshape(-1)
     if v.size != energies.size:
         raise DimensionMismatchError(

@@ -205,16 +205,19 @@ def concurrence_sweep(m_grid, f_grid, gamma: float, mu: float = 0.0) -> SweepRes
     """Closed-form steady-state concurrence over all (m, f) grid pairs.
 
     Entry (i, j) belongs to (m_grid[i], f_grid[j]). gamma must be positive
-    so the concurrence stays below one and its deficit has a logarithm.
+    so the concurrence stays below one and its deficit has a logarithm;
+    gamma, mu and the grid values must be finite.
     """
     m = np.asarray(m_grid, dtype=float).reshape(-1)
     f = np.asarray(f_grid, dtype=float).reshape(-1)
     if m.size == 0 or f.size == 0:
         raise ValueError("grids must be nonempty")
-    if np.any(m <= 0) or np.any(f <= 0):
-        raise ValueError("grid values must be positive")
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (np.all((m > 0) & (m < np.inf)) and np.all((f > 0) & (f < np.inf))):
+        raise ValueError("grid values must be positive and finite")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    if not np.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     mm = m[:, None]
     ff = f[None, :]
     denom = mu * mu + (gamma + mm) * (gamma + mm + ff)

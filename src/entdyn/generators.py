@@ -73,7 +73,8 @@ def hamiltonian_superop(h, atol: float = 1e-10) -> np.ndarray:
     mat = _as_square(h, "h")
     _check_hermitian(mat, atol, "h")
     eye = np.eye(mat.shape[0], dtype=complex)
-    return -1j * (kron(mat, eye) - kron(eye, mat.T))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -1j * (kron(mat, eye) - kron(eye, mat.T))
 
 
 def lindblad_dissipator_superop(v) -> np.ndarray:
@@ -85,14 +86,16 @@ def lindblad_dissipator_superop(v) -> np.ndarray:
     eye = np.eye(mat.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         vdv = mat.conj().T @ mat
-    return kron(mat, mat.conj()) - 0.5 * kron(vdv, eye) - 0.5 * kron(eye, vdv.T)
+        return kron(mat, mat.conj()) - 0.5 * kron(vdv, eye) - 0.5 * kron(eye, vdv.T)
 
 
 def _check_rates(rates, kind: str) -> np.ndarray:
-    """rates as a real square matrix with a zero diagonal and nonnegative entries."""
+    """rates as a real square matrix with a zero diagonal and finite, nonnegative entries."""
     mat = np.asarray(rates, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise DimensionMismatchError(f"rates must be square, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{kind} rates must be finite")
     if np.any(np.diag(mat) != 0):
         raise ValueError(f"{kind} rates must have a zero diagonal")
     if np.any(mat < 0):

@@ -180,9 +180,7 @@ def restrict_23(rho) -> np.ndarray:
     LeakyStateError if the population outside the block exceeds 1e-9;
     no renormalization is applied.
     """
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (4, 4):
-        raise DimensionMismatchError(f"expected shape (4, 4), got {mat.shape}")
+    mat = _as_square(rho, "rho", size=4)
     leak = abs(mat[0, 0].real) + abs(mat[3, 3].real)
     if leak > _LEAK_TOL:
         raise LeakyStateError(f"population {leak:.3e} outside the (2,3) block")

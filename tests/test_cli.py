@@ -14,6 +14,25 @@ from entdyn.generators import HamiltonianParams, build_hamiltonian
 from helpers import read_csv
 
 
+#: argv that the command line or the library refuses as invalid input (exit 1)
+REJECTED = {
+    "gamma-nan": "fig2 --gamma nan",
+    "mu-nan": "sweep --mu nan",
+    "second-y-inf": "fig-nogo --y 1 --y inf",
+    "sign-two": "fig1 --sign 2",
+    "t-max-inf": "fig1 --t-max inf",
+    "m-max-inf": "fig4 --m-max inf",
+    "c-nan": "evolve --c nan",
+    "y-inf": "steady --y inf",
+    "sweep-gamma-zero": "sweep --gamma 0",
+    "negative-rate": "fig2 --gamma -1",
+    "zero-steps": "fig1 --steps 0",
+    "single-grid-point": "sweep --points 1",
+    "grid-ceiling-below-floor": "fig4 --m-max 0.05",
+    "multiple-couplings": "evolve --y 1 --y 2",
+}
+
+
 def run(tmp_path, *argv, name="out.csv"):
     out = tmp_path / name
     code = cli.main([*argv, "--out", str(out)])
@@ -83,6 +102,11 @@ class TestTrajectoryScenarios:
             ("steady", "--m", "1e308", "--f", "1e308"),
             ("evolve", "--m", "1e308", "--f", "1e308"),
             ("evolve", "--c", "1e308"),
+            ("steady", "--mu", "1e308"),
+            ("steady", "--gamma", "1e308"),
+            ("evolve", "--mu", "1e308"),
+            ("evolve", "--gamma", "1e308"),
+            ("fig-nogo", "--gamma", "1e308"),
         ],
     )
     def test_overflowing_generator_is_a_numerical_failure(self, tmp_path, capsys, argv):
@@ -204,9 +228,24 @@ class TestConfigHandling:
         assert row["f"] == 3.0
         assert row["gamma"] == 1.0
 
-    def test_negative_rate_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "fig2", "--gamma", "-1")
+    @pytest.mark.parametrize("argv", list(REJECTED.values()), ids=list(REJECTED))
+    def test_invalid_input_rejected(self, tmp_path, capsys, argv):
+        # a RuntimeWarning would reach stderr outside pytest; here it raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, *argv.split())
         assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("entdyn: error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["", "no/such/dir/x.csv"])
+    def test_unwritable_output_rejected(self, tmp_path, capsys, target):
+        assert cli.main(["fig1", "--steps", "4", "--out", str(tmp_path / target)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("entdyn: error: ")
 
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -226,22 +265,6 @@ class TestConfigHandling:
 
     def test_foreign_parameter_rejected(self, tmp_path):
         code, _ = run(tmp_path, "fig1", "--mu", "1")
-        assert code == 1
-
-    def test_multiple_couplings_rejected_outside_sweep(self, tmp_path):
-        code, _ = run(tmp_path, "evolve", "--y", "1", "--y", "2")
-        assert code == 1
-
-    def test_zero_steps_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "fig1", "--steps", "0")
-        assert code == 1
-
-    def test_single_grid_point_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "sweep", "--points", "1")
-        assert code == 1
-
-    def test_grid_ceiling_below_floor_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "fig4", "--m-max", "0.05")
         assert code == 1
 
     def test_default_output_name(self, tmp_path, monkeypatch):

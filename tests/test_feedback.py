@@ -301,3 +301,7 @@ class TestConcurrenceSweep:
             concurrence_sweep([0.0, 1.0], [1.0], gamma=1.0)
         with pytest.raises(ValueError):
             concurrence_sweep([1.0], [1.0], gamma=0.0)
+        with pytest.raises(ValueError):
+            concurrence_sweep([1.0], [1.0], gamma=1.0, mu=np.nan)
+        with pytest.raises(ValueError):
+            concurrence_sweep([1.0, np.inf], [1.0], gamma=1.0)

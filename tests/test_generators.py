@@ -140,6 +140,13 @@ class TestRateValidation:
         with pytest.raises(ValueError):
             validate_dephasing_rates(rates)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_dephasing_rejects_non_finite(self, value):
+        rates = np.zeros((4, 4))
+        rates[1, 2] = rates[2, 1] = value
+        with pytest.raises(ValueError):
+            validate_dephasing_rates(rates)
+
     def test_dephasing_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
             validate_dephasing_rates(np.eye(4))

@@ -307,10 +307,13 @@ class TestStacks:
         with pytest.raises(DimensionMismatchError):
             validate_density(np.zeros((2, 3, 4, 4)))
 
-    @pytest.mark.parametrize("function", [purity, bloch_from_density, embed_23, vectorize])
+    @pytest.mark.parametrize("function", [purity, bloch_from_density, embed_23, vectorize, restrict_23])
     def test_rejects_non_finite_entries(self, function):
         rho = 0.5 * np.eye(2, dtype=complex)
         rho[0, 1] = np.nan
+        if function is restrict_23:
+            # the same state in the central block, so only the NaN is wrong
+            rho = np.pad(rho, 1)
         with pytest.raises(NonFiniteError):
             function(rho)
 

@@ -182,33 +182,39 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     return _density_trajectory(times, vectors)
 
 
-# Dormand-Prince 4(5) tableau: stage weights, 5th-order solution weights,
-# and the embedded error weights (difference to the 4th-order solution).
-_DP_STAGES = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+# Dormand-Prince 4(5) tableau. Row i of _DP_A weights stages 0..i-1 in the
+# argument of stage i; row 0 of _DP_B holds the 5th-order solution weights
+# and row 1 the embedded error weights (difference to the 4th-order solution).
+_DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
 )
-_DP_SOLUTION = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_ERROR = np.array(
-    [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
+_DP_B = np.array(
+    [
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    ]
 )
 
 _MAX_STEP_ATTEMPTS = 1_000_000
 
 
 def _dp_step(gen: np.ndarray, y: np.ndarray, h: float):
-    """One embedded step: returns (y_new, error_estimate)."""
-    k = [gen @ y]
-    for row in _DP_STAGES:
-        increment = sum(c * ki for c, ki in zip(row, k))
-        k.append(gen @ (y + h * increment))
-    y_new = y + h * sum(c * ki for c, ki in zip(_DP_SOLUTION, k))
-    err = h * sum(c * ki for c, ki in zip(_DP_ERROR, k))
-    return y_new, err
+    """One embedded step on a (7, n²) stage array: returns (y_new, error_estimate)."""
+    a = h * _DP_A
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = gen @ y
+    for i in range(1, 7):
+        k[i] = gen @ (y + a[i, :i] @ k[:i])
+    increment, err = (h * _DP_B) @ k
+    return y + increment, err
 
 
 def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
@@ -247,8 +253,8 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
             y_new, err = _dp_step(gen, y, h_try)
             scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
             ratio = np.abs(err) / scale
-            peak = float(np.max(ratio))
-            err_norm = peak * np.sqrt(np.mean((ratio / peak) ** 2)) if peak > 0 else 0.0
+            peak = float(ratio.max())
+            err_norm = peak * np.sqrt(((ratio / peak) ** 2).sum() / ratio.size) if peak > 0 else 0.0
             if err_norm <= 1.0:
                 t = t + h_try
                 y = y_new
@@ -267,26 +273,30 @@ def steady_state(l) -> np.ndarray:
     """Unique trace-one kernel element of a Liouvillian.
 
     Solves L r = 0 together with the trace functional as one stacked
-    system; a rank deficiency of that system means the generator admits
-    either several normalizable steady states or none, and raises
-    NonUniqueSteadyStateError. The result is validated as a density matrix.
+    system. The trace row is scaled by the Frobenius norm of L, so it
+    keeps its weight at any rate scale, and one SVD of the stacked system
+    gives its rank, its least-squares solution and the residual relative
+    to sigma_max |r|. A rank deficiency means the generator admits several
+    normalizable steady states, a residual above 1e-8 that it admits none;
+    both raise NonUniqueSteadyStateError. The result is validated as a
+    density matrix.
     """
     gen, n = _check_generator(l)
     size = gen.shape[0]
-    trace_row = quantum.vectorize(np.eye(n, dtype=complex))
-    stacked = np.vstack([gen, trace_row])
-    rhs = np.zeros(size + 1, dtype=complex)
-    rhs[-1] = 1.0
-    singular_values = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(singular_values > singular_values[0] * 1e-12))
+    scale = float(np.linalg.norm(gen)) or 1.0
+    stacked = np.vstack([gen, scale * quantum.vectorize(np.eye(n, dtype=complex))])
+    u, sigma, vh = np.linalg.svd(stacked, full_matrices=False)
+    rank = int(np.sum(sigma > sigma[0] * 1e-12))
     if rank < size:
         raise NonUniqueSteadyStateError(
             f"kernel dimension {size - rank + 1}: steady state is not unique"
         )
-    solution, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
-    residual = np.linalg.norm(stacked @ solution - rhs)
+    solution = vh.conj().T @ (u[-1].conj() * scale / sigma)
+    rhs = np.zeros(size + 1, dtype=complex)
+    rhs[-1] = scale
+    residual = np.linalg.norm(stacked @ solution - rhs) / (sigma[0] * np.linalg.norm(solution))
     if residual > 1e-8:
         raise NonUniqueSteadyStateError(
-            f"no normalizable steady state (residual {residual:.3e})"
+            f"no normalizable steady state (relative residual {residual:.3e})"
         )
     return quantum.devectorize(solution, validate=True)

@@ -9,7 +9,6 @@ _check_hermitian for the Hermiticity deviation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatchError,
@@ -110,7 +109,13 @@ def sqrt_psd(m, clip: float = 1e-10) -> np.ndarray:
 
 
 def expm(m) -> np.ndarray:
-    """Matrix exponential by scaling and squaring."""
+    """Matrix exponential by scaling and squaring.
+
+    scipy is imported here, on the first call, so scenarios that never
+    exponentiate do not pay for loading it.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(_as_square(m))
 
 

@@ -9,7 +9,7 @@ import pytest
 
 import entdyn
 from entdyn import cli
-from entdyn.evolution import TimeGrid, unitary_evolve
+from entdyn.evolution import TimeGrid, Trajectory, unitary_evolve
 from entdyn.generators import HamiltonianParams, build_hamiltonian
 from helpers import read_csv
 
@@ -107,6 +107,7 @@ class TestTrajectoryScenarios:
             ("evolve", "--mu", "1e308"),
             ("evolve", "--gamma", "1e308"),
             ("fig-nogo", "--gamma", "1e308"),
+            ("fig-nogo", "--y", "1", "--y", "1e308"),
         ],
     )
     def test_overflowing_generator_is_a_numerical_failure(self, tmp_path, capsys, argv):
@@ -119,6 +120,19 @@ class TestTrajectoryScenarios:
         assert len(err.splitlines()) == 1
         assert err.startswith("entdyn: numerical failure: ")
         assert "Traceback" not in err
+
+    def test_norm_drift_names_first_drifting_sample(self, tmp_path, capsys, monkeypatch):
+        def drifting(h, v0, grid, sign):
+            norm = np.ones(grid.n_samples)
+            norm[3], norm[5] = 1.0 + 2e-8, 1.0 - 3e-8
+            return Trajectory(grid.times, np.zeros((grid.n_samples, 4)), {"norm": norm})
+
+        monkeypatch.setattr(cli, "unitary_evolve", drifting)
+        code, out = run(tmp_path, "fig1", "--steps", "10")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "entdyn: numerical failure: propagated norm 1.000000020000 drifted from 1\n"
+        assert not out.exists()
 
     def test_fast_oscillation_keeps_norm(self, tmp_path):
         code, _ = run(tmp_path, "fig1", "--y", "1e9")
@@ -206,6 +220,14 @@ class TestSteadyScenario:
         assert np.isnan(row["concurrence_closed_form"])
         assert np.isnan(row["purity_closed_form"])
 
+    @pytest.mark.parametrize("rate", ["1e9", "1e12"])
+    def test_extreme_feedback_rates(self, tmp_path, rate):
+        code, out = run(tmp_path, "steady", "--m", rate, "--f", rate)
+        assert code == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert abs(row["concurrence"] - row["concurrence_closed_form"]) <= 1e-6
+
     def test_degenerate_point_exits_two(self, tmp_path):
         code, _ = run(tmp_path, "steady", "--f", "0")
         assert code == 2
@@ -279,19 +301,23 @@ class TestConfigHandling:
         assert "scenarios" in capsys.readouterr().out
 
 
+def child_env() -> dict:
+    # A child runs outside the repo, where a relative PYTHONPATH such as `src`
+    # resolves to nothing, so it is given the absolute directory that holds
+    # the entdyn this suite imported, ahead of any existing entries.
+    env = dict(os.environ)
+    package_root = str(Path(entdyn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
-        # The child runs outside the repo, where a relative PYTHONPATH such as
-        # `src` resolves to nothing, so it is given the absolute directory that
-        # holds the entdyn this suite imported, ahead of any existing entries.
-        env = dict(os.environ)
-        package_root = str(Path(entdyn.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
         out = tmp_path / "cli.csv"
         result = subprocess.run(
             [sys.executable, "-m", "entdyn", "fig1", "--steps", "10", "--out", str(out)],
             cwd=tmp_path,
-            env=env,
+            env=child_env(),
             capture_output=True,
             text=True,
             timeout=60,
@@ -300,3 +326,21 @@ class TestEntryPoint:
         assert "wrote" in result.stderr
         assert result.stdout == ""
         assert out.exists()
+
+    def test_grid_scenarios_never_load_scipy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from entdyn.cli import main\n"
+            "for argv in (['sweep', '--points', '5'], ['fig4', '--points', '5'], ['steady']):\n"
+            "    assert main(argv + ['--out', 'grid.csv']) == 0, argv\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr

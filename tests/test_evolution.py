@@ -17,7 +17,12 @@ from entdyn.evolution import (
     steady_state,
     unitary_evolve,
 )
-from entdyn.feedback import FeedbackParams, wm_full_generator, wm_subspace_generator
+from entdyn.feedback import (
+    FeedbackParams,
+    steady_state_closed_form,
+    wm_full_generator,
+    wm_subspace_generator,
+)
 from entdyn.generators import (
     HamiltonianParams,
     assemble_liouvillian,
@@ -223,6 +228,51 @@ class TestPropagateOde:
         with pytest.raises(ValueError):
             propagate_ode(np.zeros((4, 4)), np.zeros(4), TimeGrid(0, 1, 3), rtol=0.0)
 
+    def test_makes_no_exponential(self, monkeypatch):
+        # the ODE route is the independent check of the expm route
+        calls = []
+
+        def counting_expm(m):
+            calls.append(m)
+            return expm(m)
+
+        monkeypatch.setattr(entdyn.evolution, "expm", counting_expm)
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, mu=0.5, gamma=1.0, y=0.3))
+        propagate_ode(gen, bell_vector(), TimeGrid(0.0, 2.0, 3))
+        assert calls == []
+
+    def test_matches_expm_on_random_feedback_loops(self):
+        rng = np.random.default_rng(2026)
+        grid = TimeGrid(0.0, 2.0, 3)
+        r0 = bell_vector()
+        for _ in range(40):
+            m, f, gamma = 10.0 ** rng.uniform(-1.0, 2.0, size=3)
+            mu, y = rng.uniform(-5.0, 5.0, size=2)
+            gen = wm_full_generator(FeedbackParams(m=m, f=f, mu=mu, gamma=gamma, y=y))
+            a = propagate_expm(gen, r0, grid)
+            b = propagate_ode(gen, r0, grid)
+            assert np.max(np.abs(a.states - b.states)) <= 1e-8, (m, f, mu, gamma, y)
+
+
+class TestDormandPrinceTableau:
+    nodes = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+
+    def test_stage_rows_sum_to_nodes(self):
+        assert entdyn.evolution._DP_A.shape == (7, 6)
+        assert np.all(np.triu(entdyn.evolution._DP_A) == 0.0)
+        assert np.max(np.abs(entdyn.evolution._DP_A.sum(axis=1) - self.nodes)) <= 1e-15
+
+    def test_fifth_order_weights(self):
+        weights = entdyn.evolution._DP_B[0]
+        for q in range(5):
+            assert abs(weights @ self.nodes**q - 1.0 / (q + 1)) <= 1e-15, q
+
+    def test_embedded_fourth_order_weights(self):
+        weights, error = entdyn.evolution._DP_B
+        assert abs(error.sum()) <= 1e-15
+        for q in range(4):
+            assert abs((weights - error) @ self.nodes**q - 1.0 / (q + 1)) <= 1e-15, q
+
 
 class TestSteadyState:
     def test_pure_dephasing_has_no_unique_fixed_point(self):
@@ -255,6 +305,21 @@ class TestSteadyState:
     def test_rejects_non_liouville_size(self):
         with pytest.raises(DimensionMismatchError):
             steady_state(np.zeros((5, 5)))
+
+    def test_decaying_generator_has_no_normalizable_state(self):
+        with pytest.raises(NonUniqueSteadyStateError, match="no normalizable steady state"):
+            steady_state(-np.eye(4))
+
+    @pytest.mark.parametrize("rate", [1e9, 1e12])
+    def test_extreme_feedback_rates(self, rate):
+        # the trace row keeps its weight next to a generator of norm ~rate
+        params = FeedbackParams(m=rate, f=rate, gamma=1.0)
+        rho = steady_state(wm_subspace_generator(params))
+        assert np.max(np.abs(rho - steady_state_closed_form(params).rho)) <= 1e-9
+
+    def test_zero_generator_kernel_dimension(self):
+        with pytest.raises(NonUniqueSteadyStateError, match="kernel dimension 4"):
+            steady_state(wm_subspace_generator(FeedbackParams(m=0.0, f=0.0, gamma=0.0)))
 
 
 class TestTrajectoryQuality:

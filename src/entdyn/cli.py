@@ -219,6 +219,8 @@ def _require(condition: bool, message: str):
 
 def _validate_values(scenario: str, values: dict):
     """The rules only the command line knows; the library checks the physical parameters."""
+    for key, value in values.items():
+        _require(value != [], f"{key} must list at least one value")
     if "points" in values:
         _require(values["points"] >= 2, f"points must be at least 2, got {values['points']}")
     for key in ("m_max", "f_max"):
@@ -327,23 +329,30 @@ def _run_fig2(values: dict) -> dict:
 def _run_fig_nogo(values: dict) -> dict:
     grid = _time_grid(values)
     r0 = vectorize(restrict_23(density_from_pure(bell_state())))
-    # every parameter set is checked before the first stderr line
-    runs = [FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y) for y in values["y"]]
+    # every parameter set is checked before the first propagation
+    runs = [_nogo_params(values, y) for y in values["y"]]
     columns: dict[str, list] = {"y": [], "t": [], "concurrence": [], "bloch_norm": []}
-    # the per-y diagnostics reach stderr only once every run has succeeded
-    notes = []
     for params in runs:
         traj = propagate_expm(wm_subspace_generator(params), r0, grid)
         _check_emitted_densities(traj)
-        fixed_point = bloch_steady_state(bloch_system(params))
-        notes.append(f"fig-nogo y={params.y:g}: |Bloch fixed point| = {np.linalg.norm(fixed_point):.3e}")
         columns["y"].append(np.full(traj.times.size, params.y))
         columns["t"].append(traj.times)
         columns["concurrence"].append(traj.observables["concurrence"])
         columns["bloch_norm"].append(traj.observables["bloch_norm"])
-    for note in notes:
-        print(note, file=sys.stderr)
     return {name: np.concatenate(series) for name, series in columns.items()}
+
+
+def _nogo_params(values: dict, y: float) -> FeedbackParams:
+    return FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y)
+
+
+def _fig_nogo_notes(values: dict) -> list[str]:
+    """One |Bloch fixed point| line per y, computed before the CSV is written."""
+    notes = []
+    for y in values["y"]:
+        fixed_point = bloch_steady_state(bloch_system(_nogo_params(values, y)))
+        notes.append(f"fig-nogo y={y:g}: |Bloch fixed point| = {np.linalg.norm(fixed_point):.3e}")
+    return notes
 
 
 def _log_grid(upper: float, points: int) -> np.ndarray:
@@ -418,8 +427,16 @@ _RUNNERS = {
 
 
 def run_scenario(config: ScenarioConfig):
-    """Execute a resolved scenario and report the written file on stderr."""
-    rows = _write_csv(config.out, _RUNNERS[config.scenario](config.values))
+    """Execute a resolved scenario and write its CSV.
+
+    The scenario's notes and the written file are reported on stderr only
+    after the write has succeeded, so a failure anywhere leaves one line.
+    """
+    table = _RUNNERS[config.scenario](config.values)
+    notes = _fig_nogo_notes(config.values) if config.scenario == "fig-nogo" else []
+    rows = _write_csv(config.out, table)
+    for note in notes:
+        print(note, file=sys.stderr)
     print(f"{config.scenario}: wrote {config.out} ({rows} rows)", file=sys.stderr)
 
 

@@ -37,6 +37,10 @@ __all__ = [
     "concurrence_sweep",
 ]
 
+#: grid points per closed-form block in concurrence_sweep; bounds the
+#: temporaries of a large grid to a fixed size
+_SWEEP_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class FeedbackParams:
@@ -171,24 +175,64 @@ class SteadyState:
     concurrence: float
 
 
+def _concurrence_and_deficit(m, f, mu, gamma):
+    """C and 1 - C of the y = 0 steady state; m and f broadcast against each other.
+
+    With r = gamma + m, A = hypot(mu, r) and D = A^2 + r f,
+    C = 2 sqrt(m f) A / D, and the deficit is formed directly as
+    1 - C = ((A - sqrt(m f))^2 + gamma f) / D instead of by cancellation.
+    A - sqrt(m f) is itself taken as (A^2 - m f) / (A + sqrt(m f)) with
+    A^2 - m f = mu^2 + gamma (gamma + 2m) + m (m - f), so it keeps its
+    digits where A and sqrt(m f) nearly agree, as on the diagonal m = f.
+
+    Both results are homogeneous of degree 0 in the rates, so each point
+    is evaluated with its rates divided by the largest of them, s, and no
+    product overflows or loses the smaller rates. The terms without f are
+    divided once per m by u = max(|mu|, gamma, m); a point then scales them
+    by k = u / s and takes l = f / s, where s = max(u, f). Where C is near 0
+    the deficit can round an ulp above 1, its bound, and is capped there.
+    """
+    u = np.maximum(np.maximum(np.abs(mu), gamma), m)
+    m, mu, gamma = m / u, mu / u, gamma / u
+    r = gamma + m
+    a = np.hypot(mu, r)
+    excess = mu * mu + gamma * (gamma + 2.0 * m)  # A^2 - m^2
+    s = np.maximum(u, f)
+    k, l = u / s, f / s
+    kl = k * l
+    root = np.sqrt(m) * np.sqrt(kl)
+    # every quantity below is over s, or over s^2 for d
+    ak = a * k
+    gap = k * (excess * k + m * (m * k - l)) / (ak + root)
+    d = ak * ak + r * kl
+    deficit = np.minimum((gap * gap + gamma * kl) / d, 1.0)
+    return 2.0 * ak * root / d, deficit
+
+
 def steady_state_closed_form(params: FeedbackParams) -> SteadyState:
     """Closed-form steady state of the subspace dynamics for y = 0, f > 0.
 
     The diagonal is balanced at 1/2; the coherence is
     sqrt(f m) (mu + i (gamma + m)) / (mu^2 + (gamma + m)(gamma + m + f)),
-    giving concurrence twice its modulus and purity (1 + C^2) / 2.
+    giving concurrence twice its modulus and purity (1 + C^2) / 2. The
+    coherence is formed as C/2 times the phase of mu + i (gamma + m), and
+    every rate is divided by the largest first, so any finite rates give
+    a finite result. With m = gamma = mu = 0 the x component of the Bloch
+    vector is conserved and no unique steady state exists.
     """
     if params.y != 0:
         raise RequiresZeroYError("closed form requires y = 0")
     if params.f == 0:
         raise NonUniqueSteadyStateError("closed form requires f > 0")
     m, f, mu, gamma = params.m, params.f, params.mu, params.gamma
-    denom = mu * mu + (gamma + m) * (gamma + m + f)
-    off = np.sqrt(f * m) * (mu + 1j * (gamma + m)) / denom
+    largest = max(abs(mu), gamma, m)
+    if largest == 0:
+        raise NonUniqueSteadyStateError("closed form requires m, gamma or mu nonzero")
+    conc, _ = _concurrence_and_deficit(m, f, mu, gamma)
+    direction = complex(mu / largest, gamma / largest + m / largest)
+    off = 0.5 * conc * direction / abs(direction)
     rho = np.array([[0.5, off], [np.conj(off), 0.5]])
-    conc = 2.0 * np.sqrt(m * f) * np.sqrt(mu * mu + (gamma + m) ** 2) / denom
-    pur = 0.5 + 2.0 * f * m * (mu * mu + (gamma + m) ** 2) / denom**2
-    return SteadyState(rho, float(pur), float(conc))
+    return SteadyState(rho, float(0.5 * (1.0 + conc * conc)), float(conc))
 
 
 @dataclass(frozen=True)
@@ -206,7 +250,8 @@ def concurrence_sweep(m_grid, f_grid, gamma: float, mu: float = 0.0) -> SweepRes
 
     Entry (i, j) belongs to (m_grid[i], f_grid[j]). gamma must be positive
     so the concurrence stays below one and its deficit has a logarithm;
-    gamma, mu and the grid values must be finite.
+    gamma, mu and the grid values must be finite. The deficit 1 - C is
+    computed directly, so its logarithm stays finite as C approaches 1.
     """
     m = np.asarray(m_grid, dtype=float).reshape(-1)
     f = np.asarray(f_grid, dtype=float).reshape(-1)
@@ -218,8 +263,10 @@ def concurrence_sweep(m_grid, f_grid, gamma: float, mu: float = 0.0) -> SweepRes
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
-    mm = m[:, None]
-    ff = f[None, :]
-    denom = mu * mu + (gamma + mm) * (gamma + mm + ff)
-    conc = 2.0 * np.sqrt(mm * ff) * np.sqrt(mu * mu + (gamma + mm) ** 2) / denom
-    return SweepResult(m, f, conc, np.log10(1.0 - conc))
+    conc = np.empty((m.size, f.size))
+    deficit = np.empty_like(conc)
+    step = max(1, _SWEEP_BLOCK // f.size)
+    for start in range(0, m.size, step):
+        rows = slice(start, start + step)
+        conc[rows], deficit[rows] = _concurrence_and_deficit(m[rows, None], f, mu, gamma)
+    return SweepResult(m, f, conc, np.log10(deficit, out=deficit))

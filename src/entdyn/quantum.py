@@ -24,7 +24,7 @@ from .errors import (
     NotPSDError,
     OutsideBlochBallError,
 )
-from .linalg import _as_square, _check_hermitian
+from .linalg import _as_square, _check_hermitian, _dagger
 
 __all__ = [
     "PAULI_X",
@@ -53,6 +53,11 @@ _YY = np.kron(PAULI_Y, PAULI_Y)
 
 #: population allowed outside the central block when restricting
 _LEAK_TOL = 1e-9
+
+#: Hermiticity and eigenvalue gates of both concurrences: states this close
+#: to Hermitian and positive are measured through their Hermitian part
+_HERM_ATOL = 1e-8
+_PSD_CLIP = 1e-9
 
 #: matrices per stacked LAPACK call; bounds the eigh and svd temporaries
 #: of a long trajectory to a fixed size
@@ -223,8 +228,8 @@ def concurrence(rho) -> float | np.ndarray:
     mat = _as_square(rho, "rho", stacked=True, size=4)
 
     def block_concurrence(block):
-        adjoint = _check_hermitian(block, 1e-8, "rho")
-        root = linalg.sqrt_psd(0.5 * (block + adjoint), clip=1e-9)
+        adjoint = _check_hermitian(block, _HERM_ATOL, "rho")
+        root = linalg.sqrt_psd(0.5 * (block + adjoint), clip=_PSD_CLIP)
         try:
             lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
         except np.linalg.LinAlgError as exc:
@@ -238,6 +243,31 @@ def concurrence(rho) -> float | np.ndarray:
 def concurrence_2x2_embedded(rho) -> float | np.ndarray:
     """Concurrence of a qubit state embedded in the central (2,3) block.
 
-    A stack of N states gives an array of N values.
+    For a two-qubit state supported on span{|01>, |10>}, Wootters'
+    concurrence (PRL 80, 2245 (1998)) reduces to C = 2|rho_01|, twice the
+    modulus of the block's coherence, so no embedding or decomposition is
+    needed. The coherence is taken from the Hermitian part,
+    c = (rho_01 + conj(rho_10)) / 2. The checks are those concurrence
+    applies to the embedded state: a matrix more than 1e-8 from Hermitian
+    raises NotHermitianError, and one whose Hermitian part has an
+    eigenvalue below -1e-9 raises NotPSDError. That eigenvalue is
+    (a + b)/2 - hypot((a - b)/2, |c|) for the real diagonal (a, b).
+
+    A stack of N states gives an array of N values; a failure raises the
+    error of the first failing matrix, its Hermiticity before its
+    positivity.
     """
-    return concurrence(embed_23(rho))
+    mat = _as_square(rho, "rho", stacked=True, size=2)
+    stack = mat.reshape(-1, 2, 2)
+    a, b = stack[:, 0, 0].real, stack[:, 1, 1].real
+    coherence = 0.5 * (stack[:, 0, 1] + stack[:, 1, 0].conj())
+    modulus = np.abs(coherence)
+    lowest = (0.5 * a + 0.5 * b) - np.hypot(0.5 * a - 0.5 * b, modulus)
+    deviation = np.abs(stack - _dagger(stack)).max(axis=(1, 2))
+    failing = (deviation > _HERM_ATOL) | (lowest < -_PSD_CLIP)
+    if failing.any():
+        k = int(np.argmax(failing))
+        _check_hermitian(stack[k], _HERM_ATOL, "rho")
+        raise NotPSDError(f"eigenvalue {lowest[k]:.3e} below -{_PSD_CLIP:.1e}")
+    values = 2.0 * modulus
+    return float(values[0]) if mat.ndim == 2 else values

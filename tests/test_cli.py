@@ -30,7 +30,11 @@ REJECTED = {
     "single-grid-point": "sweep --points 1",
     "grid-ceiling-below-floor": "fig4 --m-max 0.05",
     "multiple-couplings": "evolve --y 1 --y 2",
+    "empty-y-list": "fig-nogo --config {dir}/empty-y.conf",
 }
+
+#: config files the REJECTED argv name, written into the test's directory
+CONFIG_FILES = {"empty-y.conf": "y = ,\n"}
 
 
 def run(tmp_path, *argv, name="out.csv"):
@@ -171,6 +175,25 @@ class TestGridScenarios:
         for row in rows:
             assert abs(row[3] - 0.5 * (1 + row[2] ** 2)) <= 1e-6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("fig4", "--gamma", "1e-300"), ("sweep", "--mu", "1e200"), ("sweep", "--m-max", "1e300", "--f-max", "1e300")],
+        ids=["fig4-gamma-1e-300", "sweep-mu-1e200", "sweep-rates-1e300"],
+    )
+    def test_extreme_rates_give_finite_rows(self, tmp_path, capsys, argv):
+        # a RuntimeWarning would reach stderr outside pytest; here it raises
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, *argv, "--points", "21")
+        assert code == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        _, rows = read_csv(out)
+        assert len(rows) == 21 * 21
+        assert np.all(np.isfinite(rows))
+        table = np.array(rows)
+        assert np.all((table[:, 2] >= 0) & (table[:, 2] <= 1))
+        assert np.all(table[:, -1] <= 0)
+
 
 class TestCsvWriter:
     def test_number_format(self, tmp_path):
@@ -253,18 +276,35 @@ class TestConfigHandling:
     @pytest.mark.parametrize("argv", list(REJECTED.values()), ids=list(REJECTED))
     def test_invalid_input_rejected(self, tmp_path, capsys, argv):
         # a RuntimeWarning would reach stderr outside pytest; here it raises
+        for name, text in CONFIG_FILES.items():
+            (tmp_path / name).write_text(text)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out = run(tmp_path, *argv.split())
+            code, out = run(tmp_path, *argv.format(dir=tmp_path).split())
         assert code == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("entdyn: error: ")
         assert not out.exists()
 
-    @pytest.mark.parametrize("target", ["", "no/such/dir/x.csv"])
-    def test_unwritable_output_rejected(self, tmp_path, capsys, target):
-        assert cli.main(["fig1", "--steps", "4", "--out", str(tmp_path / target)]) == 1
+    def test_empty_list_error_names_the_key(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("y = ,\n")
+        code, _ = run(tmp_path, "fig-nogo", "--config", str(config))
+        assert code == 1
+        assert capsys.readouterr().err == "entdyn: error: y must list at least one value\n"
+
+    @pytest.mark.parametrize(
+        "scenario, target",
+        [
+            pytest.param("fig1", "", id=""),
+            pytest.param("fig1", "no/such/dir/x.csv", id="no/such/dir/x.csv"),
+            # fig-nogo has stderr notes of its own, which must not precede the error
+            pytest.param("fig-nogo", "missing/dir/x.csv", id="fig-nogo-missing/dir/x.csv"),
+        ],
+    )
+    def test_unwritable_output_rejected(self, tmp_path, capsys, scenario, target):
+        assert cli.main([scenario, "--steps", "4", "--out", str(tmp_path / target)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith("entdyn: error: ")

@@ -164,7 +164,7 @@ class TestPropagateExpm:
         reference = np.array([expm(gen * t) @ r0 for t in grid.times])
         assert np.max(np.abs(traj.states.reshape(grid.n_samples, -1) - reference)) <= 1e-12
 
-    @pytest.mark.parametrize("samples", [2, 201, 2001])
+    @pytest.mark.parametrize("samples", [2, 3, 4, 5, 17, 201, 2001])
     def test_two_exponentials_per_grid(self, samples, monkeypatch):
         calls = []
 
@@ -175,7 +175,23 @@ class TestPropagateExpm:
         monkeypatch.setattr(entdyn.evolution, "expm", counting_expm)
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
         propagate_expm(gen, bell_vector(), TimeGrid(0.0, 5.0, samples))
-        assert len(calls) <= 2
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("samples", [2, 3, 4, 5, 17, 2001])
+    def test_doubling_matches_stepwise_and_exponentials(self, samples):
+        # lengths around powers of two exercise a last round that fills
+        # fewer samples than are known
+        gen = wm_full_generator(FeedbackParams(m=3.0, f=0.7, mu=0.5, gamma=1.0, y=0.3))
+        grid = TimeGrid(0.5, 8.0, samples)
+        r0 = bell_vector()
+        states = propagate_expm(gen, r0, grid).states.reshape(samples, -1)
+        step = expm(gen * (grid.span / (samples - 1)))
+        stepwise = [expm(gen * grid.t_start) @ r0]
+        for _ in range(samples - 1):
+            stepwise.append(step @ stepwise[-1])
+        assert np.max(np.abs(states - np.array(stepwise))) <= 1e-12
+        reference = np.array([expm(gen * t) @ r0 for t in grid.times])
+        assert np.max(np.abs(states - reference)) <= 1e-12
 
     def test_overflowing_generator_scale_raises(self):
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))

@@ -1,3 +1,6 @@
+import decimal
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,17 @@ from entdyn.quantum import (
     vectorize,
 )
 from helpers import assert_multiset_close, eig_real_3x3, random_density
+
+
+def exact_concurrence_and_deficit(m, f, gamma, mu):
+    """C and 1 - C at 700 significant digits, from the binary values given."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        m, f, gamma, mu = (decimal.Decimal(float(v)) for v in (m, f, gamma, mu))
+        r = gamma + m
+        denom = mu * mu + r * (r + f)
+        conc = 2 * (m * f).sqrt() * (mu * mu + r * r).sqrt() / denom
+        return float(conc), float(1 - conc)
 
 
 def random_params(rng, y=0.0):
@@ -254,6 +268,26 @@ class TestClosedFormSteadyState:
         with pytest.raises(NonUniqueSteadyStateError):
             steady_state_closed_form(FeedbackParams(m=1.0, f=0.0, gamma=1.0))
 
+    def test_no_damping_is_degenerate(self):
+        # with m = gamma = mu = 0 the Bloch x component is conserved
+        with pytest.raises(NonUniqueSteadyStateError):
+            steady_state(wm_subspace_generator(FeedbackParams(m=0.0, f=1.0)))
+        with pytest.raises(NonUniqueSteadyStateError):
+            steady_state_closed_form(FeedbackParams(m=0.0, f=1.0))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300, 1e308])
+    def test_invariant_under_rate_scaling(self, scale):
+        # C, purity and rho are homogeneous of degree 0 in the rates
+        params = FeedbackParams(m=0.9, f=1.0, mu=-0.6, gamma=0.3)
+        scaled = FeedbackParams(m=0.9 * scale, f=scale, mu=-0.6 * scale, gamma=0.3 * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = steady_state_closed_form(scaled)
+        base = steady_state_closed_form(params)
+        assert abs(big.concurrence - base.concurrence) <= 1e-15
+        assert abs(big.purity - base.purity) <= 1e-15
+        assert np.max(np.abs(big.rho - base.rho)) <= 1e-15
+
 
 class TestConcurrenceSweep:
     def test_single_cell(self):
@@ -293,6 +327,31 @@ class TestConcurrenceSweep:
             ]
             assert int(np.argmax(conc)) == 20
             assert abs(m[20] - budget / 2) <= 1e-12
+
+    def test_matches_high_precision_reference(self):
+        # the deficit is checked at gamma down to 1e-300 and on the diagonal
+        # m = f, where 1 - C computed by cancellation would round to 0
+        rng = np.random.default_rng(68)
+        m_grid = 10.0 ** rng.uniform(-3, 12, 12)
+        f_grid = np.concatenate([m_grid[:4], 10.0 ** rng.uniform(-3, 12, 8)])
+        for gamma, mu in [(1e-300, 0.0), (1.0, 0.0), (0.3, -2.5), (1e-12, 1e6), (2.0, 1e200)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                sweep = concurrence_sweep(m_grid, f_grid, gamma, mu)
+            for i, m in enumerate(m_grid):
+                for j, f in enumerate(f_grid):
+                    conc, deficit = exact_concurrence_and_deficit(m, f, gamma, mu)
+                    assert abs(sweep.concurrence[i, j] - conc) <= 1e-13 * conc
+                    assert abs(sweep.log10_one_minus_concurrence[i, j] - np.log10(deficit)) <= 1e-12
+
+    def test_deficit_without_splitting(self):
+        # at mu = 0 the deficit is (gamma + (sqrt(m) - sqrt(f))^2) / (gamma + m + f)
+        rng = np.random.default_rng(69)
+        m_grid, f_grid = 10.0 ** rng.uniform(-1, 3, (2, 20))
+        sweep = concurrence_sweep(m_grid, f_grid, gamma=0.7)
+        mm, ff = m_grid[:, None], f_grid[None, :]
+        expected = (0.7 + (np.sqrt(mm) - np.sqrt(ff)) ** 2) / (0.7 + mm + ff)
+        assert np.max(np.abs(sweep.log10_one_minus_concurrence - np.log10(expected))) <= 1e-13
 
     def test_rejects_bad_grids(self):
         with pytest.raises(ValueError):

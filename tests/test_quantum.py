@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import entdyn.quantum
 from entdyn.errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -249,13 +250,45 @@ class TestEmbeddedConcurrence:
         rho = np.array([[0.5, 1j / 3], [-1j / 3, 0.5]])
         assert abs(concurrence_2x2_embedded(rho) - 2.0 / 3.0) <= 1e-12
 
+    def test_needs_no_decomposition_or_embedding(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("not expected on the closed-form route")
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        monkeypatch.setattr(entdyn.quantum, "embed_23", refuse)
+        rho = np.array([[0.5, 1j / 3], [-1j / 3, 0.5]])
+        assert abs(concurrence_2x2_embedded(np.array([rho, np.eye(2) / 2]))[0] - 2.0 / 3.0) <= 1e-15
+
+    def test_hermiticity_error_before_positivity_error(self):
+        # the first failing sample is both indefinite and non-Hermitian
+        rng = np.random.default_rng(33)
+        states = random_stack(rng, 40, 2)
+        states[7] = np.diag([1.5, -0.5])
+        states[7, 0, 1] = 1e-3
+        states[9] = np.diag([2.0, -1.0])
+        with pytest.raises(NotHermitianError) as excinfo:
+            concurrence_2x2_embedded(states)
+        assert "1.000e-03" in str(excinfo.value)
+
+    def test_round_off_asymmetry_within_gate_is_accepted(self):
+        rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
+        rho[0, 1] += 4e-9
+        assert abs(concurrence_2x2_embedded(rho) - (0.5 + 4e-9)) <= 1e-15
+        rho[0, 1] += 2e-8
+        with pytest.raises(NotHermitianError):
+            concurrence_2x2_embedded(rho)
+
     def test_matches_full_computation_on_supported_states(self):
+        # C = 2|rho_01| against the full spin-flip computation
         rng = np.random.default_rng(31)
-        for _ in range(200):
-            rho = random_density(rng, 2)
+        states = [random_density(rng, 2) for _ in range(200)]
+        states += [density_from_pure(random_pure(rng, 2)) for _ in range(50)]
+        states += [np.diag([1.0, 0.0]), 0.5 * np.ones((2, 2)), np.eye(2) / 2]
+        for rho in states:
             full = concurrence(embed_23(rho))
-            assert abs(concurrence_2x2_embedded(rho) - full) <= 1e-10
-            assert abs(concurrence_2x2_embedded(restrict_23(embed_23(rho))) - full) <= 1e-10
+            assert abs(concurrence_2x2_embedded(rho) - full) <= 1e-14
+            assert abs(concurrence_2x2_embedded(restrict_23(embed_23(rho))) - full) <= 1e-14
 
 
 def random_stack(rng, count, n):
@@ -287,13 +320,14 @@ class TestStacks:
         assert np.max(np.abs(bloch_from_density(states) - bloch)) <= 1e-14
         assert np.array_equal(embed_23(states), [embed_23(rho) for rho in states])
 
-    @pytest.mark.parametrize("function", [concurrence, validate_density])
+    @pytest.mark.parametrize("function", [concurrence, validate_density, concurrence_2x2_embedded])
     def test_first_failing_matrix_sets_the_error(self, function):
         rng = np.random.default_rng(53)
-        states = random_stack(rng, 600, 4)
+        n = 2 if function is concurrence_2x2_embedded else 4
+        states = random_stack(rng, 600, n)
         # sample 300 is indefinite; sample 301, in the same block, is far
         # from Hermitian, and a block-wide check alone would report it first
-        states[300] = np.diag([1.5, -0.5, 0.0, 0.0])
+        states[300] = np.diag([1.5, -0.5, 0.0, 0.0])[:n, :n]
         states[301, 0, 1] += 1e-3
         with pytest.raises(NotPSDError) as single:
             function(states[300])

@@ -13,6 +13,7 @@ Config files are plain text, one `key = value` per line, `#` comments.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -56,7 +57,7 @@ _GRID_MIN = 0.1
 _EMIT_TOL = 1e-8
 
 #: CSV rows formatted per write; bounds the temporaries of a large grid
-_WRITE_BLOCK = 256
+_WRITE_BLOCK = 2048
 
 
 class ConfigError(ValueError):
@@ -272,27 +273,126 @@ def parse_config(argv: list[str]) -> ScenarioConfig:
     return ScenarioConfig(ns.scenario, merged, out)
 
 
+# Tables of the "%.9g" kernel, indexed by a decimal exponent j at j + 300 or
+# by a 3-digit group k = 0..999. A value is laid out in five 8-byte words:
+#   0  sign "-" and "0.000", the prefix of fixed notation below 1
+#   1  digit/dot pairs "d.d.d." of the first 3-digit group,
+#   2  of the second
+#   3  and of the third
+#   4  "e", the exponent sign, three exponent digits and the separator
+# A 0 byte is no byte. A value's layout depends on its exponent class (e =
+# 0..8, e = -1..-4, scientific with 2 or 3 exponent digits), its count of
+# significant digits, its sign and whether it ends a row, combined into
+# key = ((class * 9 + digits - 1) * 2 + negative) * 2 + ends_row. The row of
+# _TEMPLATES for that key holds the layout's constant bytes and 0xFF where
+# the value's digits, dots and exponent go.
+_SLOTS = 40
+_SEPARATOR = 37
+_SCALES = np.array([float(f"1e{8 - j}") for j in range(-300, 301)])
+_GROUPS = np.frombuffer(b"".join(b"%c.%c.%c.\0\0" % tuple(b"%03d" % k) for k in range(1000)), dtype=np.uint64)
+# 4 * the trailing zeros of "%03d" % k: each trailing zero lowers the key by 4
+_GROUP_ZEROS = 4 * np.array([3] + [0 if k % 10 else 1 if k % 100 else 2 for k in range(1, 1000)])
+_EXPONENTS = np.frombuffer(
+    b"".join(b"e%c%03d\xff\0\0" % (b"+-"[j < 0], abs(j)) for j in range(-300, 301)), dtype=np.uint64
+)
+# key of exponent j with 9 significant digits, nonnegative, not ending a row
+_CLASS_KEYS = np.array(
+    [(j if 0 <= j < 9 else 8 - j if -5 < j < 0 else 13 + (abs(j) >= 100)) * 36 + 32 for j in range(-300, 301)]
+)
+
+
+def _layout_templates() -> np.ndarray:
+    cls, sig, neg, last = (
+        axis.reshape(axis.shape + (1,))
+        for axis in np.ix_(np.arange(15), np.arange(1, 10), np.arange(2), np.arange(2))
+    )
+    small, sci, fixed, places = (cls >= 9) & (cls <= 12), cls >= 13, cls <= 8, np.arange(9)
+    t = np.zeros((15, 9, 2, 2, _SLOTS), dtype=np.uint8)
+    t[..., 0:1] = np.where(neg == 1, ord("-"), 0)
+    t[..., 1:6] = np.where(small & (np.arange(5) < cls - 7), np.frombuffer(b"0.000", dtype=np.uint8), 0)
+    digit = 8 + places // 3 * 8 + places % 3 * 2
+    t[..., digit] = np.where((places < sig) | (fixed & (places <= cls)), 0xFF, 0)
+    dot_at = np.where(fixed, cls, np.where(sci, 0, -1))
+    t[..., digit + 1] = np.where((places == dot_at) & (places < sig - 1), 0xFF, 0)
+    t[..., 32:37] = np.where(sci & ((np.arange(5) != 2) | (cls == 14)), 0xFF, 0)
+    t[..., _SEPARATOR : _SEPARATOR + 1] = np.where(last == 1, ord("\n"), ord(","))
+    return t.reshape(-1, _SLOTS)
+
+
+_TEMPLATES = _layout_templates()
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The CSV bytes of a (rows, columns) float block, each value as "%.9g" % v.
+
+    Every value is scaled to s = |v| 10^(8 - e), with e = floor(log10 |v|),
+    and rounded to a 9-digit integer n. The power of ten and the product are
+    each rounded once, so s is off by at most about 2.3e-7. Where s lies at
+    least 1e-6 from a half and from the ends of [1e8, 1e9), n and e are
+    those of the exact value, which is what "%" prints. A log10 that rounds
+    across a power of ten puts s next to an end, so that case is among the
+    others (near a half or an end, zeros, non-finite values and |v| outside
+    [1e-290, 1e290]), which "%" formats one at a time. The bytes therefore
+    match "%" for every double.
+    """
+    rows, cols = block.shape
+    v = block.reshape(-1)
+    a = np.abs(v)
+    # fmin and fmax replace NaN, so every clipped value is finite and in range
+    clipped = np.fmax(np.fmin(a, 1e290), 1e-290)
+    exponent = np.floor(np.log10(clipped)).astype(np.intp) + 300
+    s = clipped * _SCALES[exponent]
+    n = np.rint(np.fmin(s, 1e9))
+    slow = (clipped != a) | (np.abs(s - n) > 0.5 - 1e-6) | (s < 1e8 + 1e-6) | (n >= 1e9)
+    high_mid, low = np.divmod(n.astype(np.int32), 1000)
+    high, mid = np.divmod(high_mid, 1000)
+    zeros = _GROUP_ZEROS[low]
+    trailing = zeros + (low == 0) * (_GROUP_ZEROS[mid] + (mid == 0) * _GROUP_ZEROS.take(high, mode="clip"))
+    key = (_CLASS_KEYS[exponent] - trailing + 2 * (v < 0)).reshape(rows, cols)
+    key[:, -1] += 1
+    key = key.reshape(-1)
+
+    slots = np.take(_TEMPLATES, key, axis=0)
+    words = slots.view(np.uint64)
+    words[:, 1] &= _GROUPS.take(high, mode="clip")
+    words[:, 2] &= _GROUPS[mid]
+    words[:, 3] &= _GROUPS[low]
+    words[:, 4] &= _EXPONENTS[exponent]
+    present = np.zeros(len(_TEMPLATES), dtype=bool)
+    present[key] = True
+    used = np.logical_or.reduce(_TEMPLATES[present])
+    fallback = slow.nonzero()[0]
+    if fallback.size:
+        texts = [b"%.9g" % x for x in v[fallback].tolist()]
+        padded = b"".join(text.ljust(_SEPARATOR, b"\0") for text in texts)
+        slots[fallback, :_SEPARATOR] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _SEPARATOR)
+        used[: max(map(len, texts))] = True
+    return slots[:, used].tobytes().translate(None, b"\0")
+
+
 def _write_csv(path: str, table: dict) -> int:
     """Write {column name: array} as CSV rows and return the row count.
 
     The columns broadcast against each other, so an (m, f) grid passes its
     edges as m[:, None] and f[None, :]; rows come out in C order. Rows are
-    formatted _WRITE_BLOCK at a time, so a grid column is never expanded
-    to its full length.
+    formatted _WRITE_BLOCK at a time by _format_block, so a grid column is
+    never expanded to its full length.
     """
-    columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in table.values()))
-    shape = columns[0].shape
-    step = max(1, _WRITE_BLOCK // int(np.prod(shape[1:])))
-    line = ("%.9g," * len(columns))[:-1] + "\n"
+    values = [np.asarray(c, dtype=float) for c in table.values()]
+    shape = np.broadcast(*values).shape or (1,)
+    columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in values]
+    step = max(1, _WRITE_BLOCK // math.prod(shape[1:]))
     try:
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            fh.write(",".join(table) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(table) + "\n").encode("ascii"))
             for start in range(0, shape[0], step):
-                block = np.stack([c[start : start + step].reshape(-1) for c in columns], axis=1)
-                fh.write("".join(line % tuple(row) for row in block.tolist()))
+                block = np.empty((min(step, shape[0] - start),) + shape[1:] + (len(columns),))
+                for j, c in enumerate(columns):
+                    block[..., j] = c if c.shape[0] == 1 else c[start : start + step]
+                fh.write(_format_block(block.reshape(-1, len(columns))))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
-    return int(np.prod(shape))
+    return math.prod(shape)
 
 
 def _check_emitted_densities(traj: Trajectory):
@@ -347,9 +447,17 @@ def _nogo_params(values: dict, y: float) -> FeedbackParams:
 
 
 def _fig_nogo_notes(values: dict) -> list[str]:
-    """One |Bloch fixed point| line per y, computed before the CSV is written."""
+    """One |Bloch fixed point| line per y, computed before the CSV is written.
+
+    Without dephasing the Bloch matrix of the no-feedback model is a pure
+    rotation, which leaves no unique fixed point; the line says so instead
+    of solving it.
+    """
     notes = []
     for y in values["y"]:
+        if values["gamma"] == 0:
+            notes.append(f"fig-nogo y={y:g}: no unique Bloch fixed point (gamma = 0: pure rotation)")
+            continue
         fixed_point = bloch_steady_state(bloch_system(_nogo_params(values, y)))
         notes.append(f"fig-nogo y={y:g}: |Bloch fixed point| = {np.linalg.norm(fixed_point):.3e}")
     return notes

@@ -64,3 +64,15 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(tok) for tok in line.split(",")] for line in lines[1:-1]]
     return header, rows
+
+
+def reference_csv(table) -> bytes:
+    """The CSV bytes of {column name: array} with one "%" per row.
+
+    The row loop the command-line writer used before its numpy kernel;
+    the tests hold every scenario's CSV to these bytes.
+    """
+    columns = np.broadcast_arrays(*(np.atleast_1d(c) for c in table.values()))
+    rows = np.stack([c.reshape(-1) for c in columns], axis=1).tolist()
+    line = ("%.9g," * len(columns))[:-1] + "\n"
+    return (",".join(table) + "\n" + "".join(line % tuple(row) for row in rows)).encode("ascii")

@@ -11,7 +11,7 @@ import entdyn
 from entdyn import cli
 from entdyn.evolution import TimeGrid, Trajectory, unitary_evolve
 from entdyn.generators import HamiltonianParams, build_hamiltonian
-from helpers import read_csv
+from helpers import read_csv, reference_csv
 
 
 #: argv that the command line or the library refuses as invalid input (exit 1)
@@ -88,6 +88,18 @@ class TestTrajectoryScenarios:
             assert final[2] < 1e-6
             assert final[3] < 1e-6
 
+    def test_drive_only_without_dephasing_notes_no_fixed_point(self, tmp_path, capsys):
+        # at gamma = 0 the Bloch matrix is a pure rotation: no unique fixed point
+        code, out = run(tmp_path, "fig-nogo", "--gamma", "0")
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3 * 201
+        assert np.all(np.isfinite(rows))
+        err = capsys.readouterr().err.splitlines()
+        note = "no unique Bloch fixed point (gamma = 0: pure rotation)"
+        assert err[:3] == [f"fig-nogo y={y}: {note}" for y in ("0.5", "1", "5")]
+        assert len(err) == 4
+
     def test_drive_only_rejects_zero_coupling(self, tmp_path):
         code, _ = run(tmp_path, "fig-nogo", "--y", "0")
         assert code == 1
@@ -145,6 +157,15 @@ class TestTrajectoryScenarios:
         v0 = np.array([0, 1, 0, 0], dtype=complex)
         traj = unitary_evolve(h, v0, TimeGrid(0.0, np.pi, 201))
         assert np.max(np.abs(traj.observables["norm"] - 1.0)) <= 1e-12
+
+    def test_stiff_feedback_keeps_trace(self, tmp_path):
+        # without the trace projection, 200 steps of expm at rates 1e8 drift
+        # 5.8e-8 in trace, past the 1e-8 check on emitted states
+        code, out = run(tmp_path, "evolve", "--m", "1e8", "--f", "1e8", "--gamma", "1e-8")
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 201
+        assert np.all(np.isfinite(rows))
 
     def test_evolve_settles_to_fixed_point(self, tmp_path):
         code, out = run(tmp_path, "evolve", "--t-max", "8", "--steps", "80")
@@ -214,6 +235,52 @@ class TestCsvWriter:
         f_grid = sorted({row[1] for row in rows})
         assert [(row[0], row[1]) for row in rows] == [(m, f) for m in m_grid for f in f_grid]
         assert len(m_grid) == len(f_grid) == 4
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "fig1", "fig2", "fig-nogo", "fig4", "evolve", "steady", "sweep",
+            "fig1 --a 0.3 --y 1e9", "fig-nogo --gamma 0", "steady --y 0.5",
+            "steady --m 1e12 --f 1e12", "sweep --points 9 --mu 2 --gamma 0.3 --m-max 50",
+            "fig4 --gamma 1e-300 --points 21",
+        ],
+    )
+    def test_scenario_bytes_match_reference_writer(self, tmp_path, argv):
+        config = cli.parse_config(argv.split())
+        table = cli._RUNNERS[config.scenario](config.values)
+        out = tmp_path / "out.csv"
+        cli._write_csv(str(out), table)
+        assert out.read_bytes() == reference_csv(table)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            1234567895.0, 999999999.5, 99999999.95, 9.9999999995e-5, np.nextafter(1e9, 0),
+            1e-4, 1e-5, 100.5, -0.0, 5e-324, np.finfo(float).max,
+            0.0, 1.0, 0.1, 1e8, 1e9, 1e16, 1e22, 1e23, 1e-290, 1e290,
+            np.nextafter(1e-290, 0), np.nextafter(1e290, np.inf), -123456789.5, 2.5e-300,
+        ],
+    )
+    def test_named_values(self, value):
+        for v in (value, -value):
+            assert cli._format_block(np.array([[v]])) == b"%.9g\n" % v
+
+    def test_seeded_doubles_match_percent(self, tmp_path):
+        # mantissas in [1, 10) at every decimal exponent a double reaches,
+        # plus exact ties at the tenth digit and their neighbours, which
+        # the kernel hands to "%"
+        rng = np.random.default_rng(20261018)
+        size = 1_000_000
+        with np.errstate(over="ignore", under="ignore"):
+            spread = rng.uniform(1.0, 10.0, size) * 10.0 ** rng.integers(-320, 309, size).astype(float)
+        scales = 10.0 ** rng.integers(-12, 12, 20_000).astype(float)
+        ties = (rng.integers(10**8, 10**9, 20_000) + 0.5) * scales
+        values = np.concatenate([spread, ties, np.nextafter(ties, 0), np.nextafter(ties, np.inf)])
+        values *= rng.choice([-1.0, 1.0], values.size)
+        table = {f"c{k}": column for k, column in enumerate(values.reshape(4, -1))}
+        out = tmp_path / "doubles.csv"
+        assert cli._write_csv(str(out), table) == values.size // 4
+        assert out.read_bytes() == reference_csv(table)
 
     def test_fig4_is_sweep_at_zero_splitting_without_purity(self, tmp_path):
         argv = ("--points", "9", "--gamma", "0.3", "--m-max", "50")

@@ -193,6 +193,19 @@ class TestPropagateExpm:
         reference = np.array([expm(gen * t) @ r0 for t in grid.times])
         assert np.max(np.abs(states - reference)) <= 1e-12
 
+    def test_stiff_generator_keeps_trace(self):
+        # without the projection, expm of a generator with rates 1e8 loses up
+        # to 3e-10 of trace per step, 5.8e-8 over these 200 steps
+        gen = wm_full_generator(FeedbackParams(m=1e8, f=1e8, gamma=1e-8))
+        traj = propagate_expm(gen, bell_vector(), TimeGrid(0.0, 10.0, 201))
+        traces = np.trace(traj.states, axis1=1, axis2=2)
+        assert np.max(np.abs(traces - 1.0)) <= 1e-14
+
+    def test_rejects_generator_that_loses_trace(self):
+        # the trace projection is exact only for a trace-preserving generator
+        with pytest.raises(ValueError, match="does not preserve the trace"):
+            propagate_expm(-0.5 * np.eye(16), bell_vector(), TimeGrid(0.0, 1.0, 3))
+
     def test_overflowing_generator_scale_raises(self):
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
         with pytest.raises(NonFiniteError):

@@ -3,12 +3,15 @@
 Two independent propagation routes are provided on purpose: propagate_expm
 exponentiates the generator once for the uniform sample step and fills
 the samples with powers of that propagator, while propagate_ode integrates the
-same flow with an embedded Dormand-Prince 4(5) pair. They share no
-numerical machinery, so agreement between them is a real cross-check.
+same flow with an adaptive embedded Dormand-Prince 4(5) pair, each step
+evaluated as the pair's stability polynomials in hL on a Krylov block of
+scaled generator powers. They share no numerical machinery, so agreement
+between them is a real cross-check.
 Observables are computed on the whole stack of sampled states at once.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,12 +68,15 @@ class Trajectory:
 
     states holds state vectors (n_samples, d) for unitary runs and density
     matrices (n_samples, n, n) for open-system runs. observables maps a
-    series name to a real array over the same samples.
+    series name to a real array over the same samples. diagnostics holds
+    what the route reports about its own run, and is empty unless the route
+    fills it.
     """
 
     times: np.ndarray
     states: np.ndarray
     observables: dict[str, np.ndarray] = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _density_observables(states: np.ndarray) -> dict[str, np.ndarray]:
@@ -236,26 +242,74 @@ _DP_B = np.array(
     ]
 )
 
+
+def _stability_polynomials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients of z¹ … z⁷ in the increment and error polynomials of the tableau.
+
+    For dr/dt = L r the argument of stage i is p_i(z) r with z = hL and
+    p_i = 1 + z Σ_j a_ij p_j, so a step adds z Σ_i b_i p_i(z) r. Row k of
+    the stage table holds the coefficients of z⁰ … z⁶ in p_k.
+    """
+    stages = np.zeros((a.shape[0], a.shape[0]))
+    for i in range(a.shape[0]):
+        stages[i, 0] = 1.0
+        stages[i, 1:] = a[i, :i] @ stages[:i, :-1]
+    return b @ stages
+
+
+_DP_POLY = _stability_polynomials(_DP_A, _DP_B)
+_DP_DEGREES = np.arange(1.0, _DP_POLY.shape[1] + 1)
+_DOUBLE_MAX = np.finfo(float).max
+
 _MAX_STEP_ATTEMPTS = 1_000_000
 
 
-def _dp_step(gen: np.ndarray, y: np.ndarray, h: float):
-    """One embedded step on a (7, n²) stage array: returns (y_new, error_estimate)."""
-    a = h * _DP_A
-    k = np.empty((7, y.size), dtype=complex)
-    k[0] = gen @ y
-    for i in range(1, 7):
-        k[i] = gen @ (y + a[i, :i] @ k[:i])
-    increment, err = (h * _DP_B) @ k
-    return y + increment, err
+def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
+    """The stack [(L/s)¹ … (L/s)⁷] as one (7n², n²) matrix, with s.
+
+    s is a power of two near the Frobenius norm of L, so dividing by it is
+    exact and the powers stay near unit size at any rate scale.
+    """
+    peak = float(np.max(np.abs(gen)))
+    scale = 1.0
+    if peak > 0:
+        scale = np.ldexp(1.0, np.frexp(peak)[1])
+        scale = np.ldexp(scale, np.frexp(np.linalg.norm(gen / scale))[1])
+    powers = np.empty((_DP_DEGREES.size,) + gen.shape, dtype=complex)
+    powers[0] = gen / scale
+    for k in range(1, _DP_DEGREES.size):
+        powers[k] = powers[0] @ powers[k - 1]
+    return powers.reshape(-1, gen.shape[1]), float(scale)
+
+
+def _krylov_block(powers: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """[(L/s)¹ r … (L/s)⁷ r] from one product, each row as real and imaginary pairs."""
+    return (powers @ r).view(float).reshape(_DP_DEGREES.size, -1)
+
+
+def _dp_polynomial_step(block: np.ndarray, z: float) -> np.ndarray:
+    """Increment and error estimate of one step with z = h s, from the Krylov block of r.
+
+    The powers of z saturate at the largest double instead of overflowing,
+    so a row of the block that is exactly zero, as every row is when
+    L r = 0, adds zero however large z is.
+    """
+    return ((_DP_POLY * np.minimum(z**_DP_DEGREES, _DOUBLE_MAX)) @ block).view(complex)
 
 
 def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
     """Propagate by adaptive Runge-Kutta integration of dr/dt = L r.
 
     An embedded Dormand-Prince 4(5) pair controls the local error against
-    atol + rtol * |r| per component. Raises StepUnderflowError if the
-    controller needs a step below 1e-14 of the grid span.
+    atol + rtol * |r| per component. For a constant L each step is a
+    polynomial in z = hL applied to r, with coefficients derived from the
+    tableau, so an accepted step computes the Krylov block
+    [(L/s)¹ r … (L/s)⁷ r] in one product and every attempt from r takes
+    increment and error from that block: a rejected attempt makes no
+    product with L. A non-finite error estimate rejects the step. Raises
+    StepUnderflowError if the controller needs a step below 1e-14 of the
+    grid span. diagnostics records the route, the accepted and rejected
+    attempts and the smallest accepted step h_min.
     """
     gen, y = _check_generator_and_state(l, r0)
     if not (rtol > 0 and atol > 0):
@@ -269,37 +323,55 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
     h = 0.01 * size / rate if rate > 0 else grid.span / 100
     h = min(max(h, floor), grid.span)
 
-    t = times[0]
-    attempts = 0
-    for target in times[1:]:
-        while target - t > floor:
-            h_try = min(h, target - t)
-            if h_try < floor:
-                raise StepUnderflowError(
-                    f"step {h_try:.3e} below floor {floor:.3e} at t = {t:.6g}"
-                )
-            attempts += 1
-            if attempts > _MAX_STEP_ATTEMPTS:
-                raise NoConvergenceError(
-                    f"integrator exceeded {_MAX_STEP_ATTEMPTS} step attempts"
-                )
-            y_new, err = _dp_step(gen, y, h_try)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            ratio = np.abs(err) / scale
-            peak = float(ratio.max())
-            err_norm = peak * np.sqrt(((ratio / peak) ** 2).sum() / ratio.size) if peak > 0 else 0.0
-            if err_norm <= 1.0:
-                t = t + h_try
-                y = y_new
-                factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
-                h = max(h_try * factor, floor)
-            else:
-                h = max(h_try * max(0.2, 0.9 * err_norm ** -0.2), floor)
-                if h >= h_try:
-                    h = 0.5 * h_try
-        t = target
-        vectors.append(y.copy())
-    return _density_trajectory(times, vectors)
+    t = float(times[0])
+    attempts = accepted = 0
+    h_min = grid.span
+    # overflow inside a step shows as a non-finite error estimate and rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers, scale = _scaled_powers(gen)
+        block = _krylov_block(powers, y)
+        tol = atol + rtol * np.abs(y)
+        for target in times[1:].tolist():
+            while target - t > floor:
+                h_try = min(h, target - t)
+                if h_try < floor:
+                    raise StepUnderflowError(
+                        f"step {h_try:.3e} below floor {floor:.3e} at t = {t:.6g}"
+                    )
+                attempts += 1
+                if attempts > _MAX_STEP_ATTEMPTS:
+                    raise NoConvergenceError(
+                        f"integrator exceeded {_MAX_STEP_ATTEMPTS} step attempts"
+                    )
+                increment, err = _dp_polynomial_step(block, h_try * scale)
+                y_new = y + increment
+                tol_new = atol + rtol * np.abs(y_new)
+                ratio = np.abs(err) / np.maximum(tol, tol_new)
+                err_norm = math.sqrt(float(ratio @ ratio) / ratio.size)
+                if err_norm <= 1.0:
+                    accepted += 1
+                    h_min = min(h_min, h_try)
+                    t = t + h_try
+                    y = y_new
+                    block = _krylov_block(powers, y)
+                    tol = tol_new
+                    factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
+                    h = max(h_try * factor, floor)
+                else:
+                    factor = max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2
+                    h = max(h_try * factor, floor)
+                    if h >= h_try:
+                        h = 0.5 * h_try
+            t = target
+            vectors.append(y.copy())
+    trajectory = _density_trajectory(times, vectors)
+    trajectory.diagnostics = {
+        "route": "ode",
+        "accepted": accepted,
+        "rejected": attempts - accepted,
+        "h_min": float(h_min),
+    }
+    return trajectory
 
 
 def steady_state(l) -> np.ndarray:

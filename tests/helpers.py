@@ -2,6 +2,7 @@
 import numpy as np
 
 from entdyn.errors import DimensionMismatchError
+from entdyn.evolution import _DP_A, _DP_B
 
 
 def random_hermitian(rng, n):
@@ -76,3 +77,18 @@ def reference_csv(table) -> bytes:
     rows = np.stack([c.reshape(-1) for c in columns], axis=1).tolist()
     line = ("%.9g," * len(columns))[:-1] + "\n"
     return (",".join(table) + "\n" + "".join(line % tuple(row) for row in rows)).encode("ascii")
+
+
+def dp_step(gen, y, h):
+    """One Dormand-Prince 4(5) step on a (7, n²) stage array: (y_new, error estimate).
+
+    The stage recursion propagate_ode used before its polynomial form;
+    the tests hold one polynomial step to it.
+    """
+    a = h * _DP_A
+    k = np.empty((7, y.size), dtype=complex)
+    k[0] = gen @ y
+    for i in range(1, 7):
+        k[i] = gen @ (y + a[i, :i] @ k[:i])
+    increment, err = (h * _DP_B) @ k
+    return y + increment, err

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import entdyn.evolution
 from entdyn.errors import (
     DimensionMismatchError,
     InvalidStateError,
+    NoConvergenceError,
     NonFiniteError,
     NonUniqueSteadyStateError,
     NotHermitianError,
@@ -27,11 +30,12 @@ from entdyn.generators import (
     HamiltonianParams,
     assemble_liouvillian,
     build_hamiltonian,
+    lindblad_dissipator_superop,
     phenomenological_superop,
 )
 from entdyn.linalg import expm, hermitian_eig
 from entdyn.quantum import bell_state, density_from_pure, restrict_23, vectorize
-from helpers import random_hermitian, random_pure
+from helpers import dp_step, random_density, random_hermitian, random_pure
 
 
 def central_dephasing_generator(rate=1.0):
@@ -240,6 +244,12 @@ class TestPropagateOde:
         for state in traj.states:
             assert np.max(np.abs(state - traj.states[0])) <= 1e-12
 
+    def test_state_in_kernel_of_fast_generator_is_constant(self):
+        # dephasing leaves populations alone, so L r = 0 exactly however large the rate
+        r0 = vectorize(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
+        traj = propagate_ode(central_dephasing_generator(1e100), r0, TimeGrid(0.0, 1.0, 3))
+        assert np.array_equal(traj.states[-1], traj.states[0])
+
     def test_stiff_feedback_completes(self):
         params = FeedbackParams(m=100.0, f=100.0, gamma=1.0)
         gen = wm_subspace_generator(params)
@@ -282,6 +292,54 @@ class TestPropagateOde:
             b = propagate_ode(gen, r0, grid)
             assert np.max(np.abs(a.states - b.states)) <= 1e-8, (m, f, mu, gamma, y)
 
+    def test_non_finite_error_estimate_rejects_the_step(self):
+        # z = hL overflows in every trial step until the step reaches the floor
+        gen = np.zeros((4, 4))
+        gen[1, 1] = -1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepUnderflowError):
+                propagate_ode(gen, [1.0, 1e-200, 0.0, 0.0], TimeGrid(0.0, 1.0, 3))
+
+    def test_extreme_generator_scale_matches_unscaled_run(self):
+        # unscaled, the seventh power of this generator would overflow
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, mu=0.5, gamma=1.0, y=0.3))
+        a = propagate_ode(gen, bell_vector(), TimeGrid(0.0, 2.0, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b = propagate_ode(1e150 * gen, bell_vector(), TimeGrid(0.0, 2e-150, 3))
+        assert np.max(np.abs(a.states - b.states)) <= 1e-10
+
+
+class TestOdeDiagnostics:
+    grid = TimeGrid(0.0, 10.0, 21)
+
+    def stiff_run(self):
+        gen = wm_subspace_generator(FeedbackParams(m=100.0, f=100.0, gamma=1.0))
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        return gen, r0, propagate_ode(gen, r0, self.grid)
+
+    def test_records_route_and_step_counts(self):
+        _, _, traj = self.stiff_run()
+        diag = traj.diagnostics
+        assert diag["route"] == "ode"
+        assert diag["rejected"] > 0
+        assert diag["accepted"] >= self.grid.n_samples - 1
+        assert 1e-14 * self.grid.span <= diag["h_min"] <= self.grid.span / (self.grid.n_samples - 1)
+
+    def test_accepted_and_rejected_are_all_attempts(self, monkeypatch):
+        gen, r0, traj = self.stiff_run()
+        attempts = traj.diagnostics["accepted"] + traj.diagnostics["rejected"]
+        monkeypatch.setattr(entdyn.evolution, "_MAX_STEP_ATTEMPTS", attempts)
+        propagate_ode(gen, r0, self.grid)
+        monkeypatch.setattr(entdyn.evolution, "_MAX_STEP_ATTEMPTS", attempts - 1)
+        with pytest.raises(NoConvergenceError):
+            propagate_ode(gen, r0, self.grid)
+
+    def test_expm_route_records_nothing(self):
+        traj = propagate_expm(central_dephasing_generator(), bell_vector(), self.grid)
+        assert traj.diagnostics == {}
+
 
 class TestDormandPrinceTableau:
     nodes = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -301,6 +359,47 @@ class TestDormandPrinceTableau:
         assert abs(error.sum()) <= 1e-15
         for q in range(4):
             assert abs((weights - error) @ self.nodes**q - 1.0 / (q + 1)) <= 1e-15, q
+
+
+class TestDormandPrincePolynomials:
+    def test_solution_row_is_the_taylor_series_to_fifth_order(self):
+        expected = [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0]
+        assert np.max(np.abs(entdyn.evolution._DP_POLY[0] - expected)) <= 1e-15
+
+    def test_error_row_starts_at_fifth_order(self):
+        error = entdyn.evolution._DP_POLY[1]
+        assert np.max(np.abs(error[:4])) <= 1e-16
+        assert np.max(np.abs(error[4:] - [-97 / 120000, 13 / 40000, -1 / 24000])) <= 1e-18
+
+    def test_polynomial_step_matches_stage_recursion(self):
+        evolution = entdyn.evolution
+        rng = np.random.default_rng(9)
+        for trial in range(12):
+            n = (2, 3, 4)[trial % 3]
+            rates = 10.0 ** rng.uniform(-2, 2, size=3)
+            jumps = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+            gen = assemble_liouvillian(
+                rates[0] * random_hermitian(rng, n),
+                [lindblad_dissipator_superop(rate * v) for rate, v in zip(rates[1:], jumps)],
+            )
+            y = vectorize(random_density(rng, n))
+            powers, scale = evolution._scaled_powers(gen)
+            block = evolution._krylov_block(powers, y)
+            for z in np.geomspace(1e-6, 3.3, 12):
+                h = z / np.linalg.norm(gen, 2)
+                increment, err = evolution._dp_polynomial_step(block, h * scale)
+                y_ref, err_ref = dp_step(gen, y, h)
+                assert np.max(np.abs(y + increment - y_ref)) <= 1e-13 * np.max(np.abs(y_ref)), (trial, z)
+                assert np.max(np.abs(err - err_ref)) <= 1e-13 * np.max(np.abs(y)), (trial, z)
+
+    def test_powers_are_scaled_by_a_power_of_two(self):
+        gen = 1e150 * wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        powers, scale = entdyn.evolution._scaled_powers(gen)
+        mantissa, _ = np.frexp(scale)
+        assert mantissa == 0.5
+        assert 0.5 <= np.linalg.norm(gen) / scale <= 1.0
+        assert np.array_equal(powers[: gen.shape[0]], gen / scale)
+        assert np.all(np.isfinite(powers))
 
 
 class TestSteadyState:

@@ -4,8 +4,8 @@ Each scenario runner returns a table, {column name: array}, and
 run_scenario writes it as one CSV file (header row, comma separator, floats
 at 9 significant digits, newline endings). stdout stays clean; diagnostics
 go to stderr. Exit status 0 on success, 1 on invalid input (a ValueError,
-from the command line or from the library's parameter checks), 2 on
-numerical failures (an EntdynError).
+from the command line or from the library's parameter checks, or a request
+too large for memory), 2 on numerical failures (an EntdynError).
 
 Parameter precedence is flag over config-file key over scenario default.
 Config files are plain text, one `key = value` per line, `#` comments.
@@ -76,46 +76,26 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected numbers, got {text!r}")
 
 
-_KEY_TYPES = {
-    "gamma": float,
-    "m": float,
-    "f": float,
-    "mu": float,
-    "y": _float_list,
-    "a": float,
-    "b": float,
-    "c": float,
-    "t_max": float,
-    "steps": int,
-    "m_max": float,
-    "f_max": float,
-    "points": int,
-    "sign": int,
-    "out": str,
-}
-
-# Parameters each scenario consumes, with their defaults. None means the
-# scenario computes its own fallback. Keys a scenario does not list are
-# rejected when given explicitly.
-_SCENARIOS: dict[str, dict] = {
-    "fig1": {"a": 1.0, "y": [1.0], "sign": 1, "t_max": float(np.pi), "steps": 200},
-    "fig2": {"gamma": 1.0, "t_max": 5.0, "steps": 100},
-    "fig-nogo": {"gamma": 1.0, "y": [0.5, 1.0, 5.0], "t_max": 20.0, "steps": 200},
-    "fig4": {"gamma": 1.0, "m_max": 200.0, "f_max": 200.0, "points": 81},
-    "evolve": {
-        "m": 1.0,
-        "f": 1.0,
-        "mu": 0.0,
-        "gamma": 1.0,
-        "y": [0.0],
-        "a": None,
-        "b": None,
-        "c": None,
-        "t_max": 10.0,
-        "steps": 200,
-    },
-    "steady": {"m": 1.0, "f": 1.0, "mu": 0.0, "gamma": 1.0, "y": [0.0]},
-    "sweep": {"gamma": 1.0, "mu": 0.0, "m_max": 200.0, "f_max": 200.0, "points": 81},
+# Every key in --help order: (config-file type, help). A type of None marks
+# a flag that a config file may not name. y is a repeatable float flag on the
+# command line and a list in a config file.
+_KEYS = {
+    "gamma": (float, "dephasing strength"),
+    "m": (float, "measurement strength"),
+    "f": (float, "feedback strength"),
+    "mu": (float, "level splitting in the one-excitation block"),
+    "y": (_float_list, "exchange coupling; repeatable for fig-nogo"),
+    "a": (float, "first local splitting"),
+    "b": (float, "second local splitting"),
+    "c": (float, "isotropic exchange strength"),
+    "t_max": (float, "end of the time window"),
+    "steps": (int, "uniform time intervals (rows = steps + 1)"),
+    "m_max": (float, "upper edge of the m grid"),
+    "f_max": (float, "upper edge of the f grid"),
+    "points": (int, "grid points per axis"),
+    "config": (None, "config file path"),
+    "out": (str, "output CSV path (default <scenario>.csv)"),
+    "sign": (int, "evolution sign convention, +1 or -1"),
 }
 
 _EPILOG = """\
@@ -159,28 +139,9 @@ def _build_parser() -> _Parser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("scenario", choices=sorted(_SCENARIOS))
-    parser.add_argument("--gamma", type=float, default=None, help="dephasing strength")
-    parser.add_argument("--m", type=float, default=None, help="measurement strength")
-    parser.add_argument("--f", type=float, default=None, help="feedback strength")
-    parser.add_argument("--mu", type=float, default=None, help="level splitting in the one-excitation block")
-    parser.add_argument(
-        "--y",
-        type=float,
-        action="append",
-        default=None,
-        help="exchange coupling; repeatable for fig-nogo",
-    )
-    parser.add_argument("--a", type=float, default=None, help="first local splitting")
-    parser.add_argument("--b", type=float, default=None, help="second local splitting")
-    parser.add_argument("--c", type=float, default=None, help="isotropic exchange strength")
-    parser.add_argument("--t-max", dest="t_max", type=float, default=None, help="end of the time window")
-    parser.add_argument("--steps", type=int, default=None, help="uniform time intervals (rows = steps + 1)")
-    parser.add_argument("--m-max", dest="m_max", type=float, default=None, help="upper edge of the m grid")
-    parser.add_argument("--f-max", dest="f_max", type=float, default=None, help="upper edge of the f grid")
-    parser.add_argument("--points", type=int, default=None, help="grid points per axis")
-    parser.add_argument("--config", default=None, help="config file path")
-    parser.add_argument("--out", default=None, help="output CSV path (default <scenario>.csv)")
-    parser.add_argument("--sign", type=int, default=None, help="evolution sign convention, +1 or -1")
+    for key, (kind, text) in _KEYS.items():
+        options = {"type": float, "action": "append"} if kind is _float_list else {"type": kind}
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=text, **options)
     return parser
 
 
@@ -200,14 +161,15 @@ def _read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
         value = value.strip()
-        if key not in _KEY_TYPES:
+        kind = _KEYS.get(key, (None,))[0]
+        if kind is None:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"{path}:{lineno}: empty value for {key!r}")
         try:
-            values[key] = _KEY_TYPES[key](value)
+            values[key] = kind(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}")
     return values
@@ -246,31 +208,25 @@ def parse_config(argv: list[str]) -> ScenarioConfig:
     of _validate_values. Physical parameters are checked by the library
     when the scenario runs.
     """
-    parser = _build_parser()
-    ns = parser.parse_args(argv)
-    defaults = _SCENARIOS[ns.scenario]
+    flags = vars(_build_parser().parse_args(argv))
+    scenario, config = flags.pop("scenario"), flags.pop("config")
+    defaults = _SCENARIOS[scenario][1]
     allowed = set(defaults) | {"out"}
 
-    file_values = _read_config_file(ns.config) if ns.config else {}
+    file_values = _read_config_file(config) if config else {}
     for key in file_values:
         if key not in allowed:
-            raise ConfigError(f"key {key!r} is not a parameter of scenario {ns.scenario}")
+            raise ConfigError(f"key {key!r} is not a parameter of scenario {scenario}")
 
-    flag_values = {
-        key: value
-        for key, value in vars(ns).items()
-        if key in _KEY_TYPES and value is not None
-    }
+    flag_values = {key: value for key, value in flags.items() if value is not None}
     for key in flag_values:
         if key not in allowed:
-            raise ConfigError(f"--{key.replace('_', '-')} is not a parameter of scenario {ns.scenario}")
+            raise ConfigError(f"--{key.replace('_', '-')} is not a parameter of scenario {scenario}")
 
-    merged = dict(defaults)
-    merged.update(file_values)
-    merged.update(flag_values)
-    out = merged.pop("out", None) or f"{ns.scenario}.csv"
-    _validate_values(ns.scenario, merged)
-    return ScenarioConfig(ns.scenario, merged, out)
+    merged = {**defaults, **file_values, **flag_values}
+    out = merged.pop("out", None) or f"{scenario}.csv"
+    _validate_values(scenario, merged)
+    return ScenarioConfig(scenario, merged, out)
 
 
 # Tables of the "%.9g" kernel, indexed by a decimal exponent j at j + 300 or
@@ -523,14 +479,27 @@ def _run_sweep(values: dict) -> dict:
     }
 
 
-_RUNNERS = {
-    "fig1": _run_fig1,
-    "fig2": _run_fig2,
-    "fig-nogo": _run_fig_nogo,
-    "fig4": _run_fig4,
-    "evolve": _run_evolve,
-    "steady": _run_steady,
-    "sweep": _run_sweep,
+# Every scenario: (runner, parameters with their defaults, notes). A default
+# of None means the runner computes its own fallback; keys a scenario does
+# not list are rejected when given explicitly. Notes, where a scenario has
+# them, give its extra stderr lines, printed after the CSV is written.
+_SCENARIOS = {
+    "fig1": (_run_fig1, {"a": 1.0, "y": [1.0], "sign": 1, "t_max": float(np.pi), "steps": 200}, None),
+    "fig2": (_run_fig2, {"gamma": 1.0, "t_max": 5.0, "steps": 100}, None),
+    "fig-nogo": (
+        _run_fig_nogo,
+        {"gamma": 1.0, "y": [0.5, 1.0, 5.0], "t_max": 20.0, "steps": 200},
+        _fig_nogo_notes,
+    ),
+    "fig4": (_run_fig4, {"gamma": 1.0, "m_max": 200.0, "f_max": 200.0, "points": 81}, None),
+    "evolve": (
+        _run_evolve,
+        {"m": 1.0, "f": 1.0, "mu": 0.0, "gamma": 1.0, "y": [0.0], "a": None, "b": None, "c": None,
+         "t_max": 10.0, "steps": 200},
+        None,
+    ),
+    "steady": (_run_steady, {"m": 1.0, "f": 1.0, "mu": 0.0, "gamma": 1.0, "y": [0.0]}, None),
+    "sweep": (_run_sweep, {"gamma": 1.0, "mu": 0.0, "m_max": 200.0, "f_max": 200.0, "points": 81}, None),
 }
 
 
@@ -540,11 +509,12 @@ def run_scenario(config: ScenarioConfig):
     The scenario's notes and the written file are reported on stderr only
     after the write has succeeded, so a failure anywhere leaves one line.
     """
-    table = _RUNNERS[config.scenario](config.values)
-    notes = _fig_nogo_notes(config.values) if config.scenario == "fig-nogo" else []
+    runner, _, notes = _SCENARIOS[config.scenario]
+    table = runner(config.values)
+    lines = notes(config.values) if notes else []
     rows = _write_csv(config.out, table)
-    for note in notes:
-        print(note, file=sys.stderr)
+    for line in lines:
+        print(line, file=sys.stderr)
     print(f"{config.scenario}: wrote {config.out} ({rows} rows)", file=sys.stderr)
 
 
@@ -557,5 +527,8 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"entdyn: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"entdyn: error: request too large for memory: {exc}", file=sys.stderr)
         return 1
     return 0

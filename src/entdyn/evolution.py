@@ -378,8 +378,10 @@ def steady_state(l) -> np.ndarray:
     """Unique trace-one kernel element of a Liouvillian.
 
     Solves L r = 0 together with the trace functional as one stacked
-    system. The trace row is scaled by the Frobenius norm of L, so it
-    keeps its weight at any rate scale, and one SVD of the stacked system
+    system. L is first divided by a power of two near its peak entry,
+    which is exact and keeps the Frobenius norm finite for any finite L.
+    The trace row is scaled by that norm, so it keeps its weight at any
+    rate scale, and one SVD of the stacked system
     gives its rank, its least-squares solution and the residual relative
     to sigma_max |r|. A rank deficiency means the generator admits several
     normalizable steady states, a residual above 1e-8 that it admits none;
@@ -388,6 +390,10 @@ def steady_state(l) -> np.ndarray:
     """
     gen, n = _check_generator(l)
     size = gen.shape[0]
+    # real and imaginary parts apart: |z| itself can overflow
+    peak = max(abs(gen.real).max(), abs(gen.imag).max())
+    if peak > 0:
+        gen = gen / math.ldexp(1.0, math.frexp(peak)[1] - 1)
     scale = float(np.linalg.norm(gen)) or 1.0
     stacked = np.vstack([gen, scale * quantum.vectorize(np.eye(n, dtype=complex))])
     u, sigma, vh = np.linalg.svd(stacked, full_matrices=False)

@@ -41,6 +41,9 @@ __all__ = [
 #: temporaries of a large grid to a fixed size
 _SWEEP_BLOCK = 8192
 
+#: smallest normal double; a deficit below it has lost digits to underflow
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class FeedbackParams:
@@ -175,8 +178,8 @@ class SteadyState:
     concurrence: float
 
 
-def _concurrence_and_deficit(m, f, mu, gamma):
-    """C and 1 - C of the y = 0 steady state; m and f broadcast against each other.
+def _concurrence_and_log_deficit(m, f, mu, gamma):
+    """C and log10(1 - C) of the y = 0 steady state; m and f broadcast against each other.
 
     With r = gamma + m, A = hypot(mu, r) and D = A^2 + r f,
     C = 2 sqrt(m f) A / D, and the deficit is formed directly as
@@ -191,7 +194,14 @@ def _concurrence_and_deficit(m, f, mu, gamma):
     divided once per m by u = max(|mu|, gamma, m); a point then scales them
     by k = u / s and takes l = f / s, where s = max(u, f). Where C is near 0
     the deficit can round an ulp above 1, its bound, and is capped there.
+
+    Where the deficit falls below the smallest normal double, as on the
+    diagonal at a subnormal gamma, where gamma / u underflows, its
+    logarithm is taken from the logs of its two terms, gap^2 / d and
+    gamma f / (s^2 d) with gamma and f unscaled, so it stays finite although
+    1 - C itself does not fit a double.
     """
+    unscaled_gamma = gamma
     u = np.maximum(np.maximum(np.abs(mu), gamma), m)
     m, mu, gamma = m / u, mu / u, gamma / u
     r = gamma + m
@@ -206,7 +216,14 @@ def _concurrence_and_deficit(m, f, mu, gamma):
     gap = k * (excess * k + m * (m * k - l)) / (ak + root)
     d = ak * ak + r * kl
     deficit = np.minimum((gap * gap + gamma * kl) / d, 1.0)
-    return 2.0 * ak * root / d, deficit
+    conc = 2.0 * ak * root / d
+    if np.min(deficit) >= _TINY:
+        return conc, np.log10(deficit)
+    with np.errstate(divide="ignore"):
+        gap_term = 2.0 * np.log(np.abs(gap))
+        gamma_term = np.log(unscaled_gamma) + np.log(f) - 2.0 * np.log(s)
+        small = (np.logaddexp(gap_term, gamma_term) - np.log(d)) / np.log(10.0)
+        return conc, np.where(deficit >= _TINY, np.log10(deficit), small)
 
 
 def steady_state_closed_form(params: FeedbackParams) -> SteadyState:
@@ -228,7 +245,7 @@ def steady_state_closed_form(params: FeedbackParams) -> SteadyState:
     largest = max(abs(mu), gamma, m)
     if largest == 0:
         raise NonUniqueSteadyStateError("closed form requires m, gamma or mu nonzero")
-    conc, _ = _concurrence_and_deficit(m, f, mu, gamma)
+    conc, _ = _concurrence_and_log_deficit(m, f, mu, gamma)
     direction = complex(mu / largest, gamma / largest + m / largest)
     off = 0.5 * conc * direction / abs(direction)
     rho = np.array([[0.5, off], [np.conj(off), 0.5]])
@@ -264,9 +281,9 @@ def concurrence_sweep(m_grid, f_grid, gamma: float, mu: float = 0.0) -> SweepRes
     if not np.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     conc = np.empty((m.size, f.size))
-    deficit = np.empty_like(conc)
+    log_deficit = np.empty_like(conc)
     step = max(1, _SWEEP_BLOCK // f.size)
     for start in range(0, m.size, step):
         rows = slice(start, start + step)
-        conc[rows], deficit[rows] = _concurrence_and_deficit(m[rows, None], f, mu, gamma)
-    return SweepResult(m, f, conc, np.log10(deficit, out=deficit))
+        conc[rows], log_deficit[rows] = _concurrence_and_log_deficit(m[rows, None], f, mu, gamma)
+    return SweepResult(m, f, conc, log_deficit)

@@ -31,6 +31,10 @@ REJECTED = {
     "grid-ceiling-below-floor": "fig4 --m-max 0.05",
     "multiple-couplings": "evolve --y 1 --y 2",
     "empty-y-list": "fig-nogo --config {dir}/empty-y.conf",
+    # 7.1 PiB lies beyond a 47-bit address space, so the allocation fails at
+    # once on any host; a size that could really be allocated is never tried
+    "steps-beyond-memory": "fig1 --steps 1000000000000000",
+    "points-beyond-memory": "sweep --points 1000000000000000",
 }
 
 #: config files the REJECTED argv name, written into the test's directory
@@ -124,6 +128,8 @@ class TestTrajectoryScenarios:
             ("evolve", "--gamma", "1e308"),
             ("fig-nogo", "--gamma", "1e308"),
             ("fig-nogo", "--y", "1", "--y", "1e308"),
+            ("steady", "--y", "1e308"),
+            ("steady", "--f", "1e308", "--gamma", "1.05"),
         ],
     )
     def test_overflowing_generator_is_a_numerical_failure(self, tmp_path, capsys, argv):
@@ -198,8 +204,13 @@ class TestGridScenarios:
 
     @pytest.mark.parametrize(
         "argv",
-        [("fig4", "--gamma", "1e-300"), ("sweep", "--mu", "1e200"), ("sweep", "--m-max", "1e300", "--f-max", "1e300")],
-        ids=["fig4-gamma-1e-300", "sweep-mu-1e200", "sweep-rates-1e300"],
+        [
+            ("fig4", "--gamma", "1e-300"),
+            ("sweep", "--mu", "1e200"),
+            ("sweep", "--m-max", "1e300", "--f-max", "1e300"),
+            ("fig4", "--gamma", "5e-324"),
+        ],
+        ids=["fig4-gamma-1e-300", "sweep-mu-1e200", "sweep-rates-1e300", "fig4-gamma-5e-324"],
     )
     def test_extreme_rates_give_finite_rows(self, tmp_path, capsys, argv):
         # a RuntimeWarning would reach stderr outside pytest; here it raises
@@ -247,7 +258,7 @@ class TestCsvWriter:
     )
     def test_scenario_bytes_match_reference_writer(self, tmp_path, argv):
         config = cli.parse_config(argv.split())
-        table = cli._RUNNERS[config.scenario](config.values)
+        table = cli._SCENARIOS[config.scenario][0](config.values)
         out = tmp_path / "out.csv"
         cli._write_csv(str(out), table)
         assert out.read_bytes() == reference_csv(table)
@@ -406,6 +417,12 @@ class TestConfigHandling:
             cli.main(["--help"])
         assert excinfo.value.code == 0
         assert "scenarios" in capsys.readouterr().out
+
+    def test_help_text_is_pinned(self, monkeypatch):
+        # every flag, its help and the epilog, as an 80-column terminal shows them
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = (Path(__file__).parent / "data" / "help.txt").read_text(encoding="utf-8")
+        assert cli._build_parser().format_help() == expected
 
 
 def child_env() -> dict:

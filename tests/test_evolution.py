@@ -449,6 +449,27 @@ class TestSteadyState:
         with pytest.raises(NonUniqueSteadyStateError, match="kernel dimension 4"):
             steady_state(wm_subspace_generator(FeedbackParams(m=0.0, f=0.0, gamma=0.0)))
 
+    @pytest.mark.parametrize("power", [-1000, -20, 20, 1000])
+    def test_power_of_two_rate_scale_changes_no_bit(self, power):
+        # at 2^1000 the sum of squares in a plain Frobenius norm overflows
+        gen = wm_subspace_generator(FeedbackParams(m=1.0, f=2.0, mu=0.5, gamma=0.7, y=0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = steady_state(gen * 2.0**power)
+        assert np.array_equal(rho, steady_state(gen))
+
+    @pytest.mark.parametrize(
+        "params",
+        [FeedbackParams(m=1.0, f=1.0, gamma=1.0, y=1e308), FeedbackParams(m=1.0, f=1e308, gamma=1.05)],
+        ids=["y-1e308", "f-1e308"],
+    )
+    def test_rates_near_largest_double_raise_without_warning(self, params):
+        # the other rates vanish next to 1e308, leaving a degenerate kernel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonUniqueSteadyStateError, match="kernel dimension 2"):
+                steady_state(wm_subspace_generator(params))
+
 
 class TestTrajectoryQuality:
     def test_feedback_trajectory_stays_physical(self):

@@ -33,15 +33,27 @@ from entdyn.quantum import (
 from helpers import assert_multiset_close, eig_real_3x3, random_density
 
 
+def exact_concurrence(m, f, gamma, mu) -> decimal.Decimal:
+    """C from the binary values given, at the precision of the current decimal context."""
+    m, f, gamma, mu = (decimal.Decimal(float(v)) for v in (m, f, gamma, mu))
+    r = gamma + m
+    denom = mu * mu + r * (r + f)
+    return 2 * (m * f).sqrt() * (mu * mu + r * r).sqrt() / denom
+
+
 def exact_concurrence_and_deficit(m, f, gamma, mu):
     """C and 1 - C at 700 significant digits, from the binary values given."""
     with decimal.localcontext() as ctx:
         ctx.prec = 700
-        m, f, gamma, mu = (decimal.Decimal(float(v)) for v in (m, f, gamma, mu))
-        r = gamma + m
-        denom = mu * mu + r * (r + f)
-        conc = 2 * (m * f).sqrt() * (mu * mu + r * r).sqrt() / denom
+        conc = exact_concurrence(m, f, gamma, mu)
         return float(conc), float(1 - conc)
+
+
+def exact_log10_deficit(m, f, gamma, mu) -> float:
+    """log10(1 - C) at 700 significant digits; finite where 1 - C is below every double."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 700
+        return float((1 - exact_concurrence(m, f, gamma, mu)).log10())
 
 
 def random_params(rng, y=0.0):
@@ -343,6 +355,20 @@ class TestConcurrenceSweep:
                     conc, deficit = exact_concurrence_and_deficit(m, f, gamma, mu)
                     assert abs(sweep.concurrence[i, j] - conc) <= 1e-13 * conc
                     assert abs(sweep.log10_one_minus_concurrence[i, j] - np.log10(deficit)) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-310])
+    def test_log_deficit_below_smallest_double(self, gamma):
+        # on the diagonal m = f, gamma / m underflows, and 1 - C (1e-326 to
+        # 5e-310 there) is zero or subnormal as a double; its logarithm is not
+        grid = np.logspace(-1, np.log10(200.0), 9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sweep = concurrence_sweep(grid, grid, gamma)
+        for i, m in enumerate(grid):
+            for j, f in enumerate(grid):
+                expected = exact_log10_deficit(m, f, gamma, 0.0)
+                assert abs(sweep.log10_one_minus_concurrence[i, j] - expected) <= 1e-12
+        assert np.all(np.diag(sweep.log10_one_minus_concurrence) < -308)
 
     def test_deficit_without_splitting(self):
         # at mu = 0 the deficit is (gamma + (sqrt(m) - sqrt(f))^2) / (gamma + m + f)

@@ -13,7 +13,9 @@ Config files are plain text, one `key = value` per line, `#` comments.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
+import re
 import sys
 from dataclasses import dataclass, replace
 
@@ -62,6 +64,12 @@ _WRITE_BLOCK = 2048
 
 class ConfigError(ValueError):
     """Invalid flags, config-file content or output path; maps to exit status 1."""
+
+
+#: every negative value float() reads. argparse takes a token that matches
+#: its _negative_number_matcher as a value, not a flag, and its own pattern
+#: misses exponents, inf and nan, so `--mu -1e-5` would lack its argument
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -131,13 +139,16 @@ class ScenarioConfig:
     out: str
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use; parsing leaves it unchanged."""
     parser = _Parser(
         prog="entdyn",
         description="Two-qubit entanglement dissipation and feedback scenarios.",
         epilog=_EPILOG,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
     parser.add_argument("scenario", choices=sorted(_SCENARIOS))
     for key, (kind, text) in _KEYS.items():
         options = {"type": float, "action": "append"} if kind is _float_list else {"type": kind}

@@ -1,8 +1,9 @@
 """Time evolution and steady states.
 
 Two independent propagation routes are provided on purpose: propagate_expm
-exponentiates the generator once for the uniform sample step and fills
-the samples with powers of that propagator, while propagate_ode integrates the
+exponentiates the generator, restricted to the invariant sectors that the
+initial state touches, once for the uniform sample step and fills the
+samples with powers of that propagator, while propagate_ode integrates the
 same flow with an adaptive embedded Dormand-Prince 4(5) pair, each step
 evaluated as the pair's stability polynomials in hL on a Krylov block of
 scaled generator powers. They share no numerical machinery, so agreement
@@ -170,6 +171,14 @@ def _scaled(gen: np.ndarray, t: float) -> np.ndarray:
 def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     """Propagate r(t) = expm(t L) r0 over a uniform time grid.
 
+    The generator's exact zeros split the Liouville indices into sectors,
+    the connected components of its nonzero pattern (see _sector_labels);
+    each is an invariant subspace of every expm(t L). Only the sectors that
+    r0 touches are propagated, as one block of L, and every other entry of
+    every sample is an exact zero. For the feedback model, whose operators
+    all commute with the parity Z⊗Z, the Bell state touches one sector of
+    four out of sixteen indices.
+
     The grid step dt is the same everywhere, so r(t_start) = expm(t_start L) r0
     and P = expm(dt L) are the only exponentials needed: sample k is P^k
     applied to the first. The samples are filled by doubling: once the
@@ -180,33 +189,71 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     its length. The generator must preserve the trace, vec(I)ᵀ L = 0, as
     every Lindblad generator does; one that visibly does not (beyond 1e-12
     of its largest entry) raises ValueError. Both exponentials are then
-    projected to keep the trace, vec(I)ᵀ P = vec(I)ᵀ, as the exact
-    propagator does, so the round-off of a stiff generator's exponential
+    projected to keep the trace, vec(I)ᵀ P = vec(I)ᵀ on the propagated
+    indices, as the exact propagator does, so the round-off of a stiff generator's exponential
     no longer accumulates into a trace drift over the samples. Raises
-    NonFiniteError if a scaled generator or a propagated state holds inf
-    or NaN.
+    NonFiniteError if a scaled generator block or a propagated state holds
+    inf or NaN. diagnostics records the route and the propagated sectors,
+    each as its sorted list of Liouville indices.
     """
     gen, r = _check_generator_and_state(l, r0)
-    leak = np.max(np.abs(_trace_row(gen) @ gen))
+    identity = _trace_row(gen)
+    leak = np.max(np.abs(identity @ gen))
     if leak > 1e-12 * np.max(np.abs(gen)):
         raise ValueError(f"generator does not preserve the trace: max |vec(I)ᵀ L| = {leak:.3e}")
+    labels = _sector_labels(gen)
+    touched = np.unique(labels[r != 0])
+    idx = np.flatnonzero(np.isin(labels, touched))
+    block = gen[np.ix_(idx, idx)]
+    identity = identity[idx]
     times = grid.times
-    vectors = np.empty((times.size, r.size), dtype=complex)
-    start = expm(_scaled(gen, grid.t_start))
-    step = expm(_scaled(gen, grid.span / (times.size - 1)))
+    start = expm(_scaled(block, grid.t_start))
+    step = expm(_scaled(block, grid.span / (times.size - 1)))
+    vectors = np.zeros((times.size, r.size), dtype=complex)
     # an overflowing exponential, power or state is reported by _require_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        vectors[0] = _trace_preserving(start) @ r
-        power = _trace_preserving(step)
-        filled = 1
-        while filled < times.size:
-            take = min(filled, times.size - filled)
-            vectors[filled : filled + take] = vectors[:take] @ power.T
-            filled += take
-            if filled < times.size:
-                power = power @ power
+        first = _trace_preserving(start, identity) @ r[idx]
+        vectors[:, idx] = _filled_by_doubling(first, _trace_preserving(step, identity), times.size)
     _require_finite(vectors, times)
-    return _density_trajectory(times, vectors)
+    trajectory = _density_trajectory(times, vectors)
+    trajectory.diagnostics = {
+        "route": "expm",
+        "sectors": [np.flatnonzero(labels == label).tolist() for label in touched],
+    }
+    return trajectory
+
+
+def _filled_by_doubling(first: np.ndarray, power: np.ndarray, samples: int) -> np.ndarray:
+    """The rows first, P first, P² first, … for `samples` rows, filled by doubling."""
+    rows = np.empty((samples, first.size), dtype=complex)
+    rows[0] = first
+    filled = 1
+    while filled < samples:
+        take = min(filled, samples - filled)
+        rows[filled : filled + take] = rows[:take] @ power.T
+        filled += take
+        if filled < samples:
+            power = power @ power
+    return rows
+
+
+def _sector_labels(gen: np.ndarray) -> np.ndarray:
+    """The sector of every Liouville index, labelled by the smallest index in it.
+
+    Indices i and j are linked when L couples them, L_ij != 0 or L_ji != 0,
+    and a sector is a connected component of these links, so no entry of L
+    leads out of it. Every index starts as its own label and takes the
+    smallest label among its links until none changes.
+    """
+    size = gen.shape[0]
+    nonzero = gen != 0
+    linked = nonzero | nonzero.T
+    labels = np.arange(size)
+    while True:
+        merged = np.minimum(labels, np.where(linked, labels, size).min(axis=1, initial=size))
+        if np.array_equal(merged, labels):
+            return labels
+        labels = merged
 
 
 def _trace_row(gen: np.ndarray) -> np.ndarray:
@@ -215,9 +262,13 @@ def _trace_row(gen: np.ndarray) -> np.ndarray:
     return np.eye(n).reshape(-1)
 
 
-def _trace_preserving(p: np.ndarray) -> np.ndarray:
-    """P + (vec(I)/n)(vec(I)ᵀ - vec(I)ᵀ P): the smallest change to P with vec(I)ᵀ P = vec(I)ᵀ."""
-    identity = _trace_row(p)
+def _trace_preserving(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
+    """P + (e/|e|²)(e - e P) for the trace row e of P's indices: the smallest change to P with e P = e.
+
+    A block with no diagonal index has e = 0 and is returned unchanged.
+    """
+    if not identity.any():
+        return p
     return p + np.outer(identity / identity.sum(), identity - identity @ p)
 
 
@@ -260,6 +311,8 @@ def _stability_polynomials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 _DP_POLY = _stability_polynomials(_DP_A, _DP_B)
 _DP_DEGREES = np.arange(1.0, _DP_POLY.shape[1] + 1)
 _DOUBLE_MAX = np.finfo(float).max
+#: exponent of the largest power of two below _DOUBLE_MAX
+_MAX_EXPONENT = int(np.finfo(float).maxexp) - 1
 
 _MAX_STEP_ATTEMPTS = 1_000_000
 
@@ -268,13 +321,21 @@ def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
     """The stack [(L/s)¹ … (L/s)⁷] as one (7n², n²) matrix, with s.
 
     s is a power of two near the Frobenius norm of L, so dividing by it is
-    exact and the powers stay near unit size at any rate scale.
+    exact and the powers stay near unit size at any rate scale. The norm is
+    taken of L divided by a power of two at most its peak entry, as in
+    steady_state, so it is finite for any finite L. s is the smallest power
+    of two above the norm, or 2¹⁰²³ for a norm at or above 2¹⁰²³; a norm
+    beyond the largest double raises NonFiniteError.
     """
-    peak = float(np.max(np.abs(gen)))
-    scale = 1.0
+    exponent = 0
+    # real and imaginary parts apart: |z| itself can overflow
+    peak = max(abs(gen.real).max(), abs(gen.imag).max())
     if peak > 0:
-        scale = np.ldexp(1.0, np.frexp(peak)[1])
-        scale = np.ldexp(scale, np.frexp(np.linalg.norm(gen / scale))[1])
+        exponent = math.frexp(peak)[1] - 1
+        exponent += math.frexp(np.linalg.norm(gen / math.ldexp(1.0, exponent)))[1]
+        if exponent > _MAX_EXPONENT + 1:
+            raise NonFiniteError("generator norm exceeds the largest double")
+    scale = math.ldexp(1.0, min(exponent, _MAX_EXPONENT))
     powers = np.empty((_DP_DEGREES.size,) + gen.shape, dtype=complex)
     powers[0] = gen / scale
     for k in range(1, _DP_DEGREES.size):
@@ -317,19 +378,17 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
     times = grid.times
     floor = 1e-14 * grid.span
     vectors = [y.copy()]
-
-    rate = np.linalg.norm(gen @ y)
-    size = np.linalg.norm(y)
-    h = 0.01 * size / rate if rate > 0 else grid.span / 100
-    h = min(max(h, floor), grid.span)
-
     t = float(times[0])
     attempts = accepted = 0
     h_min = grid.span
-    # overflow inside a step shows as a non-finite error estimate and rejects it
+    # overflow inside a step shows as a non-finite error estimate and rejects
+    # it; a rate |L r| beyond the largest double gives the smallest first step
     with np.errstate(over="ignore", invalid="ignore"):
         powers, scale = _scaled_powers(gen)
         block = _krylov_block(powers, y)
+        rate = np.linalg.norm(block[0]) * scale
+        h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
+        h = min(max(h, floor), grid.span)
         tol = atol + rtol * np.abs(y)
         for target in times[1:].tolist():
             while target - t > floor:

@@ -6,6 +6,11 @@ density-matrix functions that trajectories sample (validate_density,
 purity, bloch_from_density, embed_23 and both concurrences) take one
 matrix or an (N, n, n) stack of them, with the same checks per matrix.
 
+A stack of qubit states, or of two-qubit X-states (zero off the diagonal
+and the anti-diagonal), is made of 2x2 blocks. There validate_density and
+both concurrences take eigenvalues and concurrence in closed form from the
+blocks; every other stack goes through stacked LAPACK calls.
+
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
 superoperator kron(A, B.T).
@@ -24,7 +29,7 @@ from .errors import (
     NotPSDError,
     OutsideBlochBallError,
 )
-from .linalg import _as_square, _check_hermitian, _dagger
+from .linalg import _as_square, _check_hermitian
 
 __all__ = [
     "PAULI_X",
@@ -63,15 +68,64 @@ _PSD_CLIP = 1e-9
 #: of a long trajectory to a fixed size
 _BLOCK = 256
 
+#: the two blocks of an X-state, each as its pair of levels: |00>, |11>
+#: first, then |01>, |10>
+_X_LEVELS = np.array([[0, 3], [1, 2]])
+#: the 4x4 entries off the diagonal and the anti-diagonal, where an X-state is zero
+_OFF_X = [(i, j) for i in range(4) for j in range(4) if i != j and i + j != 3]
 
-def _per_matrix(kernel, mat: np.ndarray) -> np.ndarray:
-    """Apply kernel, which maps a stack to one float per matrix, in blocks of _BLOCK.
 
-    The kernel checks a whole block at once. When a block fails, its matrices
-    are rerun one at a time, so the error raised is the one the first failing
+def _two_level_blocks(stack: np.ndarray):
+    """The 2x2 blocks of a stack of qubit states or of X-states; None for any other stack.
+
+    A 2x2 matrix is one block. A 4x4 matrix that is exactly zero outside the
+    X pattern is two, on the levels of _X_LEVELS. Returns (a, b, c,
+    deviation): the real diagonal pairs a and b and the coherence
+    c = (m_ij + conj(m_ji)) / 2 of the Hermitian part, each of shape
+    (N, blocks), and max|m - m†| of every matrix, as _check_hermitian
+    measures it.
+    """
+    n = stack.shape[-1]
+    if n == 2:
+        levels = np.array([[0, 1]])
+    elif n == 4 and not any(stack[:, i, j].any() for i, j in _OFF_X):
+        levels = _X_LEVELS
+    else:
+        return None
+    i, j = levels.T
+    a, b = stack[:, i, i], stack[:, j, j]
+    upper, lower = stack[:, i, j], stack[:, j, i].conj()
+    diagonal = 2.0 * np.maximum(np.abs(a.imag), np.abs(b.imag))
+    deviation = np.maximum(np.abs(upper - lower), diagonal).max(axis=1)
+    return a.real, b.real, 0.5 * (upper + lower), deviation
+
+
+def _lowest_eigenvalues(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each matrix from its blocks [[a, c], [conj(c), b]]."""
+    return ((0.5 * a + 0.5 * b) - np.hypot(0.5 * a - 0.5 * b, np.abs(c))).min(axis=1)
+
+
+def _per_matrix(kernel, closed_form, mat: np.ndarray) -> np.ndarray:
+    """One float per matrix of a stack, from closed_form or from kernel.
+
+    On a stack that _two_level_blocks splits, closed_form maps the stack and
+    its blocks to one float per matrix and a mask of the matrices outside
+    its gates. Those are rerun through the kernel one at a time, in order,
+    so the first to fail there raises its own error, and a matrix that
+    round-off puts on the other side of a gate is judged by the kernel.
+
+    Any other stack goes through the kernel in blocks of _BLOCK. The kernel
+    checks a whole block at once. When a block fails, its matrices are
+    rerun one at a time, so the error raised is the one the first failing
     matrix raises on its own, exactly as from a loop of single calls.
     """
     stack = mat.reshape((-1,) + mat.shape[-2:])
+    blocks = _two_level_blocks(stack)
+    if blocks is not None:
+        values, failing = closed_form(stack, *blocks)
+        for k in np.flatnonzero(failing).tolist():
+            kernel(stack[k : k + 1])
+        return values
     out = np.empty(len(stack))
     for start in range(0, len(stack), _BLOCK):
         block = stack[start : start + _BLOCK]
@@ -110,6 +164,8 @@ def validate_density(
     rho may be one matrix or an (N, n, n) stack; every matrix is checked and
     the error is that of the first one to fail. Returns the validated array.
     Raises NotHermitianError, InvalidStateError, or NotPSDError respectively.
+    The lowest eigenvalue is that of the Hermitian part, from eigh or, for
+    qubit states and X-states, from the 2x2 blocks in closed form.
     """
     mat = _as_square(rho, "rho", stacked=True)
 
@@ -127,7 +183,13 @@ def validate_density(
             raise NotPSDError(f"eigenvalue {lowest.min():.3e} below {eig_floor:.1e}")
         return lowest
 
-    _per_matrix(lowest_eigenvalues, mat)
+    def closed_form(stack, a, b, c, deviation):
+        traces = np.trace(stack, axis1=-2, axis2=-1)
+        lowest = _lowest_eigenvalues(a, b, c)
+        failing = (deviation > herm_atol) | (np.abs(traces - 1.0) > trace_atol)
+        return lowest, failing | (lowest < eig_floor)
+
+    _per_matrix(lowest_eigenvalues, closed_form, mat)
     return mat
 
 
@@ -210,6 +272,21 @@ def purity(rho) -> float | np.ndarray:
     return float(values) if mat.ndim == 2 else values
 
 
+def _hermitian_root(block: np.ndarray) -> np.ndarray:
+    """Square root of the Hermitian part of each matrix, under the gates of both concurrences.
+
+    A matrix more than 1e-8 from Hermitian raises NotHermitianError, one
+    whose Hermitian part has an eigenvalue below -1e-9 raises NotPSDError.
+    """
+    adjoint = _check_hermitian(block, _HERM_ATOL, "rho")
+    return linalg.sqrt_psd(0.5 * (block + adjoint), clip=_PSD_CLIP)
+
+
+def _outside_gates(a, b, c, deviation) -> np.ndarray:
+    """The closed-form mask of the matrices _hermitian_root would refuse."""
+    return (deviation > _HERM_ATOL) | (_lowest_eigenvalues(a, b, c) < -_PSD_CLIP)
+
+
 def concurrence(rho) -> float | np.ndarray:
     """Two-qubit concurrence of a density matrix.
 
@@ -222,21 +299,32 @@ def concurrence(rho) -> float | np.ndarray:
     modes. The concurrence is max(l1 - l2 - l3 - l4, 0) over those values
     in descending order. Conjugation is entrywise in the standard basis.
 
+    A stack of X-states takes the closed form of Yu and Eberly (Quantum
+    Inf. Comput. 7, 459 (2007)) instead,
+    C = 2 max(0, |rho_12| - sqrt(rho_00 rho_33), |rho_03| - sqrt(rho_11 rho_22)),
+    with the populations clipped at 0 and the gates below checked on the
+    2x2 blocks.
+
     A state within 1e-8 of Hermitian is replaced by its Hermitian part
     before the square root. A stack of N states gives an array of N values.
     """
     mat = _as_square(rho, "rho", stacked=True, size=4)
 
     def block_concurrence(block):
-        adjoint = _check_hermitian(block, _HERM_ATOL, "rho")
-        root = linalg.sqrt_psd(0.5 * (block + adjoint), clip=_PSD_CLIP)
+        root = _hermitian_root(block)
         try:
             lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
         return np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0)
 
-    values = _per_matrix(block_concurrence, mat)
+    def x_state_concurrence(stack, a, b, c, deviation):
+        geometric = np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
+        # each block's coherence against the other block's populations
+        excess = (np.abs(c) - geometric[:, ::-1]).max(axis=1)
+        return 2.0 * np.maximum(excess, 0.0), _outside_gates(a, b, c, deviation)
+
+    values = _per_matrix(block_concurrence, x_state_concurrence, mat)
     return float(values[0]) if mat.ndim == 2 else values
 
 
@@ -255,19 +343,13 @@ def concurrence_2x2_embedded(rho) -> float | np.ndarray:
 
     A stack of N states gives an array of N values; a failure raises the
     error of the first failing matrix, its Hermiticity before its
-    positivity.
+    positivity, as the eigh route reports it.
     """
     mat = _as_square(rho, "rho", stacked=True, size=2)
-    stack = mat.reshape(-1, 2, 2)
-    a, b = stack[:, 0, 0].real, stack[:, 1, 1].real
-    coherence = 0.5 * (stack[:, 0, 1] + stack[:, 1, 0].conj())
-    modulus = np.abs(coherence)
-    lowest = (0.5 * a + 0.5 * b) - np.hypot(0.5 * a - 0.5 * b, modulus)
-    deviation = np.abs(stack - _dagger(stack)).max(axis=(1, 2))
-    failing = (deviation > _HERM_ATOL) | (lowest < -_PSD_CLIP)
-    if failing.any():
-        k = int(np.argmax(failing))
-        _check_hermitian(stack[k], _HERM_ATOL, "rho")
-        raise NotPSDError(f"eigenvalue {lowest[k]:.3e} below -{_PSD_CLIP:.1e}")
-    values = 2.0 * modulus
+
+    def coherence(stack, a, b, c, deviation):
+        return 2.0 * np.abs(c[:, 0]), _outside_gates(a, b, c, deviation)
+
+    # every 2x2 stack takes the closed form, so the kernel only judges failures
+    values = _per_matrix(_hermitian_root, coherence, mat)
     return float(values[0]) if mat.ndim == 2 else values

@@ -173,6 +173,28 @@ class TestTrajectoryScenarios:
         assert len(rows) == 201
         assert np.all(np.isfinite(rows))
 
+    def test_stiff_feedback_stays_positive_over_2000_steps(self, tmp_path):
+        # the 16x16 step exponential's 2000th power reached an eigenvalue of
+        # -1.003e-9 here; the touched 4x4 sector stays positive at the same floor
+        assert entdyn.quantum._PSD_CLIP == 1e-9
+        argv = ["evolve", "--m", "1e8", "--f", "1e8", "--gamma", "1e-8", "--steps", "2000"]
+        code, out = run(tmp_path, *argv)
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2001
+        config = cli.parse_config(argv)
+        table = cli._SCENARIOS["evolve"][0](config.values)
+        assert table["concurrence"].min() >= 1.0 - 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 7.9])
+    def test_decay_is_exponential_to_relative_round_off(self, gamma):
+        # values down to exp(-39.5) = 7e-18, where an eigensolver's absolute
+        # round-off would swamp them
+        runner = cli._SCENARIOS["fig2"][0]
+        table = runner({"gamma": gamma, "t_max": 5.0, "steps": 2000})
+        exact = np.exp(-gamma * table["t"])
+        assert np.max(np.abs(table["concurrence"] / exact - 1.0)) <= 1e-12
+
     def test_evolve_settles_to_fixed_point(self, tmp_path):
         code, out = run(tmp_path, "evolve", "--t-max", "8", "--steps", "80")
         assert code == 0
@@ -417,6 +439,33 @@ class TestConfigHandling:
             cli.main(["--help"])
         assert excinfo.value.code == 0
         assert "scenarios" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "scenario, key",
+        [("steady", "mu"), ("steady", "y"), ("evolve", "a"), ("evolve", "b"), ("evolve", "c"), ("fig-nogo", "y")],
+    )
+    @pytest.mark.parametrize("value", ["-1e-5", "-2.5E+1", "-.5e0"])
+    def test_negative_exponent_value_as_its_own_token(self, tmp_path, scenario, key, value):
+        extra = ["--steps", "4"] if scenario != "steady" else []
+        code, spaced = run(tmp_path, scenario, f"--{key}", value, *extra, name="spaced.csv")
+        assert code == 0
+        code, joined = run(tmp_path, scenario, f"--{key}={value}", *extra, name="joined.csv")
+        assert code == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
+    @pytest.mark.parametrize("value", ["-inf", "-Infinity", "-nan", "-1e+308"])
+    def test_non_finite_or_huge_negative_token_reaches_the_library(self, tmp_path, capsys, value):
+        code, _ = run(tmp_path, "steady", "--mu", value)
+        code_joined, _ = run(tmp_path, "steady", f"--mu={value}")
+        assert code == code_joined
+        spaced, joined = capsys.readouterr().err.splitlines()
+        assert spaced == joined
+        assert "expected one argument" not in spaced
+
+    def test_parser_is_built_once(self):
+        cli.parse_config(["steady", "--m", "2"])
+        cli.parse_config(["fig2"])
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_help_text_is_pinned(self, monkeypatch):
         # every flag, its help and the epilog, as an 80-column terminal shows them

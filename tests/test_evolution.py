@@ -34,7 +34,7 @@ from entdyn.generators import (
     phenomenological_superop,
 )
 from entdyn.linalg import expm, hermitian_eig
-from entdyn.quantum import bell_state, density_from_pure, restrict_23, vectorize
+from entdyn.quantum import PAULI_Z, bell_state, density_from_pure, restrict_23, vectorize
 from helpers import dp_step, random_density, random_hermitian, random_pure
 
 
@@ -221,6 +221,69 @@ class TestPropagateExpm:
             propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1e300, 3))
 
 
+def full_route(monkeypatch):
+    """Make propagate_expm treat every generator as one sector, as a 16x16 reference."""
+    monkeypatch.setattr(entdyn.evolution, "_sector_labels", lambda gen: np.zeros(gen.shape[0], dtype=int))
+
+
+class TestSectors:
+    @pytest.mark.parametrize("params", [dict(m=1.0, f=1.0, gamma=1.0), dict(m=2.0, f=0.5, mu=0.3, gamma=0.4, y=0.7)])
+    def test_feedback_generator_splits_by_parity(self, params):
+        labels = entdyn.evolution._sector_labels(wm_full_generator(FeedbackParams(**params)))
+        sectors = sorted(np.flatnonzero(labels == label).tolist() for label in np.unique(labels))
+        assert sectors == [[0, 3, 12, 15], [1, 2, 13, 14], [4, 7, 8, 11], [5, 6, 9, 10]]
+
+    def test_coupled_indices_share_a_sector(self):
+        rng = np.random.default_rng(71)
+        for _ in range(50):
+            gen = np.where(rng.uniform(size=(16, 16)) < 0.08, 1.0, 0.0)
+            labels = entdyn.evolution._sector_labels(gen)
+            rows, cols = np.nonzero(gen)
+            assert np.array_equal(labels[rows], labels[cols])
+            for label in np.unique(labels):
+                # the label is the smallest index of a connected set
+                members = np.flatnonzero(labels == label)
+                assert label == members[0]
+                reached = {members[0]}
+                for _ in range(16):
+                    reached |= {j for i in reached for j in np.flatnonzero(gen[i] + gen[:, i])}
+                assert reached == set(members.tolist())
+
+    @pytest.mark.parametrize("y", [0.0, 0.7])
+    def test_sector_route_matches_full_route(self, y, monkeypatch):
+        gen = wm_full_generator(FeedbackParams(m=3.0, f=0.7, mu=0.5, gamma=1.0, y=y))
+        grid = TimeGrid(0.5, 10.0, 2001)
+        sector = propagate_expm(gen, bell_vector(), grid)
+        full_route(monkeypatch)
+        full = propagate_expm(gen, bell_vector(), grid)
+        assert np.max(np.abs(sector.states - full.states)) <= 1e-15
+        outside = np.ones(16, dtype=bool)
+        outside[[5, 6, 9, 10]] = False
+        assert not sector.states.reshape(grid.n_samples, 16)[:, outside].any()
+
+    def test_mixed_start_propagates_every_touched_sector(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        gen = wm_full_generator(FeedbackParams(m=3.0, f=0.7, mu=0.5, gamma=1.0, y=0.3))
+        r0 = vectorize(random_density(rng, 4))
+        grid = TimeGrid(0.0, 4.0, 201)
+        sector = propagate_expm(gen, r0, grid)
+        assert len(sector.diagnostics["sectors"]) == 4
+        full_route(monkeypatch)
+        assert np.max(np.abs(sector.states - propagate_expm(gen, r0, grid).states)) <= 1e-15
+
+    def test_exponentiates_only_the_touched_sector(self, monkeypatch):
+        shapes = []
+
+        def recording_expm(m):
+            shapes.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(entdyn.evolution, "expm", recording_expm)
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0, y=0.3))
+        propagate_expm(gen, bell_vector(), TimeGrid(0.0, 5.0, 11))
+        assert shapes == [(4, 4), (4, 4)]
+
+
 class TestPropagateOde:
     def test_matches_expm_on_dephasing(self):
         grid = TimeGrid(0.0, 5.0, 21)
@@ -301,6 +364,26 @@ class TestPropagateOde:
             with pytest.raises(StepUnderflowError):
                 propagate_ode(gen, [1.0, 1e-200, 0.0, 0.0], TimeGrid(0.0, 1.0, 3))
 
+    def test_peak_beyond_largest_power_of_two_gives_the_right_state(self):
+        # dephasing at 5e307 leaves populations alone; they decay at 1e300
+        lower = np.array([[0, 1], [0, 0]], dtype=complex)
+        gen = lindblad_dissipator_superop(np.sqrt(5e307) * PAULI_Z) + lindblad_dissipator_superop(1e150 * lower)
+        assert np.max(np.abs(gen)) >= 2.0**1023
+        r0 = vectorize(np.diag([0.0, 1.0]).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate_ode(gen, r0, TimeGrid(0.0, 1e-300, 3))
+        assert np.max(np.abs(traj.states[:, 1, 1] - np.exp([0.0, -0.5, -1.0]))) <= 1e-8
+
+    def test_norm_beyond_largest_double_raises(self):
+        gen = wm_subspace_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        gen = gen * (1.7e308 / np.max(np.abs(gen)))
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                propagate_ode(gen, r0, TimeGrid(0.0, 1e-300, 3))
+
     def test_extreme_generator_scale_matches_unscaled_run(self):
         # unscaled, the seventh power of this generator would overflow
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, mu=0.5, gamma=1.0, y=0.3))
@@ -336,9 +419,12 @@ class TestOdeDiagnostics:
         with pytest.raises(NoConvergenceError):
             propagate_ode(gen, r0, self.grid)
 
-    def test_expm_route_records_nothing(self):
+    def test_expm_route_records_its_sectors(self):
         traj = propagate_expm(central_dephasing_generator(), bell_vector(), self.grid)
-        assert traj.diagnostics == {}
+        assert traj.diagnostics == {"route": "expm", "sectors": [[5], [6], [9], [10]]}
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        traj = propagate_expm(gen, bell_vector(), self.grid)
+        assert traj.diagnostics == {"route": "expm", "sectors": [[5, 6, 9, 10]]}
 
 
 class TestDormandPrinceTableau:

@@ -295,6 +295,109 @@ def random_stack(rng, count, n):
     return np.array([random_density(rng, n) for _ in range(count)])
 
 
+def random_x_state(rng, rank_one_blocks=False):
+    """A two-qubit X-state: random 2x2 blocks on levels (0, 3) and (1, 2), weighted to trace 1."""
+    rho = np.zeros((4, 4), dtype=complex)
+    weight = rng.uniform()
+    for levels, share in (([0, 3], weight), ([1, 2], 1.0 - weight)):
+        block = density_from_pure(random_pure(rng, 2)) if rank_one_blocks else random_density(rng, 2)
+        rho[np.ix_(levels, levels)] = share * block
+    return rho
+
+
+def x_state_family(rng):
+    """Random X-states, rank-deficient ones, and ones with populations at -1e-12."""
+    states = [random_x_state(rng) for _ in range(200)]
+    states += [random_x_state(rng, rank_one_blocks=True) for _ in range(100)]
+    states += [np.diag(rng.dirichlet(np.ones(4))).astype(complex) for _ in range(20)]
+    states += [density_from_pure(bell_state()), np.diag([1.0, 0, 0, 0]).astype(complex), np.eye(4) / 4]
+    for _ in range(100):
+        rho = random_x_state(rng)
+        # one block becomes a diagonal with a round-off negative population
+        levels = [[0, 3], [1, 2]][rng.integers(2)]
+        low, high = levels if rng.integers(2) else levels[::-1]
+        share = rho[low, low].real + rho[high, high].real
+        rho[low, high] = rho[high, low] = 0.0
+        rho[low, low], rho[high, high] = -1e-12, share + 1e-12
+        states.append(rho)
+    return np.array(states)
+
+
+@pytest.fixture
+def general_route(monkeypatch):
+    """Send every stack through the stacked LAPACK route (eigh and Wootters)."""
+
+    def route(function, states):
+        with monkeypatch.context() as patch:
+            patch.setattr(entdyn.quantum, "_two_level_blocks", lambda stack: None)
+            return function(states)
+
+    return route
+
+
+class TestClosedForms:
+    """Qubit stacks and X-state stacks against the eigh and Wootters route."""
+
+    def test_x_state_concurrence_matches_wootters(self, general_route):
+        states = x_state_family(np.random.default_rng(61))
+        closed = concurrence(states)
+        assert np.max(np.abs(closed - general_route(concurrence, states))) <= 1e-14
+        assert np.max(np.abs(closed - [concurrence(rho) for rho in states])) == 0.0
+
+    def test_x_state_lowest_eigenvalue_matches_eigh(self):
+        states = x_state_family(np.random.default_rng(62))
+        a, b, c, _ = entdyn.quantum._two_level_blocks(states)
+        lowest = np.linalg.eigvalsh(states)[:, 0]
+        assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, c) - lowest)) <= 1e-14
+
+    def test_qubit_lowest_eigenvalue_matches_eigh(self):
+        rng = np.random.default_rng(63)
+        states = random_stack(rng, 300, 2)
+        states[:100] = [density_from_pure(random_pure(rng, 2)) for _ in range(100)]
+        states[100:120] = np.diag([-1e-12, 1.0 + 1e-12])
+        a, b, c, _ = entdyn.quantum._two_level_blocks(states)
+        lowest = np.linalg.eigvalsh(states)[:, 0]
+        assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, c) - lowest)) <= 1e-14
+
+    def test_validation_matches_the_general_route(self, general_route):
+        rng = np.random.default_rng(64)
+        states = x_state_family(rng)
+        validate_density(states)
+        for rho in (np.diag([1.5, -0.5, 0.0, 0.0]), np.diag([1.0 + 2e-9, 0.0, -2e-9, 0.0])):
+            with pytest.raises(NotPSDError) as closed:
+                validate_density(rho)
+            with pytest.raises(NotPSDError) as general:
+                general_route(validate_density, rho)
+            assert str(closed.value) == str(general.value)
+
+    def test_closed_forms_need_no_decomposition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("not expected on the closed-form route")
+
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        rng = np.random.default_rng(65)
+        states = x_state_family(rng)
+        assert validate_density(states) is states
+        assert concurrence(states).shape == (len(states),)
+        validate_density(random_stack(rng, 5, 2))
+
+    def test_one_entry_off_the_x_pattern_takes_the_general_route(self, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m):
+            calls.append(m.shape)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        states = x_state_family(np.random.default_rng(66))
+        states[5, 0, 1] = states[5, 1, 0] = 1e-300
+        concurrence(states)
+        validate_density(states)
+        assert len(calls) == 2 * -(-len(states) // entdyn.quantum._BLOCK)
+
+
 class TestStacks:
     """A stack of N matrices behaves like N single-matrix calls.
 
@@ -320,15 +423,28 @@ class TestStacks:
         assert np.max(np.abs(bloch_from_density(states) - bloch)) <= 1e-14
         assert np.array_equal(embed_23(states), [embed_23(rho) for rho in states])
 
-    @pytest.mark.parametrize("function", [concurrence, validate_density, concurrence_2x2_embedded])
-    def test_first_failing_matrix_sets_the_error(self, function):
+    @pytest.mark.parametrize(
+        "function, structure",
+        [
+            pytest.param(concurrence, "general", id="concurrence"),
+            pytest.param(validate_density, "general", id="validate_density"),
+            pytest.param(concurrence_2x2_embedded, "qubit", id="concurrence_2x2_embedded"),
+            pytest.param(concurrence, "x", id="concurrence-x_state"),
+            pytest.param(validate_density, "x", id="validate_density-x_state"),
+            pytest.param(validate_density, "qubit", id="validate_density-qubit"),
+        ],
+    )
+    def test_first_failing_matrix_sets_the_error(self, function, structure):
         rng = np.random.default_rng(53)
-        n = 2 if function is concurrence_2x2_embedded else 4
-        states = random_stack(rng, 600, n)
+        if structure == "x":
+            states = np.array([random_x_state(rng) for _ in range(600)])
+        else:
+            states = random_stack(rng, 600, 2 if structure == "qubit" else 4)
+        n = states.shape[-1]
         # sample 300 is indefinite; sample 301, in the same block, is far
         # from Hermitian, and a block-wide check alone would report it first
         states[300] = np.diag([1.5, -0.5, 0.0, 0.0])[:n, :n]
-        states[301, 0, 1] += 1e-3
+        states[301, 0, n - 1] += 1e-3
         with pytest.raises(NotPSDError) as single:
             function(states[300])
         with pytest.raises(NotPSDError) as stacked:

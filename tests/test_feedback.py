@@ -18,7 +18,6 @@ from entdyn.feedback import (
     wm_full_generator,
     wm_subspace_generator,
 )
-from entdyn.linalg import kron
 from entdyn.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -97,8 +96,8 @@ class TestGenerators:
         # Z on the first qubit anticommutes with X on the first qubit, so
         # the correction (M†F + FM)/2 is identically zero
         eye = np.eye(2, dtype=complex)
-        m_op = kron(PAULI_Z, eye)
-        f_op = kron(PAULI_X, PAULI_X)
+        m_op = np.kron(PAULI_Z, eye)
+        f_op = np.kron(PAULI_X, PAULI_X)
         correction = 0.5 * (m_op.conj().T @ f_op + f_op @ m_op)
         assert np.max(np.abs(correction)) <= 1e-15
 
@@ -133,7 +132,7 @@ class TestGenerators:
         )
 
         h = build_hamiltonian(embedding_hamiltonian(params))
-        v = np.sqrt(0.8) * kron(PAULI_Z, np.eye(2, dtype=complex))
+        v = np.sqrt(0.8) * np.kron(PAULI_Z, np.eye(2, dtype=complex))
         expected = assemble_liouvillian(h, [lindblad_dissipator_superop(v)])
         assert np.max(np.abs(wm_full_generator(params) - expected)) <= 1e-12
 

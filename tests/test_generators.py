@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from entdyn.errors import DimensionMismatchError, NotHermitianError
+from entdyn.errors import DimensionMismatchError, NonFiniteError, NotHermitianError
 from entdyn.generators import (
     HamiltonianParams,
+    _two_sided,
     assemble_liouvillian,
     build_hamiltonian,
     check_dephasing_constraints,
@@ -14,7 +15,6 @@ from entdyn.generators import (
     validate_dephasing_rates,
     validate_relaxation_rates,
 )
-from entdyn.linalg import kron
 from entdyn.quantum import PAULI_X, PAULI_Y, PAULI_Z, devectorize, vectorize
 from helpers import random_density, random_hermitian
 
@@ -42,9 +42,9 @@ class TestHamiltonian:
         for _ in range(50):
             a, b, c = rng.normal(size=3)
             direct = (
-                a * kron(PAULI_Z, eye)
-                + b * kron(eye, PAULI_Z)
-                + c * (kron(PAULI_X, PAULI_X) + kron(PAULI_Y, PAULI_Y) + kron(PAULI_Z, PAULI_Z))
+                a * np.kron(PAULI_Z, eye)
+                + b * np.kron(eye, PAULI_Z)
+                + c * (np.kron(PAULI_X, PAULI_X) + np.kron(PAULI_Y, PAULI_Y) + np.kron(PAULI_Z, PAULI_Z))
             )
             built = build_hamiltonian(HamiltonianParams(a, b, c))
             assert np.max(np.abs(built - direct)) <= 1e-12
@@ -56,7 +56,7 @@ class TestHamiltonian:
 
     def test_single_local_term(self):
         h = build_hamiltonian(HamiltonianParams(1.0, 0.0, 0.0))
-        assert np.array_equal(h, kron(PAULI_Z, np.eye(2, dtype=complex)))
+        assert np.array_equal(h, np.kron(PAULI_Z, np.eye(2, dtype=complex)))
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -115,11 +115,16 @@ class TestDissipatorSuperop:
         # V = sqrt(g) Z x I is diagonal, so the superoperator is diagonal and
         # the central coherence decays at half |v_2 - v_3|^2 = 2g
         g = 0.7
-        v = np.sqrt(g) * kron(PAULI_Z, np.eye(2, dtype=complex))
+        v = np.sqrt(g) * np.kron(PAULI_Z, np.eye(2, dtype=complex))
         sup = lindblad_dissipator_superop(v)
         assert np.max(np.abs(sup - np.diag(np.diag(sup)))) <= 1e-15
         assert abs(sup[6, 6] - (-2 * g)) <= 1e-12
         assert abs(sup[9, 9] - (-2 * g)) <= 1e-12
+
+    def test_overflowing_v_dagger_v_is_non_finite(self):
+        # V itself is finite, V†V = 1e400 I is not
+        with pytest.raises(NonFiniteError):
+            lindblad_dissipator_superop(1e200 * PAULI_Z)
 
 
 class TestRateValidation:
@@ -352,5 +357,5 @@ class TestVectorizationIdentity:
                 rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(3)
             )
             lhs = vectorize(a @ rho @ b)
-            rhs = kron(a, b.T) @ vectorize(rho)
+            rhs = _two_sided(a, b) @ vectorize(rho)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12

@@ -7,7 +7,8 @@ from entdyn.errors import (
     NotPSDError,
     SingularMatrixError,
 )
-from entdyn.linalg import expm, hermitian_eig, kron, solve_linear, sqrt_psd
+from entdyn.generators import _two_sided
+from entdyn.linalg import expm, hermitian_eig, solve_linear, sqrt_psd
 from helpers import assert_multiset_close, eig_real_3x3, random_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -16,38 +17,47 @@ I2 = np.eye(2, dtype=complex)
 
 
 class TestKron:
+    """The two-sided-product rule: rho -> A rho B as the superoperator kron(A, B.T)."""
+
     def test_z_with_identity(self):
-        assert np.array_equal(kron(Z, I2), np.diag([1, 1, -1, -1]).astype(complex))
+        assert np.array_equal(_two_sided(Z, I2), np.diag([1, 1, -1, -1]).astype(complex))
 
     def test_identity_with_identity(self):
-        assert np.array_equal(kron(I2, I2), np.eye(4, dtype=complex))
+        assert np.array_equal(_two_sided(I2, I2), np.eye(4, dtype=complex))
 
     def test_mixed_product_rule(self):
+        # applying C . D and then A . B is the two-sided product AC . DB
         rng = np.random.default_rng(11)
         for _ in range(200):
             a, b, c, d = (
                 rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4)
             )
-            lhs = kron(a, b) @ kron(c, d)
-            rhs = kron(a @ c, b @ d)
+            lhs = _two_sided(a, b) @ _two_sided(c, d)
+            rhs = _two_sided(a @ c, d @ b)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_associativity(self):
+        # A (rho B) = (A rho) B: left and right products commute and make the two-sided one
         rng = np.random.default_rng(12)
-        a, b, c = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
-        assert np.max(np.abs(kron(kron(a, b), c) - kron(a, kron(b, c)))) <= 1e-12
+        a, b = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(2))
+        eye = np.eye(3, dtype=complex)
+        left, right = _two_sided(a, eye), _two_sided(eye, b)
+        assert np.max(np.abs(left @ right - right @ left)) <= 1e-12
+        assert np.max(np.abs(left @ right - _two_sided(a, b))) <= 1e-12
+
+    def test_agrees_with_kron_of_transpose(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3, 4):
+            a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+            assert np.array_equal(_two_sided(a, b), np.kron(a, b.T))
 
     def test_xx_contributes_to_central_coupling(self):
         # the isotropic two-qubit exchange is off-diagonal only on the
         # central block, where each of XX and YY contributes one unit
-        coupling = kron(X, X) + kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
+        coupling = np.kron(X, X) + np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]]))
         expected = np.zeros((4, 4), dtype=complex)
         expected[1, 2] = expected[2, 1] = 2.0
         assert np.max(np.abs(coupling - expected)) <= 1e-15
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(DimensionMismatchError):
-            kron(np.zeros(3), I2)
 
 
 class TestHermitianEig:

@@ -11,7 +11,6 @@ from entdyn.errors import (
     NotPSDError,
     OutsideBlochBallError,
 )
-from entdyn.linalg import kron
 from entdyn.quantum import (
     bell_state,
     bloch_from_density,
@@ -184,7 +183,7 @@ class TestConcurrence:
             assert concurrence(density_from_pure(v)) <= 1e-10
         rng = np.random.default_rng(27)
         for _ in range(100):
-            v = kron(random_unitary(rng, 2), random_unitary(rng, 2)) @ np.array(
+            v = np.kron(random_unitary(rng, 2), random_unitary(rng, 2)) @ np.array(
                 [1, 0, 0, 0], dtype=complex
             )
             assert concurrence(density_from_pure(v.reshape(-1))) <= 1e-10
@@ -216,7 +215,7 @@ class TestConcurrence:
         rng = np.random.default_rng(30)
         for _ in range(300):
             rho = random_density(rng, 4)
-            u = kron(random_unitary(rng, 2), random_unitary(rng, 2))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 2))
             rotated = u @ rho @ u.conj().T
             assert abs(concurrence(rotated) - concurrence(rho)) <= 1e-9
 

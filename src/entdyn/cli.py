@@ -59,6 +59,11 @@ _EMIT_TOL = 1e-8
 #: CSV rows formatted per write; bounds the temporaries of a large grid
 _WRITE_BLOCK = 2048
 
+#: a block of fewer rows is formatted value by value: the kernel's fixed cost
+#: of about 45 numpy calls exceeds "%" on every value below about 16 rows of
+#: 12 columns (or 40 rows of 3)
+_KERNEL_MIN_ROWS = 16
+
 
 class ConfigError(ValueError):
     """Invalid flags, config-file content or output path; maps to exit status 1."""
@@ -335,13 +340,19 @@ def _format_block(block: np.ndarray) -> bytes:
     return slots[:, used].tobytes().translate(None, b"\0")
 
 
+def _format_rows(block: np.ndarray) -> bytes:
+    """The CSV bytes of a (rows, columns) float block by "%.9g" % v on every value: what _format_block matches."""
+    return b"".join(b",".join([b"%.9g" % v for v in row]) + b"\n" for row in block.tolist())
+
+
 def _write_csv(path: str, table: dict) -> int:
     """Write {column name: array} as CSV rows and return the row count.
 
     The columns broadcast against each other, so an (m, f) grid passes its
     edges as m[:, None] and f[None, :]; rows come out in C order. Rows are
     formatted _WRITE_BLOCK at a time by _format_block, so a grid column is
-    never expanded to its full length.
+    never expanded to its full length; a block of fewer than
+    _KERNEL_MIN_ROWS rows goes through _format_rows, with the same bytes.
     """
     values = [np.asarray(c, dtype=float) for c in table.values()]
     shape = np.broadcast(*values).shape or (1,)
@@ -354,7 +365,8 @@ def _write_csv(path: str, table: dict) -> int:
                 block = np.empty((min(step, shape[0] - start),) + shape[1:] + (len(columns),))
                 for j, c in enumerate(columns):
                     block[..., j] = c if c.shape[0] == 1 else c[start : start + step]
-                fh.write(_format_block(block.reshape(-1, len(columns))))
+                block = block.reshape(-1, len(columns))
+                fh.write((_format_block if len(block) >= _KERNEL_MIN_ROWS else _format_rows)(block))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
     return math.prod(shape)

@@ -186,34 +186,50 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     which is then squared. N samples take ceil(log2 N) stacked products
     instead of N - 1 matrix-vector steps. Exact up to round-off for a
     time-independent generator, with two exponentials per grid whatever
-    its length. The generator must preserve the trace, vec(I)ᵀ L = 0, as
+    its length. The generator must preserve the trace, vec(I)ᵀ L = 0, and
+    Hermiticity, S L̄ S = L for the transposition S, vec(ρᵀ) = S vec(ρ), as
     every Lindblad generator does; one that visibly does not (beyond 1e-12
     of its largest entry) raises ValueError. Both exponentials are then
     projected to keep the trace, vec(I)ᵀ P = vec(I)ᵀ on the propagated
-    indices, as the exact propagator does, so the round-off of a stiff generator's exponential
-    no longer accumulates into a trace drift over the samples. Raises
-    NonFiniteError if a scaled generator block or a propagated state holds
-    inf or NaN. diagnostics records the route and the propagated sectors,
-    each as its sorted list of Liouville indices.
+    indices, and then onto maps that keep Hermiticity, P = (P + S P̄ S)/2,
+    as the exact propagator does, so the round-off of a stiff generator's
+    exponential no longer accumulates into a trace or Hermiticity drift
+    over the samples. The Hermiticity projection needs the propagated
+    indices to be closed under S, as they are for a Hermitian r0; it is
+    skipped otherwise. Raises NonFiniteError if a scaled generator block,
+    an exponential or a propagated state holds inf or NaN. diagnostics
+    records the route and the propagated sectors, each as its sorted list
+    of Liouville indices.
     """
     gen, r = _check_generator_and_state(l, r0)
     identity = _trace_row(gen)
+    transpose = _transposition(gen)
+    tolerance = 1e-12 * np.max(np.abs(gen))
     leak = np.max(np.abs(identity @ gen))
-    if leak > 1e-12 * np.max(np.abs(gen)):
+    if leak > tolerance:
         raise ValueError(f"generator does not preserve the trace: max |vec(I)ᵀ L| = {leak:.3e}")
+    skew = np.abs(gen - gen[transpose[:, None], transpose].conj()).max()
+    if skew > tolerance:
+        raise ValueError(f"generator does not preserve Hermiticity: max |L - S L̄ S| = {skew:.3e}")
     labels = _sector_labels(gen)
     touched = np.unique(labels[r != 0])
     idx = np.flatnonzero(np.isin(labels, touched))
     block = gen[np.ix_(idx, idx)]
     identity = identity[idx]
+    # S on the propagated indices: position k holds the position of idx[k]'s transpose
+    flip = np.minimum(np.searchsorted(idx, transpose[idx]), idx.size - 1)
+    if not np.array_equal(idx[flip], transpose[idx]):
+        flip = None
     times = grid.times
     start = expm(_scaled(block, grid.t_start))
     step = expm(_scaled(block, grid.span / (times.size - 1)))
     vectors = np.zeros((times.size, r.size), dtype=complex)
-    # an overflowing exponential, power or state is reported by _require_finite
+    # an overflowing power or state is reported by _require_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        first = _trace_preserving(start, identity) @ r[idx]
-        vectors[:, idx] = _filled_by_doubling(first, _trace_preserving(step, identity), times.size)
+        start = _hermiticity_preserving(_trace_preserving(start, identity, _trace_shares(start, identity)), flip)
+        shares = _trace_shares(step, identity)
+        step = _hermiticity_preserving(_trace_preserving(step, identity, shares), flip)
+        vectors[:, idx] = _filled_by_doubling(start @ r[idx], step, times.size, identity, shares)
     _require_finite(vectors, times)
     trajectory = _density_trajectory(times, vectors)
     trajectory.diagnostics = {
@@ -223,8 +239,15 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     return trajectory
 
 
-def _filled_by_doubling(first: np.ndarray, power: np.ndarray, samples: int) -> np.ndarray:
-    """The rows first, P first, P² first, … for `samples` rows, filled by doubling."""
+def _filled_by_doubling(
+    first: np.ndarray, power: np.ndarray, samples: int, identity: np.ndarray, shares: np.ndarray
+) -> np.ndarray:
+    """The rows first, P first, P² first, … for `samples` rows, filled by doubling.
+
+    Each squared power is projected to keep the trace row e with P's
+    shares (see _trace_preserving): squaring doubles a power's trace
+    error, so without it the error of P^(2^j) would grow as 2^j round-offs.
+    """
     rows = np.empty((samples, first.size), dtype=complex)
     rows[0] = first
     filled = 1
@@ -233,7 +256,7 @@ def _filled_by_doubling(first: np.ndarray, power: np.ndarray, samples: int) -> n
         rows[filled : filled + take] = rows[:take] @ power.T
         filled += take
         if filled < samples:
-            power = power @ power
+            power = _trace_preserving(power @ power, identity, shares)
     return rows
 
 
@@ -262,6 +285,12 @@ def _trace_row(gen: np.ndarray) -> np.ndarray:
     return np.eye(n).reshape(-1)
 
 
+def _transposition(gen: np.ndarray) -> np.ndarray:
+    """S as an index map: the Liouville index of ρᵀ_ij for every index of ρ_ij, for a generator of size n²."""
+    n = int(round(np.sqrt(gen.shape[0])))
+    return np.arange(n * n).reshape(n, n).T.reshape(-1)
+
+
 def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
     """gen / 2^e and e for the largest 2^e at most gen's peak entry (e = 0 for a zero gen).
 
@@ -275,14 +304,35 @@ def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
     return gen / math.ldexp(1.0, exponent), exponent
 
 
-def _trace_preserving(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
-    """P + (e/|e|²)(e - e P) for the trace row e of P's indices: the smallest change to P with e P = e.
+def _trace_shares(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
+    """1/k on the k diagonal rows where a column of P is nonzero, and 0 elsewhere.
 
-    A block with no diagonal index has e = 0 and is returned unchanged.
+    identity is the trace row e of P's indices, 1 on the diagonal indices.
     """
-    if not identity.any():
+    share = identity[:, None] * (p != 0)
+    return share / np.maximum(share.sum(axis=0), 1)
+
+
+def _trace_preserving(p: np.ndarray, identity: np.ndarray, shares: np.ndarray) -> np.ndarray:
+    """P with the deficit e_j - (e P)_j of every column j spread by shares, so that e P = e.
+
+    With the shares of P itself (_trace_shares) this is the smallest change
+    that keeps the trace row e and leaves every exact zero of P, such as
+    one between two sectors, a zero. A column with no share is unchanged.
+    The powers of a propagator take the propagator's shares, which keep
+    their corrections inside its sectors too.
+    """
+    return p + shares * (identity - identity @ p)
+
+
+def _hermiticity_preserving(p: np.ndarray, flip: np.ndarray | None) -> np.ndarray:
+    """(P + S P̄ S)/2, which maps Hermitian to Hermitian exactly, for S given on P's indices by flip.
+
+    flip is None when the propagated indices are not closed under transposition; P is then returned unchanged.
+    """
+    if flip is None:
         return p
-    return p + np.outer(identity / identity.sum(), identity - identity @ p)
+    return 0.5 * (p + p[flip[:, None], flip].conj())
 
 
 # Dormand-Prince 4(5) tableau. Row i of _DP_A weights stages 0..i-1 in the

@@ -190,6 +190,18 @@ class TestTrajectoryScenarios:
         assert len(rows) == 201
         assert np.all(np.isfinite(rows))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--y=-2.72e8", "--gamma", "0.007"), ("--y=-9.43e7", "--gamma", "0.00458"), ("--y=-2.72e8", "--gamma", "3.86e-6")],
+    )
+    def test_stiff_drive_stays_hermitian_over_2000_steps(self, tmp_path, argv):
+        # without the Hermiticity projection of the step exponential these
+        # samples drifted 1.000e-8 off Hermitian, just past the emitted-state check
+        code, out = run(tmp_path, "fig-nogo", *argv, "--t-max", "10", "--steps", "2000")
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 2001
+
     def test_stiff_feedback_stays_positive_over_2000_steps(self, tmp_path):
         # the 16x16 step exponential's 2000th power reached an eigenvalue of
         # -1.003e-9 here; the touched 4x4 sector stays positive at the same floor
@@ -301,6 +313,13 @@ class TestCsvWriter:
         out = tmp_path / "out.csv"
         cli._write_csv(str(out), table)
         assert out.read_bytes() == reference_csv(table)
+
+    def test_small_tables_skip_the_kernel(self, tmp_path, monkeypatch):
+        kernel_rows = []
+        monkeypatch.setattr(cli, "_format_block", lambda block: kernel_rows.append(len(block)) or b"")
+        for rows in (1, cli._KERNEL_MIN_ROWS - 1, cli._KERNEL_MIN_ROWS):
+            cli._write_csv(str(tmp_path / "small.csv"), {"a": np.arange(rows), "b": 0.5})
+        assert kernel_rows == [cli._KERNEL_MIN_ROWS]
 
     @pytest.mark.parametrize(
         "value",
@@ -517,13 +536,37 @@ class TestEntryPoint:
         assert result.stdout == ""
         assert out.exists()
 
-    def test_grid_scenarios_never_load_scipy(self, tmp_path):
+    def test_no_scenario_loads_scipy(self, tmp_path):
+        runs = []
+        for scenario, (_, defaults, _) in sorted(cli._SCENARIOS.items()):
+            size = ["--steps", "10"] if "steps" in defaults else ["--points", "5"] if "points" in defaults else []
+            runs.append([scenario, *size, "--out", f"{scenario}.csv"])
         script = (
             "import sys\n"
             "from entdyn.cli import main\n"
-            "for argv in (['sweep', '--points', '5'], ['fig4', '--points', '5'], ['steady']):\n"
-            "    assert main(argv + ['--out', 'grid.csv']) == 0, argv\n"
+            f"for argv in {runs!r}:\n"
+            "    assert main(argv) == 0, argv\n"
             "assert 'scipy' not in sys.modules\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=tmp_path,
+            env=child_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_propagating_scenarios_run_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every import of scipy fail, as
+        # in an environment where it is not installed
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from entdyn.cli import main\n"
+            "for scenario in ('evolve', 'fig-nogo', 'fig2'):\n"
+            "    assert main([scenario, '--steps', '10', '--out', scenario + '.csv']) == 0, scenario\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script],

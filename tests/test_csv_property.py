@@ -10,8 +10,10 @@ st = hypothesis.strategies
 
 @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=6))
 def test_kernel_bytes_match_percent(values):
-    # st.floats() draws nan, both infinities, signed zeros and subnormals
+    # st.floats() draws nan, both infinities, signed zeros and subnormals;
+    # _write_csv formats small blocks by _format_rows, larger ones by the kernel
     row = ",".join("%.9g" % v for v in values) + "\n"
-    assert cli._format_block(np.array([values])) == row.encode("ascii")
     column = "".join("%.9g\n" % v for v in values)
-    assert cli._format_block(np.array(values).reshape(-1, 1)) == column.encode("ascii")
+    for formatter in (cli._format_block, cli._format_rows):
+        assert formatter(np.array([values])) == row.encode("ascii")
+        assert formatter(np.array(values).reshape(-1, 1)) == column.encode("ascii")

@@ -210,6 +210,14 @@ class TestPropagateExpm:
         with pytest.raises(ValueError, match="does not preserve the trace"):
             propagate_expm(-0.5 * np.eye(16), bell_vector(), TimeGrid(0.0, 1.0, 3))
 
+    def test_rejects_generator_that_breaks_hermiticity(self):
+        # -i[H, rho] with a non-Hermitian H keeps the trace but not Hermiticity;
+        # the Hermiticity projection would silently change its propagation
+        h = np.array([[0.0, 1.0], [0.0, 0.0]])
+        gen = -1j * (np.kron(h, np.eye(2)) - np.kron(np.eye(2), h.T))
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            propagate_expm(gen, vectorize(np.eye(2) / 2), TimeGrid(0.0, 1.0, 3))
+
     def test_overflowing_generator_scale_raises(self):
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
         with pytest.raises(NonFiniteError):

@@ -1,12 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from entdyn.errors import (
     DimensionMismatchError,
+    NonFiniteError,
     NotHermitianError,
     NotPSDError,
     SingularMatrixError,
 )
+from entdyn.evolution import _sector_labels
+from entdyn.feedback import FeedbackParams, wm_full_generator, wm_subspace_generator
 from entdyn.generators import _two_sided
 from entdyn.linalg import expm, hermitian_eig, solve_linear, sqrt_psd
 from helpers import assert_multiset_close, eig_real_3x3, random_hermitian
@@ -140,6 +145,20 @@ class TestSqrtPsd:
             sqrt_psd(np.array([np.eye(2), np.diag([1.0, -1e-6])]))
 
 
+@pytest.fixture(scope="module")
+def scipy_expm():
+    """scipy's expm, the reference the tests hold entdyn's own against."""
+    return pytest.importorskip("scipy.linalg").expm
+
+
+def assert_matches_reference(a, reference_expm):
+    """max|E - E_ref| ≤ 1e-13 max(1, ‖A‖₁) max|E_ref|: the gate widens with the norm, as squaring loses digits."""
+    expected = reference_expm(a)
+    gap = np.max(np.abs(expm(a) - expected))
+    bound = 1e-13 * max(1.0, np.abs(a).sum(axis=0).max()) * np.max(np.abs(expected))
+    assert gap <= bound, (gap, bound)
+
+
 class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
@@ -171,6 +190,60 @@ class TestExpm:
         for _ in range(50):
             u = expm(1j * random_hermitian(rng, 4))
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) <= 1e-9
+
+    def test_random_dense_matrices(self, scipy_expm):
+        rng = np.random.default_rng(131)
+        for n in range(1, 17):
+            for _ in range(20):
+                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+                assert_matches_reference(a * 10.0 ** rng.uniform(-3, 2) / np.abs(a).sum(axis=0).max(), scipy_expm)
+
+    def test_feedback_generator_sector_blocks(self, scipy_expm):
+        # rates log-uniform over 1e-6 to 1e9 and steps over 1e-4 to 10 give
+        # 1500 blocks with 1-norms from 1e-5 to 1e10, every Padé degree and up to 32 squarings
+        rng = np.random.default_rng(132)
+
+        def rate():
+            return 10.0 ** rng.uniform(-6, 9)
+
+        for _ in range(300):
+            params = FeedbackParams(
+                m=rate(), f=rate(), gamma=rate(), mu=rng.choice([-1, 1]) * rate(), y=rng.choice([-1, 1]) * rate()
+            )
+            dt = 10.0 ** rng.uniform(-4, 1)
+            for gen in (wm_full_generator(params), wm_subspace_generator(params)):
+                labels = _sector_labels(gen)
+                for label in np.unique(labels):
+                    idx = np.flatnonzero(labels == label)
+                    assert_matches_reference(gen[np.ix_(idx, idx)] * dt, scipy_expm)
+
+    def test_nilpotent_operand_with_non_nilpotent_modulus(self, scipy_expm):
+        # A² = 0, so every d_p is 0, while |A| is not nilpotent and ell asks for squarings
+        a = np.array([[10.0, 10.0], [-10.0, -10.0]])
+        assert np.max(np.abs(expm(a) - (np.eye(2) + a))) <= 1e-13 * 20 * 11
+        assert_matches_reference(a, scipy_expm)
+
+    def test_diagonal_and_zero_operands_are_exact(self, scipy_expm):
+        rng = np.random.default_rng(133)
+        for n in range(1, 6):
+            zero = np.zeros((n, n), dtype=complex)
+            assert np.array_equal(expm(zero), np.eye(n))
+            d = rng.normal(size=n) + 1j * rng.normal(size=n)
+            d[rng.uniform(size=n) < 0.3] = 0
+            for a in (zero, np.diag(d), np.diag(d.real + 0j)):
+                assert np.array_equal(expm(a), scipy_expm(a))
+                assert np.array_equal(expm(a), np.diag(np.exp(np.diagonal(a))))
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.diag([800.0, 0.0]), np.array([[800.0, 1.0], [0.0, 0.0]]), np.full((2, 2), 1e308)],
+        ids=["diagonal", "triangular", "norm-beyond-double"],
+    )
+    def test_overflow_is_non_finite_without_a_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                expm(a)
 
 
 class TestSolveLinear:

@@ -59,10 +59,10 @@ _EMIT_TOL = 1e-8
 #: CSV rows formatted per write; bounds the temporaries of a large grid
 _WRITE_BLOCK = 2048
 
-#: a block of fewer rows is formatted value by value: the kernel's fixed cost
-#: of about 45 numpy calls exceeds "%" on every value below about 16 rows of
-#: 12 columns (or 40 rows of 3)
-_KERNEL_MIN_ROWS = 16
+#: a block of fewer values is formatted value by value: the kernel's fixed
+#: cost of about 45 numpy calls exceeds "%" on every value below about 112
+#: values, whether 40 rows of 3 columns or 10 rows of 12
+_KERNEL_MIN_VALUES = 112
 
 
 class ConfigError(ValueError):
@@ -352,7 +352,7 @@ def _write_csv(path: str, table: dict) -> int:
     edges as m[:, None] and f[None, :]; rows come out in C order. Rows are
     formatted _WRITE_BLOCK at a time by _format_block, so a grid column is
     never expanded to its full length; a block of fewer than
-    _KERNEL_MIN_ROWS rows goes through _format_rows, with the same bytes.
+    _KERNEL_MIN_VALUES values goes through _format_rows, with the same bytes.
     """
     values = [np.asarray(c, dtype=float) for c in table.values()]
     shape = np.broadcast(*values).shape or (1,)
@@ -366,7 +366,7 @@ def _write_csv(path: str, table: dict) -> int:
                 for j, c in enumerate(columns):
                     block[..., j] = c if c.shape[0] == 1 else c[start : start + step]
                 block = block.reshape(-1, len(columns))
-                fh.write((_format_block if len(block) >= _KERNEL_MIN_ROWS else _format_rows)(block))
+                fh.write((_format_block if block.size >= _KERNEL_MIN_VALUES else _format_rows)(block))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
     return math.prod(shape)

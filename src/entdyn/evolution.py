@@ -291,17 +291,22 @@ def _transposition(gen: np.ndarray) -> np.ndarray:
     return np.arange(n * n).reshape(n, n).T.reshape(-1)
 
 
+def _ldexp(gen: np.ndarray, exponent: int) -> np.ndarray:
+    """gen * 2^exponent on the real and imaginary parts apart: numpy's complex division by a subnormal 2^-exponent overflows."""
+    return np.ldexp(np.ascontiguousarray(gen).view(float), exponent).view(complex)
+
+
 def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
     """gen / 2^e and e for the largest 2^e at most gen's peak entry (e = 0 for a zero gen).
 
-    The division is exact, and the result's Frobenius norm is finite for any finite gen.
+    The scaling is exact, and the result's Frobenius norm is finite for any finite gen.
     """
     # real and imaginary parts apart: |z| itself can overflow
     peak = max(abs(gen.real).max(), abs(gen.imag).max())
     if peak == 0:
         return gen, 0
     exponent = math.frexp(peak)[1] - 1
-    return gen / math.ldexp(1.0, exponent), exponent
+    return _ldexp(gen, -exponent), exponent
 
 
 def _trace_shares(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
@@ -395,12 +400,12 @@ def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
     exponent += math.frexp(np.linalg.norm(normed))[1]
     if exponent > _MAX_EXPONENT + 1:
         raise NonFiniteError("generator norm exceeds the largest double")
-    scale = math.ldexp(1.0, min(exponent, _MAX_EXPONENT))
+    exponent = min(exponent, _MAX_EXPONENT)
     powers = np.empty((_DP_DEGREES.size,) + gen.shape, dtype=complex)
-    powers[0] = gen / scale
+    powers[0] = _ldexp(gen, -exponent)
     for k in range(1, _DP_DEGREES.size):
         powers[k] = powers[0] @ powers[k - 1]
-    return powers.reshape(-1, gen.shape[1]), float(scale)
+    return powers.reshape(-1, gen.shape[1]), math.ldexp(1.0, exponent)
 
 
 def _krylov_block(powers: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -149,15 +149,11 @@ def phenomenological_superop(dephasing, relaxation=None) -> np.ndarray:
                 f"relaxation shape {relax.shape} does not match dephasing {deph.shape}"
             )
     ld = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                ld[i * n + j, i * n + j] = -deph[i, j]
-    for i in range(n):
-        for k in range(n):
-            if i != k:
-                ld[i * n + i, k * n + k] += relax[i, k]
-                ld[k * n + k, k * n + k] -= relax[i, k]
+    ld.flat[:: n * n + 1] = -deph.reshape(-1)
+    # the population indices i*n + i: relax moves population and each source
+    # drains by its column sum; 0.0 + keeps a -0.0 rate out of the generator
+    populations = np.arange(n) * (n + 1)
+    ld[np.ix_(populations, populations)] = (0.0 + relax) - np.diag(relax.sum(axis=0))
     return ld
 
 

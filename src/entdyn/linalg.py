@@ -1,12 +1,14 @@
 """Dense linear-algebra kernels with validated contracts, in numpy alone.
 
-Thin wrappers over numpy's LAPACK-backed routines, and the matrix
-exponential, a Padé scaling and squaring written here so that no part of
-the package imports scipy. Each function checks its inputs and raises a
-typed error instead of leaking library exceptions upward.
-The operand checks other modules share live here too: _as_square for
-shape and finiteness, where a non-finite entry raises NonFiniteError, and
-_check_hermitian for the Hermiticity deviation. Kronecker products are not
+Three public kernels: hermitian_eig and solve_linear, thin wrappers over
+numpy's LAPACK-backed routines, and expm, a Padé scaling and squaring
+written here so that no part of the package imports scipy. Each checks its
+inputs and raises a typed error instead of leaking library exceptions
+upward. The operand helpers other modules share live here too: _as_square
+for shape and finiteness, where a non-finite entry raises NonFiniteError,
+_dagger for the adjoint of a matrix or a stack, and _check_hermitian for
+the Hermiticity gate of an operator. Density matrices are gated in
+quantum, from margins it computes per matrix. Kronecker products are not
 wrapped here: generators builds every superoperator through its one
 two-sided-product rule.
 """
@@ -21,13 +23,11 @@ from .errors import (
     NoConvergenceError,
     NonFiniteError,
     NotHermitianError,
-    NotPSDError,
     SingularMatrixError,
 )
 
 __all__ = [
     "hermitian_eig",
-    "sqrt_psd",
     "expm",
     "solve_linear",
 ]
@@ -89,21 +89,6 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     return values, vectors
-
-
-def sqrt_psd(m, clip: float = 1e-10) -> np.ndarray:
-    """Principal square root of a positive-semidefinite Hermitian matrix.
-
-    Eigenvalues in [-clip, 0) are treated as round-off and clipped to zero;
-    anything more negative raises NotPSDError. An (N, n, n) stack gives the
-    root of every matrix in it.
-    """
-    values, vectors = hermitian_eig(m)
-    lowest = values[..., 0].min() if values.size else 0.0
-    if lowest < -clip:
-        raise NotPSDError(f"eigenvalue {lowest:.3e} below -{clip:.1e}")
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))[..., None, :]) @ _dagger(vectors)
-    return 0.5 * (root + _dagger(root))
 
 
 def expm(m) -> np.ndarray:

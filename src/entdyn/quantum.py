@@ -6,10 +6,12 @@ density-matrix functions that trajectories sample (validate_density,
 purity, bloch_from_density, embed_23 and both concurrences) take one
 matrix or an (N, n, n) stack of them, with the same checks per matrix.
 
-A stack of qubit states, or of two-qubit X-states (zero off the diagonal
-and the anti-diagonal), is made of 2x2 blocks. There validate_density and
-both concurrences take eigenvalues and concurrence in closed form from the
-blocks; every other stack goes through stacked LAPACK calls.
+validate_density and both concurrences gate a stack before computing from
+it: each matrix's Hermiticity deviation, trace and lowest eigenvalue go to
+one helper that raises the first failing matrix's error. Stacks of qubit
+states or of X-states (zero off the diagonal and the anti-diagonal) take
+these margins and their values in closed form from 2x2 blocks; every other
+stack takes them from one eigh per _BLOCK matrices.
 
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
@@ -23,14 +25,14 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionMismatchError,
-    EntdynError,
     InvalidStateError,
     LeakyStateError,
     NoConvergenceError,
+    NotHermitianError,
     NotPSDError,
     OutsideBlochBallError,
 )
-from .linalg import _as_square, _check_hermitian
+from .linalg import _as_square, _dagger
 
 __all__ = [
     "PAULI_X",
@@ -62,8 +64,10 @@ _LEAK_TOL = 1e-9
 
 #: Hermiticity and eigenvalue gates of both concurrences: states this close
 #: to Hermitian and positive are measured through their Hermitian part
-_HERM_ATOL = 1e-8
+_ROUND_OFF_ASYMMETRY = 1e-8
 _PSD_CLIP = 1e-9
+#: (Hermiticity, trace, eigenvalue) gates of both concurrences, which take no traces
+_CONCURRENCE_GATES = (_ROUND_OFF_ASYMMETRY, np.inf, -_PSD_CLIP)
 
 #: matrices per stacked LAPACK call; bounds the eigh and svd temporaries
 #: of a long trajectory to a fixed size
@@ -73,7 +77,7 @@ _BLOCK = 256
 #: first, then |01>, |10>
 _X_LEVELS = np.array([[0, 3], [1, 2]])
 #: the 4x4 entries off the diagonal and the anti-diagonal, where an X-state is zero
-_OFF_X = [(i, j) for i in range(4) for j in range(4) if i != j and i + j != 3]
+_OFF_X = (np.eye(4) + np.eye(4)[::-1]) == 0
 
 
 def _two_level_blocks(stack: np.ndarray):
@@ -89,7 +93,7 @@ def _two_level_blocks(stack: np.ndarray):
     n = stack.shape[-1]
     if n == 2:
         levels = np.array([[0, 1]])
-    elif n == 4 and not any(stack[:, i, j].any() for i, j in _OFF_X):
+    elif n == 4 and not stack[:, _OFF_X].any():
         levels = _X_LEVELS
     else:
         return None
@@ -106,37 +110,54 @@ def _lowest_eigenvalues(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
     return ((0.5 * a + 0.5 * b) - np.hypot(0.5 * a - 0.5 * b, np.abs(c))).min(axis=1)
 
 
-def _per_matrix(kernel, closed_form, mat: np.ndarray) -> np.ndarray:
-    """One float per matrix of a stack, from closed_form or from kernel.
+def _raise_first_failure(stack: np.ndarray, gates, deviation: np.ndarray, lowest: np.ndarray) -> None:
+    """Raise the error of the first matrix outside gates = (herm_atol, trace_atol, eig_floor), if any.
 
-    On a stack that _two_level_blocks splits, closed_form maps the stack and
-    its blocks to one float per matrix and a mask of the matrices outside
-    its gates. Those are rerun through the kernel one at a time, in order,
-    so the first to fail there raises its own error, and a matrix that
-    round-off puts on the other side of a gate is judged by the kernel.
-
-    Any other stack goes through the kernel in blocks of _BLOCK. The kernel
-    checks a whole block at once. When a block fails, its matrices are
-    rerun one at a time, so the error raised is the one the first failing
-    matrix raises on its own, exactly as from a loop of single calls.
+    deviation and lowest hold max|m - m†| and the lowest eigenvalue of the
+    Hermitian part of every matrix of the stack. Each matrix is judged on
+    Hermiticity, trace (not taken for a gate of inf), then eigenvalue.
     """
-    stack = mat.reshape((-1,) + mat.shape[-2:])
+    herm_atol, trace_atol, eig_floor = gates
+    non_hermitian = deviation > herm_atol
+    if trace_atol == np.inf:
+        off_trace = np.zeros(len(stack), dtype=bool)
+    else:
+        off_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) > trace_atol
+    failing = non_hermitian | off_trace | (lowest < eig_floor)
+    if not failing.any():
+        return
+    k = int(np.argmax(failing))
+    if non_hermitian[k]:
+        raise NotHermitianError(f"max|rho - rho†| = {deviation[k]:.3e} exceeds {herm_atol:.1e}")
+    if off_trace[k]:
+        raise InvalidStateError(f"trace {np.trace(stack[k]):.12f} deviates from 1 beyond {trace_atol:.1e}")
+    raise NotPSDError(f"eigenvalue {lowest[k]:.3e} below {eig_floor:.1e}")
+
+
+def _gated_two_level_blocks(stack: np.ndarray, gates):
+    """(a, b, c) of _two_level_blocks once the stack passes the gates; None for a stack it does not split."""
     blocks = _two_level_blocks(stack)
-    if blocks is not None:
-        values, failing = closed_form(stack, *blocks)
-        for k in np.flatnonzero(failing).tolist():
-            kernel(stack[k : k + 1])
-        return values
-    out = np.empty(len(stack))
+    if blocks is None:
+        return None
+    a, b, c, deviation = blocks
+    _raise_first_failure(stack, gates, deviation, _lowest_eigenvalues(a, b, c))
+    return a, b, c
+
+
+def _gated_eigenpairs(stack: np.ndarray, gates):
+    """Eigenpairs of the Hermitian part of every _BLOCK of the stack, each block gated before it is yielded.
+
+    One hermitian_eig per block gives the lowest eigenvalues the gate
+    needs, and the eigenpairs are reused by the caller. A failing block
+    raises before the next is decomposed.
+    """
     for start in range(0, len(stack), _BLOCK):
         block = stack[start : start + _BLOCK]
-        try:
-            out[start : start + len(block)] = kernel(block)
-        except EntdynError:
-            for k in range(len(block)):
-                kernel(block[k : k + 1])
-            raise
-    return out
+        adjoint = _dagger(block)
+        values, vectors = linalg.hermitian_eig(0.5 * (block + adjoint))
+        deviation = np.abs(block - adjoint).max(axis=(1, 2))
+        _raise_first_failure(block, gates, deviation, values[:, 0])
+        yield values, vectors
 
 
 def bell_state() -> np.ndarray:
@@ -166,31 +187,15 @@ def validate_density(
     the error is that of the first one to fail. Returns the validated array.
     Raises NotHermitianError, InvalidStateError, or NotPSDError respectively.
     The lowest eigenvalue is that of the Hermitian part, from eigh or, for
-    qubit states and X-states, from the 2x2 blocks in closed form.
+    qubit states and X-states, from the 2x2 blocks in closed form; a trace
+    gate of inf takes no traces.
     """
     mat = _as_square(rho, "rho", stacked=True)
-
-    def lowest_eigenvalues(block):
-        adjoint = _check_hermitian(block, herm_atol, "rho")
-        traces = np.trace(block, axis1=-2, axis2=-1)
-        worst = int(np.argmax(np.abs(traces - 1.0)))
-        if abs(traces[worst] - 1.0) > trace_atol:
-            raise InvalidStateError(
-                f"trace {traces[worst]:.12f} deviates from 1 beyond {trace_atol:.1e}"
-            )
-        values, _ = linalg.hermitian_eig(0.5 * (block + adjoint))
-        lowest = values[:, 0]
-        if lowest.min() < eig_floor:
-            raise NotPSDError(f"eigenvalue {lowest.min():.3e} below {eig_floor:.1e}")
-        return lowest
-
-    def closed_form(stack, a, b, c, deviation):
-        traces = np.trace(stack, axis1=-2, axis2=-1)
-        lowest = _lowest_eigenvalues(a, b, c)
-        failing = (deviation > herm_atol) | (np.abs(traces - 1.0) > trace_atol)
-        return lowest, failing | (lowest < eig_floor)
-
-    _per_matrix(lowest_eigenvalues, closed_form, mat)
+    stack = mat.reshape((-1,) + mat.shape[-2:])
+    gates = (herm_atol, trace_atol, eig_floor)
+    if _gated_two_level_blocks(stack, gates) is None:
+        for _ in _gated_eigenpairs(stack, gates):
+            pass
     return mat
 
 
@@ -273,21 +278,6 @@ def purity(rho) -> float | np.ndarray:
     return float(values) if mat.ndim == 2 else values
 
 
-def _hermitian_root(block: np.ndarray) -> np.ndarray:
-    """Square root of the Hermitian part of each matrix, under the gates of both concurrences.
-
-    A matrix more than 1e-8 from Hermitian raises NotHermitianError, one
-    whose Hermitian part has an eigenvalue below -1e-9 raises NotPSDError.
-    """
-    adjoint = _check_hermitian(block, _HERM_ATOL, "rho")
-    return linalg.sqrt_psd(0.5 * (block + adjoint), clip=_PSD_CLIP)
-
-
-def _outside_gates(a, b, c, deviation) -> np.ndarray:
-    """The closed-form mask of the matrices _hermitian_root would refuse."""
-    return (deviation > _HERM_ATOL) | (_lowest_eigenvalues(a, b, c) < -_PSD_CLIP)
-
-
 def concurrence(rho) -> float | np.ndarray:
     """Two-qubit concurrence of a density matrix.
 
@@ -310,22 +300,26 @@ def concurrence(rho) -> float | np.ndarray:
     before the square root. A stack of N states gives an array of N values.
     """
     mat = _as_square(rho, "rho", stacked=True, size=4)
-
-    def block_concurrence(block):
-        root = _hermitian_root(block)
-        try:
-            lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
-        return np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0)
-
-    def x_state_concurrence(stack, a, b, c, deviation):
+    stack = mat.reshape((-1, 4, 4))
+    blocks = _gated_two_level_blocks(stack, _CONCURRENCE_GATES)
+    if blocks is not None:
+        a, b, c = blocks
         geometric = np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
         # each block's coherence against the other block's populations
         excess = (np.abs(c) - geometric[:, ::-1]).max(axis=1)
-        return 2.0 * np.maximum(excess, 0.0), _outside_gates(a, b, c, deviation)
-
-    values = _per_matrix(block_concurrence, x_state_concurrence, mat)
+        values = 2.0 * np.maximum(excess, 0.0)
+    else:
+        parts = []
+        for eigenvalues, vectors in _gated_eigenpairs(stack, _CONCURRENCE_GATES):
+            # the principal square root, round-off negative eigenvalues clipped to zero
+            root = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]) @ _dagger(vectors)
+            root = 0.5 * (root + _dagger(root))
+            try:
+                lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
+            parts.append(np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0))
+        values = np.concatenate(parts)
     return float(values[0]) if mat.ndim == 2 else values
 
 
@@ -344,13 +338,10 @@ def concurrence_2x2_embedded(rho) -> float | np.ndarray:
 
     A stack of N states gives an array of N values; a failure raises the
     error of the first failing matrix, its Hermiticity before its
-    positivity, as the eigh route reports it.
+    positivity.
     """
     mat = _as_square(rho, "rho", stacked=True, size=2)
-
-    def coherence(stack, a, b, c, deviation):
-        return 2.0 * np.abs(c[:, 0]), _outside_gates(a, b, c, deviation)
-
-    # every 2x2 stack takes the closed form, so the kernel only judges failures
-    values = _per_matrix(_hermitian_root, coherence, mat)
+    # every 2x2 stack splits into one block
+    _, _, c = _gated_two_level_blocks(mat.reshape((-1, 2, 2)), _CONCURRENCE_GATES)
+    values = 2.0 * np.abs(c[:, 0])
     return float(values[0]) if mat.ndim == 2 else values

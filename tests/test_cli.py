@@ -315,11 +315,13 @@ class TestCsvWriter:
         assert out.read_bytes() == reference_csv(table)
 
     def test_small_tables_skip_the_kernel(self, tmp_path, monkeypatch):
-        kernel_rows = []
-        monkeypatch.setattr(cli, "_format_block", lambda block: kernel_rows.append(len(block)) or b"")
-        for rows in (1, cli._KERNEL_MIN_ROWS - 1, cli._KERNEL_MIN_ROWS):
-            cli._write_csv(str(tmp_path / "small.csv"), {"a": np.arange(rows), "b": 0.5})
-        assert kernel_rows == [cli._KERNEL_MIN_ROWS]
+        # the choice follows the number of values, not of rows
+        kernel_shapes = []
+        monkeypatch.setattr(cli, "_format_block", lambda block: kernel_shapes.append(block.shape) or b"")
+        for rows, columns in ((21, 2), (1, 12), (40, 3), (16, 12)):
+            table = {f"c{k}": np.arange(rows) for k in range(columns)}
+            cli._write_csv(str(tmp_path / "small.csv"), table)
+        assert kernel_shapes == [(40, 3), (16, 12)]
 
     @pytest.mark.parametrize(
         "value",
@@ -386,6 +388,19 @@ class TestSteadyScenario:
         header, rows = read_csv(out)
         row = dict(zip(header, rows[0]))
         assert abs(row["concurrence"] - row["concurrence_closed_form"]) <= 1e-6
+
+    @pytest.mark.parametrize("rate", ["1e-310", "1e-320"])
+    def test_subnormal_rates(self, tmp_path, capsys, rate):
+        # numpy's complex division by a subnormal power of two overflowed here
+        argv = ["steady", "--m", rate, "--f", rate, "--gamma", rate]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, *argv)
+            table = cli._SCENARIOS["steady"][0](cli.parse_config(argv).values)
+        assert code == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert len(read_csv(out)[1]) == 1
+        assert abs(table["concurrence"] - table["concurrence_closed_form"]) <= 1e-12
 
     def test_degenerate_point_exits_two(self, tmp_path):
         code, _ = run(tmp_path, "steady", "--f", "0")

@@ -401,6 +401,15 @@ class TestPropagateOde:
             b = propagate_ode(1e150 * gen, bell_vector(), TimeGrid(0.0, 2e-150, 3))
         assert np.max(np.abs(a.states - b.states)) <= 1e-10
 
+    def test_subnormal_rates_keep_the_state(self):
+        # numpy's complex division by the subnormal scale overflowed here
+        gen = wm_subspace_generator(FeedbackParams(m=1e-320, f=1e-320, gamma=1e-320))
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate_ode(gen, r0, TimeGrid(0.0, 1.0, 3))
+        assert np.max(np.abs(traj.states - r0.reshape(2, 2))) <= 1e-300
+
 
 class TestOdeDiagnostics:
     grid = TimeGrid(0.0, 10.0, 21)
@@ -538,6 +547,14 @@ class TestSteadyState:
         params = FeedbackParams(m=rate, f=rate, gamma=1.0)
         rho = steady_state(wm_subspace_generator(params))
         assert np.max(np.abs(rho - steady_state_closed_form(params).rho)) <= 1e-9
+
+    @pytest.mark.parametrize("rate", [1e-310, 1e-320])
+    def test_subnormal_feedback_rates(self, rate):
+        params = FeedbackParams(m=rate, f=rate, gamma=rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rho = steady_state(wm_subspace_generator(params))
+        assert np.max(np.abs(rho - steady_state_closed_form(params).rho)) <= 1e-12
 
     def test_zero_generator_kernel_dimension(self):
         with pytest.raises(NonUniqueSteadyStateError, match="kernel dimension 4"):

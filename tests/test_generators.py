@@ -207,6 +207,37 @@ class TestPhenomenologicalSuperop:
         with pytest.raises(DimensionMismatchError):
             phenomenological_superop(np.zeros((4, 4)), np.zeros((2, 2)))
 
+    def test_matches_entrywise_loops_bit_for_bit(self):
+        def reference(deph, relax):
+            n = deph.shape[0]
+            ld = np.zeros((n * n, n * n), dtype=complex)
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        ld[i * n + j, i * n + j] = -deph[i, j]
+            for i in range(n):
+                for k in range(n):
+                    if i != k:
+                        ld[i * n + i, k * n + k] += relax[i, k]
+                        ld[k * n + k, k * n + k] -= relax[i, k]
+            return ld
+
+        rng = np.random.default_rng(46)
+        for trial in range(400):
+            n = 2 + trial % 4
+            scales = 10.0 ** rng.integers(-8, 9, size=(2, n, n))
+            # exact zeros among the rates, and -0.0 on some diagonals and zero rates
+            deph = rng.uniform(size=(n, n)) * scales[0] * rng.integers(0, 2, size=(n, n))
+            deph = np.triu(deph, 1) + np.triu(deph, 1).T
+            relax = rng.uniform(size=(n, n)) * scales[1] * rng.integers(0, 2, size=(n, n))
+            np.fill_diagonal(relax, 0.0)
+            if trial % 3 == 0:
+                np.fill_diagonal(deph, -0.0)
+                relax[relax == 0] = -0.0
+            expected = reference(deph, relax if trial % 2 else np.zeros((n, n)))
+            got = phenomenological_superop(deph, relax if trial % 2 else None)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
 
 class TestPureDephasing:
     def test_zero_amplitudes(self):

@@ -7,13 +7,12 @@ from entdyn.errors import (
     DimensionMismatchError,
     NonFiniteError,
     NotHermitianError,
-    NotPSDError,
     SingularMatrixError,
 )
 from entdyn.evolution import _sector_labels
 from entdyn.feedback import FeedbackParams, wm_full_generator, wm_subspace_generator
 from entdyn.generators import _two_sided
-from entdyn.linalg import expm, hermitian_eig, solve_linear, sqrt_psd
+from entdyn.linalg import expm, hermitian_eig, solve_linear
 from helpers import assert_multiset_close, eig_real_3x3, random_hermitian
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -103,46 +102,6 @@ class TestHermitianEig:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             hermitian_eig(np.zeros((2, 3)))
-
-
-class TestSqrtPsd:
-    def test_diagonal(self):
-        assert np.allclose(sqrt_psd(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
-
-    def test_identity(self):
-        assert np.allclose(sqrt_psd(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_projector_is_fixed_point(self):
-        p = 0.5 * (I2 + X)
-        assert np.max(np.abs(sqrt_psd(p) - p)) <= 1e-12
-
-    def test_squares_back(self):
-        rng = np.random.default_rng(14)
-        for n in (2, 3, 4, 6):
-            for _ in range(100):
-                a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-                m = a @ a.conj().T
-                s = sqrt_psd(m)
-                assert np.max(np.abs(s - s.conj().T)) <= 1e-12
-                assert np.max(np.abs(s @ s - m)) <= 1e-9 * max(1.0, np.max(np.abs(m)))
-
-    def test_clips_round_off_negatives(self):
-        s = sqrt_psd(np.diag([1.0, -1e-11]))
-        assert np.allclose(s, np.diag([1.0, 0.0]), atol=1e-9)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
-            sqrt_psd(np.diag([1.0, -1e-6]))
-
-    def test_stack_gives_each_root(self):
-        rng = np.random.default_rng(15)
-        a = rng.normal(size=(50, 4, 4)) + 1j * rng.normal(size=(50, 4, 4))
-        stack = a @ a.conj().swapaxes(-1, -2)
-        roots = sqrt_psd(stack)
-        assert roots.shape == stack.shape
-        assert np.max(np.abs(roots - [sqrt_psd(m) for m in stack])) <= 1e-13
-        with pytest.raises(NotPSDError):
-            sqrt_psd(np.array([np.eye(2), np.diag([1.0, -1e-6])]))
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,11 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
 import entdyn
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # the public names of the package before __all__ was derived from its submodules
 NAMES_KEPT = """
@@ -29,3 +36,13 @@ def test_no_duplicate_exports():
 def test_earlier_exports_kept():
     assert len(NAMES_KEPT) == 53
     assert set(NAMES_KEPT) <= set(entdyn.__all__)
+
+
+def test_readme_quick_start_runs():
+    # the README's python block, found from this file, so any working directory will do
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    closed_form, propagated = map(float, out.getvalue().split())
+    assert abs(closed_form - propagated) <= 1e-12

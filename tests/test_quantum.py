@@ -369,6 +369,15 @@ class TestClosedForms:
                 general_route(validate_density, rho)
             assert str(closed.value) == str(general.value)
 
+    def test_general_route_clips_round_off_negative_eigenvalues(self, general_route):
+        # the Bell state with eigenvalues eps on |00> and -eps on |11>: down to
+        # -1e-9 the square root clips -eps to zero, and C stays 1
+        bell = density_from_pure(bell_state())
+        rho = bell + np.diag([1e-10, 0.0, 0.0, -1e-10])
+        assert abs(general_route(concurrence, rho) - 1.0) <= 1e-12
+        with pytest.raises(NotPSDError, match="below -1.0e-09"):
+            general_route(concurrence, bell + np.diag([2e-9, 0.0, 0.0, -2e-9]))
+
     def test_closed_forms_need_no_decomposition(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("not expected on the closed-form route")
@@ -449,6 +458,20 @@ class TestStacks:
         with pytest.raises(NotPSDError) as stacked:
             function(states)
         assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("function", [concurrence, validate_density])
+    def test_general_route_stops_at_the_failing_block(self, function, monkeypatch):
+        # one eigh per block up to the failing one, and no rerun of single matrices
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(len(m)) or eigh(m))
+        states = random_stack(np.random.default_rng(54), 600, 4)
+        states[300] = np.diag([1.5, -0.5, 0.0, 0.0])
+        states[301, 0, 3] += 1e-3
+        with pytest.raises(NotPSDError) as excinfo:
+            function(states)
+        assert str(excinfo.value) == "eigenvalue -5.000e-01 below -1.0e-09"
+        assert calls == [entdyn.quantum._BLOCK, entdyn.quantum._BLOCK]
 
     def test_rejects_stack_of_wrong_shape(self):
         with pytest.raises(DimensionMismatchError):

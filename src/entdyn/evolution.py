@@ -8,7 +8,10 @@ same flow with an adaptive embedded Dormand-Prince 4(5) pair, each step
 evaluated as the pair's stability polynomials in hL on a Krylov block of
 scaled generator powers. They share no numerical machinery, so agreement
 between them is a real cross-check.
-Observables are computed on the whole stack of sampled states at once.
+Observables are computed on the whole stack of sampled states at once. The
+concurrence of a 2- or 4-level trajectory gates its stack, so a sample more
+than 1e-8 from Hermitian or from unit trace, or with an eigenvalue below
+-1e-9, raises (see quantum._CONCURRENCE_GATES).
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ import numpy as np
 from . import quantum
 from .errors import (
     DimensionMismatchError,
-    InvalidStateError,
     NoConvergenceError,
     NonFiniteError,
     NonUniqueSteadyStateError,
@@ -127,9 +129,7 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
         raise DimensionMismatchError(
             f"state length {v.size} does not match Hamiltonian size {energies.size}"
         )
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidStateError(f"initial norm {norm:.12f} is not 1")
+    quantum._require_unit_norm(v, "initial")
     times = grid.times
     with np.errstate(over="ignore", invalid="ignore"):
         phases = np.exp(sign * 1j * np.outer(times, energies))

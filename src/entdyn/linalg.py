@@ -59,17 +59,14 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def _check_hermitian(m: np.ndarray, atol: float, name: str = "m") -> np.ndarray:
-    """Raise NotHermitianError if max|m - m†| exceeds atol; return m†.
+def _check_hermitian(m: np.ndarray, atol: float, name: str = "m") -> None:
+    """Raise NotHermitianError if max|m - m†| exceeds atol.
 
-    m is one matrix or a stack, already through _as_square. Callers that
-    symmetrise reuse the returned adjoint.
+    m is one matrix or a stack, already through _as_square.
     """
-    adjoint = _dagger(m)
-    dev = np.abs(m - adjoint).max() if m.size else 0.0
+    dev = np.abs(m - _dagger(m)).max() if m.size else 0.0
     if dev > atol:
         raise NotHermitianError(f"max|{name} - {name}†| = {dev:.3e} exceeds {atol:.1e}")
-    return adjoint
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:

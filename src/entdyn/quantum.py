@@ -11,7 +11,9 @@ it: each matrix's Hermiticity deviation, trace and lowest eigenvalue go to
 one helper that raises the first failing matrix's error. Stacks of qubit
 states or of X-states (zero off the diagonal and the anti-diagonal) take
 these margins and their values in closed form from 2x2 blocks; every other
-stack takes them from one eigh per _BLOCK matrices.
+stack takes them from one eigh per _BLOCK matrices. The concurrences' gates
+(_CONCURRENCE_GATES) are the only check on the states a trajectory
+scenario of the command line prints.
 
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
@@ -66,8 +68,11 @@ _LEAK_TOL = 1e-9
 #: to Hermitian and positive are measured through their Hermitian part
 _ROUND_OFF_ASYMMETRY = 1e-8
 _PSD_CLIP = 1e-9
-#: (Hermiticity, trace, eigenvalue) gates of both concurrences, which take no traces
-_CONCURRENCE_GATES = (_ROUND_OFF_ASYMMETRY, np.inf, -_PSD_CLIP)
+#: largest |tr rho - 1| of a state either concurrence measures
+_TRACE_DRIFT = 1e-8
+#: (Hermiticity, trace, eigenvalue) gates of both concurrences, the only
+#: check on the states a trajectory samples
+_CONCURRENCE_GATES = (_ROUND_OFF_ASYMMETRY, _TRACE_DRIFT, -_PSD_CLIP)
 
 #: matrices per stacked LAPACK call; bounds the eigh and svd temporaries
 #: of a long trajectory to a fixed size
@@ -115,14 +120,11 @@ def _raise_first_failure(stack: np.ndarray, gates, deviation: np.ndarray, lowest
 
     deviation and lowest hold max|m - m†| and the lowest eigenvalue of the
     Hermitian part of every matrix of the stack. Each matrix is judged on
-    Hermiticity, trace (not taken for a gate of inf), then eigenvalue.
+    Hermiticity, trace, then eigenvalue.
     """
     herm_atol, trace_atol, eig_floor = gates
     non_hermitian = deviation > herm_atol
-    if trace_atol == np.inf:
-        off_trace = np.zeros(len(stack), dtype=bool)
-    else:
-        off_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) > trace_atol
+    off_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) > trace_atol
     failing = non_hermitian | off_trace | (lowest < eig_floor)
     if not failing.any():
         return
@@ -165,12 +167,17 @@ def bell_state() -> np.ndarray:
     return np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
 
 
+def _require_unit_norm(v: np.ndarray, name: str) -> None:
+    """Raise InvalidStateError, naming the vector, if its norm is more than 1e-10 from 1."""
+    norm = np.linalg.norm(v)
+    if abs(norm - 1.0) > 1e-10:
+        raise InvalidStateError(f"{name} norm {norm:.12f} is not 1")
+
+
 def density_from_pure(psi) -> np.ndarray:
     """Rank-one density matrix |psi><psi| of a normalized state vector."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-10:
-        raise InvalidStateError(f"state norm {norm:.12f} is not 1")
+    _require_unit_norm(v, "state")
     return np.outer(v, v.conj())
 
 
@@ -187,8 +194,7 @@ def validate_density(
     the error is that of the first one to fail. Returns the validated array.
     Raises NotHermitianError, InvalidStateError, or NotPSDError respectively.
     The lowest eigenvalue is that of the Hermitian part, from eigh or, for
-    qubit states and X-states, from the 2x2 blocks in closed form; a trace
-    gate of inf takes no traces.
+    qubit states and X-states, from the 2x2 blocks in closed form.
     """
     mat = _as_square(rho, "rho", stacked=True)
     stack = mat.reshape((-1,) + mat.shape[-2:])
@@ -297,7 +303,10 @@ def concurrence(rho) -> float | np.ndarray:
     2x2 blocks.
 
     A state within 1e-8 of Hermitian is replaced by its Hermitian part
-    before the square root. A stack of N states gives an array of N values.
+    before the square root. A state further from Hermitian raises
+    NotHermitianError, one whose trace is more than 1e-8 from 1 raises
+    InvalidStateError, and one whose Hermitian part has an eigenvalue below
+    -1e-9 raises NotPSDError. A stack of N states gives an array of N values.
     """
     mat = _as_square(rho, "rho", stacked=True, size=4)
     stack = mat.reshape((-1, 4, 4))
@@ -332,13 +341,14 @@ def concurrence_2x2_embedded(rho) -> float | np.ndarray:
     needed. The coherence is taken from the Hermitian part,
     c = (rho_01 + conj(rho_10)) / 2. The checks are those concurrence
     applies to the embedded state: a matrix more than 1e-8 from Hermitian
-    raises NotHermitianError, and one whose Hermitian part has an
+    raises NotHermitianError, one whose trace is more than 1e-8 from 1
+    raises InvalidStateError, and one whose Hermitian part has an
     eigenvalue below -1e-9 raises NotPSDError. That eigenvalue is
     (a + b)/2 - hypot((a - b)/2, |c|) for the real diagonal (a, b).
 
     A stack of N states gives an array of N values; a failure raises the
-    error of the first failing matrix, its Hermiticity before its
-    positivity.
+    error of the first failing matrix, its Hermiticity before its trace
+    and its trace before its positivity.
     """
     mat = _as_square(rho, "rho", stacked=True, size=2)
     # every 2x2 stack splits into one block

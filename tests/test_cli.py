@@ -173,6 +173,37 @@ class TestTrajectoryScenarios:
         assert err == "entdyn: numerical failure: propagated norm 1.000000020000 drifted from 1\n"
         assert not out.exists()
 
+    def test_trace_drift_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        filled = entdyn.evolution._filled_by_doubling
+
+        def drifting(*args):
+            return filled(*args) * (1.0 + 1e-7)
+
+        monkeypatch.setattr(entdyn.evolution, "_filled_by_doubling", drifting)
+        code, out = run(tmp_path, "evolve", "--steps", "10")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("entdyn: numerical failure: trace 1.0000001")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, propagations",
+        [(("evolve", "--steps", "10"), 1), (("fig2", "--steps", "10"), 1), (("fig-nogo",), 3)],
+    )
+    def test_each_propagation_is_gated_once(self, tmp_path, monkeypatch, argv, propagations):
+        split = entdyn.quantum._two_level_blocks
+        calls = []
+
+        def counting(stack):
+            calls.append(len(stack))
+            return split(stack)
+
+        monkeypatch.setattr(entdyn.quantum, "_two_level_blocks", counting)
+        code, _ = run(tmp_path, *argv)
+        assert code == 0
+        assert len(calls) == propagations
+
     def test_fast_oscillation_keeps_norm(self, tmp_path):
         code, _ = run(tmp_path, "fig1", "--y", "1e9")
         assert code == 0
@@ -183,7 +214,7 @@ class TestTrajectoryScenarios:
 
     def test_stiff_feedback_keeps_trace(self, tmp_path):
         # without the trace projection, 200 steps of expm at rates 1e8 drift
-        # 5.8e-8 in trace, past the 1e-8 check on emitted states
+        # 5.8e-8 in trace, past the 1e-8 trace gate of the concurrence
         code, out = run(tmp_path, "evolve", "--m", "1e8", "--f", "1e8", "--gamma", "1e-8")
         assert code == 0
         _, rows = read_csv(out)
@@ -196,7 +227,7 @@ class TestTrajectoryScenarios:
     )
     def test_stiff_drive_stays_hermitian_over_2000_steps(self, tmp_path, argv):
         # without the Hermiticity projection of the step exponential these
-        # samples drifted 1.000e-8 off Hermitian, just past the emitted-state check
+        # samples drifted 1.000e-8 off Hermitian, just past the concurrence's Hermiticity gate
         code, out = run(tmp_path, "fig-nogo", *argv, "--t-max", "10", "--steps", "2000")
         assert code == 0
         _, rows = read_csv(out)

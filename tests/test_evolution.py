@@ -30,6 +30,7 @@ from entdyn.generators import (
     HamiltonianParams,
     assemble_liouvillian,
     build_hamiltonian,
+    hamiltonian_superop,
     lindblad_dissipator_superop,
     phenomenological_superop,
 )
@@ -196,6 +197,27 @@ class TestPropagateExpm:
         assert np.max(np.abs(states - np.array(stepwise))) <= 1e-12
         reference = np.array([expm(gen * t) @ r0 for t in grid.times])
         assert np.max(np.abs(states - reference)) <= 1e-12
+
+    def test_non_hermitian_start_skips_the_hermiticity_projection(self, monkeypatch):
+        # vec(|0><2|) touches one sector, [2], whose transpose [6] it leaves out,
+        # so (P + S conj(P) S)/2 has no S to take and the step is left as it is
+        flips = []
+        projection = entdyn.evolution._hermiticity_preserving
+        monkeypatch.setattr(
+            entdyn.evolution, "_hermiticity_preserving", lambda p, flip: flips.append(flip) or projection(p, flip)
+        )
+        jump = np.zeros((3, 3))
+        jump[0, 1] = np.sqrt(0.3)
+        gen = hamiltonian_superop(np.diag([0.0, 1.0, 2.5])) + lindblad_dissipator_superop(jump)
+        coherence = np.zeros((3, 3), dtype=complex)
+        coherence[0, 2] = 1.0
+        r0 = vectorize(coherence)
+        grid = TimeGrid(0.5, 4.0, 201)
+        traj = propagate_expm(gen, r0, grid)
+        assert flips == [None, None]
+        assert traj.diagnostics["sectors"] == [[2]]
+        reference = np.array([expm(gen * t) @ r0 for t in grid.times])
+        assert np.max(np.abs(traj.states.reshape(grid.n_samples, -1) - reference)) <= 1e-12
 
     def test_stiff_generator_keeps_trace(self):
         # without the projection, expm of a generator with rates 1e8 loses up

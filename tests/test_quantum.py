@@ -237,6 +237,15 @@ class TestConcurrence:
         with pytest.raises(DimensionMismatchError):
             concurrence(np.eye(2) / 2)
 
+    def test_rejects_trace_off_one(self, general_route):
+        # Wootters' concurrence is defined on unit-trace states; 2e-8 is past the 1e-8 gate
+        rho = np.diag([0.0, 0.5, 0.5 + 2e-8, 0.0]).astype(complex)
+        with pytest.raises(InvalidStateError, match="trace 1.000000020000"):
+            concurrence(rho)
+        with pytest.raises(InvalidStateError, match="trace 1.000000020000"):
+            general_route(concurrence, rho)
+        assert concurrence(np.diag([0.0, 0.5, 0.5 + 5e-9, 0.0])) == 0.0
+
 
 class TestEmbeddedConcurrence:
     def test_maximally_mixed_block(self):
@@ -269,6 +278,12 @@ class TestEmbeddedConcurrence:
         with pytest.raises(NotHermitianError) as excinfo:
             concurrence_2x2_embedded(states)
         assert "1.000e-03" in str(excinfo.value)
+
+    def test_rejects_trace_off_one(self):
+        rho = np.diag([0.5, 0.5 + 2e-8]).astype(complex)
+        with pytest.raises(InvalidStateError, match="trace 1.000000020000"):
+            concurrence_2x2_embedded(rho)
+        assert concurrence_2x2_embedded(np.diag([0.5, 0.5 + 5e-9])) == 0.0
 
     def test_round_off_asymmetry_within_gate_is_accepted(self):
         rho = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)

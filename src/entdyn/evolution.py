@@ -98,10 +98,8 @@ def _density_observables(states: np.ndarray) -> dict[str, np.ndarray]:
     return obs
 
 
-def _density_trajectory(times: np.ndarray, vectors) -> Trajectory:
-    vectors = np.asarray(vectors)
-    n = int(round(np.sqrt(vectors.shape[1])))
-    states = vectors.reshape(-1, n, n)
+def _density_trajectory(times: np.ndarray, vectors, n: int) -> Trajectory:
+    states = np.asarray(vectors).reshape(-1, n, n)
     return Trajectory(times, states, _density_observables(states))
 
 
@@ -141,23 +139,20 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     return Trajectory(times, states, obs)
 
 
-def _check_generator(l) -> np.ndarray:
-    """The generator as a finite square matrix of size n²."""
+def _check_generator(l) -> tuple[np.ndarray, int]:
+    """The generator as a finite square matrix of size n², with n."""
     gen = _as_square(l, "generator")
-    n = int(round(np.sqrt(gen.shape[0])))
-    if n * n != gen.shape[0]:
-        raise DimensionMismatchError(f"generator size {gen.shape[0]} is not a perfect square")
-    return gen
+    return gen, quantum._matrix_side(gen.shape[0], "generator")
 
 
-def _check_generator_and_state(l, r0) -> tuple[np.ndarray, np.ndarray]:
-    gen = _check_generator(l)
+def _check_generator_and_state(l, r0) -> tuple[np.ndarray, np.ndarray, int]:
+    gen, n = _check_generator(l)
     r = np.asarray(r0, dtype=complex).reshape(-1)
     if r.size != gen.shape[0]:
         raise DimensionMismatchError(
             f"state length {r.size} does not match generator size {gen.shape[0]}"
         )
-    return gen, r
+    return gen, r, n
 
 
 def _scaled(gen: np.ndarray, t: float) -> np.ndarray:
@@ -189,49 +184,50 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     its length. The generator must preserve the trace, vec(I)ᵀ L = 0, and
     Hermiticity, S L̄ S = L for the transposition S, vec(ρᵀ) = S vec(ρ), as
     every Lindblad generator does; one that visibly does not (beyond 1e-12
-    of its largest entry) raises ValueError. Both exponentials are then
-    projected to keep the trace, vec(I)ᵀ P = vec(I)ᵀ on the propagated
-    indices, and then onto maps that keep Hermiticity, P = (P + S P̄ S)/2,
-    as the exact propagator does, so the round-off of a stiff generator's
-    exponential no longer accumulates into a trace or Hermiticity drift
-    over the samples. The Hermiticity projection needs the propagated
-    indices to be closed under S, as they are for a Hermitian r0; it is
-    skipped otherwise. Raises NonFiniteError if a scaled generator block,
-    an exponential or a propagated state holds inf or NaN. diagnostics
-    records the route and the propagated sectors, each as its sorted list
-    of Liouville indices.
+    of its largest entry) raises ValueError. The sectors are taken from
+    the nonzero patterns of L and S L̄ S together, so S maps every sector
+    onto a sector, and the propagated ones are those that r0 or its
+    transpose S r0 touches: the propagated indices are closed under S,
+    whatever r0. Both exponentials are then projected to keep the trace,
+    vec(I)ᵀ P = vec(I)ᵀ on the propagated indices, and then onto maps that
+    keep Hermiticity, P = (P + S P̄ S)/2, as the exact propagator does, so
+    the round-off of a stiff generator's exponential no longer accumulates
+    into a trace or Hermiticity drift over the samples. Raises
+    NonFiniteError if a scaled generator block, an exponential or a
+    propagated state holds inf or NaN. diagnostics records the route and
+    the propagated sectors, each as its sorted list of Liouville indices;
+    for a non-Hermitian r0 they include the S images of the sectors it
+    touches.
     """
-    gen, r = _check_generator_and_state(l, r0)
-    identity = _trace_row(gen)
-    transpose = _transposition(gen)
+    gen, r, n = _check_generator_and_state(l, r0)
+    identity = _trace_row(n)
+    transpose = _transposition(n)
     tolerance = 1e-12 * np.max(np.abs(gen))
     leak = np.max(np.abs(identity @ gen))
     if leak > tolerance:
         raise ValueError(f"generator does not preserve the trace: max |vec(I)ᵀ L| = {leak:.3e}")
-    skew = np.abs(gen - gen[transpose[:, None], transpose].conj()).max()
+    mirrored = gen[transpose[:, None], transpose].conj()
+    skew = np.abs(gen - mirrored).max()
     if skew > tolerance:
         raise ValueError(f"generator does not preserve Hermiticity: max |L - S L̄ S| = {skew:.3e}")
-    labels = _sector_labels(gen)
-    touched = np.unique(labels[r != 0])
+    labels = _sector_labels((gen != 0) | (mirrored != 0))
+    touched = np.unique(labels[(r != 0) | (r[transpose] != 0)])
     idx = np.flatnonzero(np.isin(labels, touched))
     block = gen[np.ix_(idx, idx)]
     identity = identity[idx]
     # S on the propagated indices: position k holds the position of idx[k]'s transpose
-    flip = np.minimum(np.searchsorted(idx, transpose[idx]), idx.size - 1)
-    if not np.array_equal(idx[flip], transpose[idx]):
-        flip = None
+    flip = np.searchsorted(idx, transpose[idx])
     times = grid.times
     start = expm(_scaled(block, grid.t_start))
     step = expm(_scaled(block, grid.span / (times.size - 1)))
     vectors = np.zeros((times.size, r.size), dtype=complex)
     # an overflowing power or state is reported by _require_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        start = _hermiticity_preserving(_trace_preserving(start, identity, _trace_shares(start, identity)), flip)
-        shares = _trace_shares(step, identity)
-        step = _hermiticity_preserving(_trace_preserving(step, identity, shares), flip)
-        vectors[:, idx] = _filled_by_doubling(start @ r[idx], step, times.size, identity, shares)
+        start = _hermiticity_preserving(_trace_preserving(start, identity), flip)
+        step = _hermiticity_preserving(_trace_preserving(step, identity), flip)
+        vectors[:, idx] = _filled_by_doubling(start @ r[idx], step, times.size, identity)
     _require_finite(vectors, times)
-    trajectory = _density_trajectory(times, vectors)
+    trajectory = _density_trajectory(times, vectors, n)
     trajectory.diagnostics = {
         "route": "expm",
         "sectors": [np.flatnonzero(labels == label).tolist() for label in touched],
@@ -239,14 +235,12 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     return trajectory
 
 
-def _filled_by_doubling(
-    first: np.ndarray, power: np.ndarray, samples: int, identity: np.ndarray, shares: np.ndarray
-) -> np.ndarray:
+def _filled_by_doubling(first: np.ndarray, power: np.ndarray, samples: int, identity: np.ndarray) -> np.ndarray:
     """The rows first, P first, P² first, … for `samples` rows, filled by doubling.
 
-    Each squared power is projected to keep the trace row e with P's
-    shares (see _trace_preserving): squaring doubles a power's trace
-    error, so without it the error of P^(2^j) would grow as 2^j round-offs.
+    Each squared power is projected to keep the trace row e (see
+    _trace_preserving): squaring doubles a power's trace error, so without
+    it the error of P^(2^j) would grow as 2^j round-offs.
     """
     rows = np.empty((samples, first.size), dtype=complex)
     rows[0] = first
@@ -256,17 +250,18 @@ def _filled_by_doubling(
         rows[filled : filled + take] = rows[:take] @ power.T
         filled += take
         if filled < samples:
-            power = _trace_preserving(power @ power, identity, shares)
+            power = _trace_preserving(power @ power, identity)
     return rows
 
 
 def _sector_labels(gen: np.ndarray) -> np.ndarray:
     """The sector of every Liouville index, labelled by the smallest index in it.
 
-    Indices i and j are linked when L couples them, L_ij != 0 or L_ji != 0,
-    and a sector is a connected component of these links, so no entry of L
-    leads out of it. Every index starts as its own label and takes the
-    smallest label among its links until none changes.
+    gen is the generator or its nonzero pattern. Indices i and j are linked
+    when gen couples them, gen_ij != 0 or gen_ji != 0, and a sector is a
+    connected component of these links, so no entry of gen leads out of it.
+    Every index starts as its own label and takes the smallest label among
+    its links until none changes.
     """
     size = gen.shape[0]
     nonzero = gen != 0
@@ -279,15 +274,13 @@ def _sector_labels(gen: np.ndarray) -> np.ndarray:
         labels = merged
 
 
-def _trace_row(gen: np.ndarray) -> np.ndarray:
-    """vec(I) for a generator of size n²: the row that takes the trace of a vectorized state."""
-    n = int(round(np.sqrt(gen.shape[0])))
+def _trace_row(n: int) -> np.ndarray:
+    """vec(I) of size n²: the row that takes the trace of a vectorized n x n state."""
     return np.eye(n).reshape(-1)
 
 
-def _transposition(gen: np.ndarray) -> np.ndarray:
-    """S as an index map: the Liouville index of ρᵀ_ij for every index of ρ_ij, for a generator of size n²."""
-    n = int(round(np.sqrt(gen.shape[0])))
+def _transposition(n: int) -> np.ndarray:
+    """S as an index map: the Liouville index of ρᵀ_ij for every index of ρ_ij of an n x n state."""
     return np.arange(n * n).reshape(n, n).T.reshape(-1)
 
 
@@ -309,34 +302,21 @@ def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
     return _ldexp(gen, -exponent), exponent
 
 
-def _trace_shares(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
-    """1/k on the k diagonal rows where a column of P is nonzero, and 0 elsewhere.
+def _trace_preserving(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
+    """P with the deficit e_j - (e P)_j of every column j spread evenly over its nonzero diagonal rows, so that e P = e.
 
     identity is the trace row e of P's indices, 1 on the diagonal indices.
+    The shares, 1/k on the k diagonal rows where column j of P is nonzero,
+    come from P's own nonzero pattern, which has no entry between two
+    sectors: this is the smallest change that keeps e and leaves every
+    exact zero of P a zero. A column with no share is unchanged.
     """
     share = identity[:, None] * (p != 0)
-    return share / np.maximum(share.sum(axis=0), 1)
+    return p + share / np.maximum(share.sum(axis=0), 1) * (identity - identity @ p)
 
 
-def _trace_preserving(p: np.ndarray, identity: np.ndarray, shares: np.ndarray) -> np.ndarray:
-    """P with the deficit e_j - (e P)_j of every column j spread by shares, so that e P = e.
-
-    With the shares of P itself (_trace_shares) this is the smallest change
-    that keeps the trace row e and leaves every exact zero of P, such as
-    one between two sectors, a zero. A column with no share is unchanged.
-    The powers of a propagator take the propagator's shares, which keep
-    their corrections inside its sectors too.
-    """
-    return p + shares * (identity - identity @ p)
-
-
-def _hermiticity_preserving(p: np.ndarray, flip: np.ndarray | None) -> np.ndarray:
-    """(P + S P̄ S)/2, which maps Hermitian to Hermitian exactly, for S given on P's indices by flip.
-
-    flip is None when the propagated indices are not closed under transposition; P is then returned unchanged.
-    """
-    if flip is None:
-        return p
+def _hermiticity_preserving(p: np.ndarray, flip: np.ndarray) -> np.ndarray:
+    """(P + S P̄ S)/2, which maps Hermitian to Hermitian exactly, for S given on P's indices by flip."""
     return 0.5 * (p + p[flip[:, None], flip].conj())
 
 
@@ -437,7 +417,7 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
     grid span. diagnostics records the route, the accepted and rejected
     attempts and the smallest accepted step h_min.
     """
-    gen, y = _check_generator_and_state(l, r0)
+    gen, y, n = _check_generator_and_state(l, r0)
     if not (rtol > 0 and atol > 0):
         raise ValueError("rtol and atol must be positive")
     times = grid.times
@@ -488,7 +468,7 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
                         h = 0.5 * h_try
             t = target
             vectors.append(y.copy())
-    trajectory = _density_trajectory(times, vectors)
+    trajectory = _density_trajectory(times, vectors, n)
     trajectory.diagnostics = {
         "route": "ode",
         "accepted": accepted,
@@ -511,10 +491,11 @@ def steady_state(l) -> np.ndarray:
     both raise NonUniqueSteadyStateError. The result is validated as a
     density matrix.
     """
-    gen, _ = _peak_normed(_check_generator(l))
+    gen, n = _check_generator(l)
+    gen, _ = _peak_normed(gen)
     size = gen.shape[0]
     scale = float(np.linalg.norm(gen)) or 1.0
-    stacked = np.vstack([gen, scale * _trace_row(gen)])
+    stacked = np.vstack([gen, scale * _trace_row(n)])
     u, sigma, vh = np.linalg.svd(stacked, full_matrices=False)
     rank = int(np.sum(sigma > sigma[0] * 1e-12))
     if rank < size:
@@ -529,4 +510,4 @@ def steady_state(l) -> np.ndarray:
         raise NonUniqueSteadyStateError(
             f"no normalizable steady state (relative residual {residual:.3e})"
         )
-    return quantum.devectorize(solution, validate=True)
+    return quantum.validate_density(quantum.devectorize(solution))

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteError
 from .linalg import _HERM_ATOL, _as_square, _check_hermitian
+from .quantum import _matrix_side
 
 __all__ = [
     "HamiltonianParams",
@@ -233,7 +234,5 @@ def assemble_liouvillian(h, dissipators: Sequence[np.ndarray] = ()) -> np.ndarra
             raise DimensionMismatchError(f"superoperator shapes differ: {shape} vs {p.shape}")
     if shape[0] != shape[1]:
         raise DimensionMismatchError(f"superoperators must be square, got {shape}")
-    n = int(round(np.sqrt(shape[0])))
-    if n * n != shape[0]:
-        raise DimensionMismatchError(f"superoperator size {shape[0]} is not a perfect square")
+    _matrix_side(shape[0], "superoperator")
     return sum(parts)

@@ -11,16 +11,20 @@ it: each matrix's Hermiticity deviation, trace and lowest eigenvalue go to
 one helper that raises the first failing matrix's error. Stacks of qubit
 states or of X-states (zero off the diagonal and the anti-diagonal) take
 these margins and their values in closed form from 2x2 blocks; every other
-stack takes them from one eigh per _BLOCK matrices. The concurrences' gates
-(_CONCURRENCE_GATES) are the only check on the states a trajectory
-scenario of the command line prints.
+stack takes them from one eigh per _BLOCK matrices. The gates are fixed:
+_DENSITY_GATES for validate_density, _CONCURRENCE_GATES for both
+concurrences, which are the only check on the states a scenario of the
+command line prints, the unitary fig1 included.
 
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
 superoperator kron(A, B.T), the one rule (generators._two_sided) that
-builds every superoperator.
+builds every superoperator. _matrix_side is the one check that a
+Liouville-space size is n².
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -73,6 +77,8 @@ _TRACE_DRIFT = 1e-8
 #: (Hermiticity, trace, eigenvalue) gates of both concurrences, the only
 #: check on the states a trajectory samples
 _CONCURRENCE_GATES = (_ROUND_OFF_ASYMMETRY, _TRACE_DRIFT, -_PSD_CLIP)
+#: (Hermiticity, trace, eigenvalue) gates of validate_density
+_DENSITY_GATES = (1e-10, 1e-10, -_PSD_CLIP)
 
 #: matrices per stacked LAPACK call; bounds the eigh and svd temporaries
 #: of a long trajectory to a fixed size
@@ -116,24 +122,24 @@ def _lowest_eigenvalues(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarr
 
 
 def _raise_first_failure(stack: np.ndarray, gates, deviation: np.ndarray, lowest: np.ndarray) -> None:
-    """Raise the error of the first matrix outside gates = (herm_atol, trace_atol, eig_floor), if any.
+    """Raise the error of the first matrix outside gates = (Hermiticity, trace, eigenvalue), if any.
 
     deviation and lowest hold max|m - m†| and the lowest eigenvalue of the
     Hermitian part of every matrix of the stack. Each matrix is judged on
     Hermiticity, trace, then eigenvalue.
     """
-    herm_atol, trace_atol, eig_floor = gates
-    non_hermitian = deviation > herm_atol
-    off_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) > trace_atol
-    failing = non_hermitian | off_trace | (lowest < eig_floor)
+    skew_gate, trace_gate, eig_gate = gates
+    non_hermitian = deviation > skew_gate
+    off_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) > trace_gate
+    failing = non_hermitian | off_trace | (lowest < eig_gate)
     if not failing.any():
         return
     k = int(np.argmax(failing))
     if non_hermitian[k]:
-        raise NotHermitianError(f"max|rho - rho†| = {deviation[k]:.3e} exceeds {herm_atol:.1e}")
+        raise NotHermitianError(f"max|rho - rho†| = {deviation[k]:.3e} exceeds {skew_gate:.1e}")
     if off_trace[k]:
-        raise InvalidStateError(f"trace {np.trace(stack[k]):.12f} deviates from 1 beyond {trace_atol:.1e}")
-    raise NotPSDError(f"eigenvalue {lowest[k]:.3e} below {eig_floor:.1e}")
+        raise InvalidStateError(f"trace {np.trace(stack[k]):.12f} deviates from 1 beyond {trace_gate:.1e}")
+    raise NotPSDError(f"eigenvalue {lowest[k]:.3e} below {eig_gate:.1e}")
 
 
 def _gated_two_level_blocks(stack: np.ndarray, gates):
@@ -181,26 +187,21 @@ def density_from_pure(psi) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
-def validate_density(
-    rho,
-    *,
-    herm_atol: float = 1e-10,
-    trace_atol: float = 1e-10,
-    eig_floor: float = -1e-9,
-) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity of a density matrix.
 
     rho may be one matrix or an (N, n, n) stack; every matrix is checked and
     the error is that of the first one to fail. Returns the validated array.
-    Raises NotHermitianError, InvalidStateError, or NotPSDError respectively.
-    The lowest eigenvalue is that of the Hermitian part, from eigh or, for
-    qubit states and X-states, from the 2x2 blocks in closed form.
+    A matrix more than 1e-10 from Hermitian raises NotHermitianError, one
+    whose trace is more than 1e-10 from 1 raises InvalidStateError, and one
+    whose Hermitian part has an eigenvalue below -1e-9 raises NotPSDError
+    (_DENSITY_GATES). That eigenvalue comes from eigh or, for qubit states
+    and X-states, from the 2x2 blocks in closed form.
     """
     mat = _as_square(rho, "rho", stacked=True)
     stack = mat.reshape((-1,) + mat.shape[-2:])
-    gates = (herm_atol, trace_atol, eig_floor)
-    if _gated_two_level_blocks(stack, gates) is None:
-        for _ in _gated_eigenpairs(stack, gates):
+    if _gated_two_level_blocks(stack, _DENSITY_GATES) is None:
+        for _ in _gated_eigenpairs(stack, _DENSITY_GATES):
             pass
     return mat
 
@@ -210,21 +211,19 @@ def vectorize(rho) -> np.ndarray:
     return _as_square(rho, "rho").reshape(-1).copy()
 
 
-def devectorize(r, validate: bool = False) -> np.ndarray:
-    """Reshape a Liouville vector back to an n x n matrix.
+def _matrix_side(size: int, name: str) -> int:
+    """n for a Liouville-space operand of size n²; DimensionMismatchError naming the operand otherwise."""
+    n = math.isqrt(size)
+    if n * n != size:
+        raise DimensionMismatchError(f"{name} size {size} is not a perfect square")
+    return n
 
-    With validate=True the result must pass validate_density; propagation
-    intermediates may transiently violate positivity at round-off scale, so
-    validation is off by default.
-    """
+
+def devectorize(r) -> np.ndarray:
+    """Reshape a Liouville vector back to an n x n matrix, unchecked: validate_density checks a state."""
     vec = np.asarray(r, dtype=complex).reshape(-1)
-    n = int(round(np.sqrt(vec.size)))
-    if n * n != vec.size:
-        raise DimensionMismatchError(f"length {vec.size} is not a perfect square")
-    mat = vec.reshape(n, n).copy()
-    if validate:
-        validate_density(mat)
-    return mat
+    n = _matrix_side(vec.size, "Liouville vector")
+    return vec.reshape(n, n).copy()
 
 
 def bloch_from_density(rho) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 
 import entdyn
 from entdyn import cli
-from entdyn.evolution import TimeGrid, Trajectory, unitary_evolve
+from entdyn.evolution import TimeGrid, unitary_evolve
 from entdyn.generators import HamiltonianParams, build_hamiltonian
 from helpers import read_csv, reference_csv
 
@@ -161,16 +161,21 @@ class TestTrajectoryScenarios:
         assert "Traceback" not in err
 
     def test_norm_drift_names_first_drifting_sample(self, tmp_path, capsys, monkeypatch):
-        def drifting(h, v0, grid, sign):
-            norm = np.ones(grid.n_samples)
-            norm[3], norm[5] = 1.0 + 2e-8, 1.0 - 3e-8
-            return Trajectory(grid.times, np.zeros((grid.n_samples, 4)), {"norm": norm})
+        # a sample's trace is its norm squared, so the concurrence's 1e-8
+        # trace gate stops a norm drift of 2e-8 at the first drifting sample
+        finite = entdyn.evolution._require_finite
 
-        monkeypatch.setattr(cli, "unitary_evolve", drifting)
+        def drifting(states, times):
+            states[3] *= 1.0 + 2e-8
+            states[5] *= 1.0 - 3e-8
+            finite(states, times)
+
+        monkeypatch.setattr(entdyn.evolution, "_require_finite", drifting)
         code, out = run(tmp_path, "fig1", "--steps", "10")
         assert code == 2
-        err = capsys.readouterr().err
-        assert err == "entdyn: numerical failure: propagated norm 1.000000020000 drifted from 1\n"
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("entdyn: numerical failure: trace 1.000000040000")
         assert not out.exists()
 
     def test_trace_drift_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
@@ -189,7 +194,12 @@ class TestTrajectoryScenarios:
 
     @pytest.mark.parametrize(
         "argv, propagations",
-        [(("evolve", "--steps", "10"), 1), (("fig2", "--steps", "10"), 1), (("fig-nogo",), 3)],
+        [
+            (("evolve", "--steps", "10"), 1),
+            (("fig2", "--steps", "10"), 1),
+            (("fig-nogo",), 3),
+            (("fig1", "--steps", "10"), 1),
+        ],
     )
     def test_each_propagation_is_gated_once(self, tmp_path, monkeypatch, argv, propagations):
         split = entdyn.quantum._two_level_blocks

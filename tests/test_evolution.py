@@ -198,9 +198,9 @@ class TestPropagateExpm:
         reference = np.array([expm(gen * t) @ r0 for t in grid.times])
         assert np.max(np.abs(states - reference)) <= 1e-12
 
-    def test_non_hermitian_start_skips_the_hermiticity_projection(self, monkeypatch):
-        # vec(|0><2|) touches one sector, [2], whose transpose [6] it leaves out,
-        # so (P + S conj(P) S)/2 has no S to take and the step is left as it is
+    def test_non_hermitian_start_takes_the_hermiticity_projection(self, monkeypatch):
+        # vec(|0><2|) touches sector [2] and its transpose sector [6], so both
+        # are propagated, closed under S, and (P + S conj(P) S)/2 applies
         flips = []
         projection = entdyn.evolution._hermiticity_preserving
         monkeypatch.setattr(
@@ -214,8 +214,27 @@ class TestPropagateExpm:
         r0 = vectorize(coherence)
         grid = TimeGrid(0.5, 4.0, 201)
         traj = propagate_expm(gen, r0, grid)
-        assert flips == [None, None]
-        assert traj.diagnostics["sectors"] == [[2]]
+        assert [flip.tolist() for flip in flips] == [[1, 0], [1, 0]]
+        assert traj.diagnostics["sectors"] == [[2], [6]]
+        states = traj.states.reshape(grid.n_samples, -1)
+        assert np.all(states[:, 6] == 0)
+        reference = np.array([expm(gen * t) @ r0 for t in grid.times])
+        assert np.max(np.abs(states - reference)) <= 1e-12
+
+    def test_sectors_stay_closed_under_transposition_for_an_inexact_generator(self):
+        # a coupling of 1e-14 from index 1 into 2 whose mirror, 3 into 6, is an
+        # exact zero passes the Hermiticity check; linking by L's pattern alone
+        # would propagate [1, 2] and [6] and pair index 1 with 6 instead of 3
+        jump = np.zeros((3, 3))
+        jump[0, 1] = np.sqrt(0.3)
+        gen = hamiltonian_superop(np.diag([0.0, 1.0, 2.5])) + lindblad_dissipator_superop(jump)
+        gen[2, 1] += 1e-14
+        coherence = np.zeros((3, 3), dtype=complex)
+        coherence[0, 2] = 1.0
+        r0 = vectorize(coherence)
+        grid = TimeGrid(0.5, 4.0, 201)
+        traj = propagate_expm(gen, r0, grid)
+        assert traj.diagnostics["sectors"] == [[1, 2], [3, 6]]
         reference = np.array([expm(gen * t) @ r0 for t in grid.times])
         assert np.max(np.abs(traj.states.reshape(grid.n_samples, -1) - reference)) <= 1e-12
 

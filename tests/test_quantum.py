@@ -11,6 +11,8 @@ from entdyn.errors import (
     NotPSDError,
     OutsideBlochBallError,
 )
+from entdyn.evolution import steady_state
+from entdyn.generators import assemble_liouvillian
 from entdyn.quantum import (
     bell_state,
     bloch_from_density,
@@ -91,9 +93,21 @@ class TestVectorization:
         with pytest.raises(DimensionMismatchError):
             devectorize(np.zeros(5))
 
-    def test_devectorize_validates_on_request(self):
+    def test_devectorized_zero_fails_validation(self):
         with pytest.raises(InvalidStateError):
-            devectorize(np.zeros(16), validate=True)
+            validate_density(devectorize(np.zeros(16)))
+
+    @pytest.mark.parametrize(
+        "check, operand",
+        [
+            pytest.param(devectorize, np.zeros(15), id="devectorize"),
+            pytest.param(lambda l: assemble_liouvillian(None, [l]), np.zeros((15, 15)), id="assemble_liouvillian"),
+            pytest.param(steady_state, np.zeros((15, 15)), id="generator"),
+        ],
+    )
+    def test_liouville_size_must_be_a_square(self, check, operand):
+        with pytest.raises(DimensionMismatchError, match="size 15 is not a perfect square"):
+            check(operand)
 
 
 class TestBloch:

@@ -520,8 +520,7 @@ def run_scenario(config: ScenarioConfig):
 def main(argv: list[str] | None = None) -> int:
     try:
         run_scenario(parse_config(sys.argv[1:] if argv is None else argv))
-    # LinAlgError subclasses ValueError, so it is matched first
-    except (EntdynError, np.linalg.LinAlgError) as exc:
+    except EntdynError as exc:
         print(f"entdyn: numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -53,7 +53,8 @@ class TimeGrid:
             raise ValueError("time bounds must be finite")
         if self.t_end <= self.t_start:
             raise ValueError(f"t_end {self.t_end} must exceed t_start {self.t_start}")
-        if int(self.n_samples) != self.n_samples or self.n_samples < 2:
+        n = self.n_samples
+        if not (math.isfinite(n) and int(n) == n and n >= 2):
             raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples}")
 
     @property
@@ -488,15 +489,18 @@ def steady_state(l) -> np.ndarray:
     weight at any rate scale, and one SVD of the stacked system gives its rank, its least-squares solution and the residual relative
     to sigma_max |r|. A rank deficiency means the generator admits several
     normalizable steady states, a residual above 1e-8 that it admits none;
-    both raise NonUniqueSteadyStateError. The result is validated as a
-    density matrix.
+    both raise NonUniqueSteadyStateError. A failing SVD raises
+    NoConvergenceError. The result is validated as a density matrix.
     """
     gen, n = _check_generator(l)
     gen, _ = _peak_normed(gen)
     size = gen.shape[0]
     scale = float(np.linalg.norm(gen)) or 1.0
     stacked = np.vstack([gen, scale * _trace_row(n)])
-    u, sigma, vh = np.linalg.svd(stacked, full_matrices=False)
+    try:
+        u, sigma, vh = np.linalg.svd(stacked, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
     rank = int(np.sum(sigma > sigma[0] * 1e-12))
     if rank < size:
         raise NonUniqueSteadyStateError(

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NonFiniteError
+from .errors import DimensionMismatchError, NoConvergenceError, NonFiniteError
 from .linalg import _HERM_ATOL, _as_square, _check_hermitian
 from .quantum import _matrix_side
 
@@ -211,7 +211,10 @@ def check_dephasing_constraints(rates, rtol: float = 1e-9) -> ConstraintCheck:
     for row, (i, j) in enumerate(pairs):
         system[row, i] = system[row, j] = 1.0
         target[row] = 2.0 * mat[i, j]
-    x, *_ = np.linalg.lstsq(system, target, rcond=None)
+    try:
+        x, *_ = np.linalg.lstsq(system, target, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergenceError(f"least-squares solver failed: {exc}") from exc
     if np.min(x) < -max(tol, rtol):
         return ConstraintCheck(False, None)
     return ConstraintCheck(True, np.clip(x, 0.0, None))

@@ -1,7 +1,7 @@
 """Dense linear-algebra kernels with validated contracts, in numpy alone.
 
 Three public kernels: hermitian_eig and solve_linear, thin wrappers over
-numpy's LAPACK-backed routines, and expm, a Padé scaling and squaring
+numpy's LAPACK-backed routines, and expm, a [13/13] Padé scaling and squaring
 written here so that no part of the package imports scipy. Each checks its
 inputs and raises a typed error instead of leaking library exceptions
 upward. The operand helpers other modules share live here too: _as_square
@@ -92,15 +92,14 @@ def expm(m) -> np.ndarray:
     """Matrix exponential by Padé scaling and squaring, in numpy alone.
 
     The algorithm is Al-Mohy and Higham's (SIAM J. Matrix Anal. Appl. 31
-    (2009) 970), built on Higham's (ibid. 26 (2005) 1179), with the
-    constants and choices of scipy.linalg.expm: the Padé degree m in
-    {3, 5, 7, 9, 13} and the number s of squarings follow from exact 1-norms
-    of A², A⁴, A⁶, A⁸ and A¹⁰ (the d_p = ‖A^p‖^(1/p) bounds) and from the
-    backward-error count ell of |A|^(2m+1), so a small step takes a low
-    degree and no squaring. The [m/m] approximant q⁻¹p of exp(2^-s A) is
-    formed from I, A², A⁴ and A⁶ as I + 2 q⁻¹U with one LU solve, and
-    squared s times. A diagonal operand, the zero matrix included, returns
-    diag(exp(d)) exactly, as scipy does.
+    (2009) 970), built on Higham's (ibid. 26 (2005) 1179), at the one Padé
+    degree 13 of scipy.linalg.expm's large-norm branch: the number s of
+    squarings follows from exact 1-norms of A⁶, A⁸ and A¹⁰ (the
+    d_p = ‖A^p‖^(1/p) bounds) and from the backward-error count ell of
+    |A|²⁷, and is 0 when ‖A‖₁ ≤ θ13 = 4.25. The [13/13] approximant q⁻¹p of
+    exp(2^-s A) is formed from I, A², A⁴ and A⁶ as I + 2 q⁻¹U with one LU
+    solve, and squared s times. A diagonal operand, the zero matrix
+    included, returns diag(exp(d)) exactly, as scipy does.
 
     Raises NonFiniteError if the 1-norm of A or any entry of the result is
     not finite, or if the Padé denominator is singular (numpy's
@@ -120,55 +119,42 @@ def expm(m) -> np.ndarray:
     return out
 
 
-#: θ_m, the largest d_p for which degree m needs no squaring (Al-Mohy and Higham,
-#: Table 3.1, and θ13 = 4.25 as in scipy.linalg.expm)
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068,
-    13: 4.25,
-}
+#: θ13, the largest d_p for which the [13/13] approximant needs no squaring (Al-Mohy
+#: and Higham, Table 3.1, rounded to 4.25 as in scipy.linalg.expm)
+_THETA13 = 4.25
 _F = math.factorial
-#: |c_2m+1|, the leading coefficient of the backward error series of the [m/m] approximant
-_PADE_C = {m: _F(m) ** 2 / (_F(2 * m) * _F(2 * m + 1)) for m in _PADE_THETA}
+#: |c27|, the leading coefficient of the backward error series of the [13/13] approximant
+_PADE_C = _F(13) ** 2 / (_F(26) * _F(27))
+#: b_j = (26 - j)! / (j! (13 - j)!), the coefficients of the [13/13] numerator p scaled to
+#: integers (the denominator q shares the scale, so q⁻¹p is unchanged)
+_B = [_F(26 - j) // (_F(j) * _F(13 - j)) for j in range(14)]
+#: weights of I, A, A², A⁴, A⁶ in the parts of q⁻¹p: with U = A Σ_odd b_j A^(j-1)
+#: and V = Σ_even b_j A^j, p = V + U and q = V - U, and a power above A⁶ is A⁶
+#: times a lower one, so the rows are U/A above A⁶, U/A up to A⁶, V above A⁶
+#: and V up to A⁶; A itself takes no weight
+_PADE_WEIGHTS = np.array(
+    [
+        [0, 0, _B[9], _B[11], _B[13]],
+        [_B[1], 0, _B[3], _B[5], _B[7]],
+        [0, 0, _B[8], _B[10], _B[12]],
+        [_B[0], 0, _B[2], _B[4], _B[6]],
+    ],
+    dtype=complex,
+)
 
 
-def _pade_weights(m: int) -> np.ndarray:
-    """Weights of I, A, A², A⁴, A⁶ in the parts of the [m/m] Padé approximant q⁻¹p of exp.
+def _ell(a: np.ndarray, norm: float) -> int:
+    """Squarings still needed so that |c27| ‖|A|²⁷‖₁ / ‖A‖₁ ≤ 2^-53 for the operand A / 2^ell.
 
-    With b_j = (2m - j)! / (j! (m - j)!), the coefficients of p scaled to
-    integers (q shares the scale, so q⁻¹p is unchanged), U = A Σ_odd b_j A^(j-1)
-    and V = Σ_even b_j A^j give p = V + U and q = V - U. The rows are U/A
-    and V for m ≤ 7. For m = 9 and 13 a power above A⁶ is A⁶ times a lower
-    one, and the rows are U/A above A⁶, U/A up to A⁶, V above A⁶, V up to
-    A⁶. A itself takes no weight.
+    ‖|A|²⁷‖₁ ≤ ‖A‖₁²⁷, so a small ‖A‖₁ settles it without a product.
+    Otherwise |A| is divided by ‖A‖₁, so that its powers cannot overflow,
+    and the 1-norm of the power is the largest entry of the row of ones
+    times it, formed by binary powering.
     """
-    weights = np.zeros((4, 5), dtype=complex)
-    for j in range(m + 1):
-        # b_j multiplies A^(2k): column 0 is I, column k + 1 holds A², A⁴, A⁶,
-        # and above A⁶ the "above" row holds A^(2k-6) in column k - 2
-        k = j // 2
-        row = 2 * (j % 2 == 0) + (k <= 3)
-        weights[row, k - 3 * (k > 3) + (k > 0)] = _F(2 * m - j) // (_F(j) * _F(m - j))
-    return weights if m >= 9 else weights[1::2]
-
-
-_PADE_WEIGHTS = {m: _pade_weights(m) for m in _PADE_THETA}
-
-
-def _ell(a: np.ndarray, m: int, norm: float) -> int:
-    """Squarings still needed so that |c_2m+1| ‖|A|^(2m+1)‖₁ / ‖A‖₁ ≤ 2^-53 for the operand A / 2^ell.
-
-    ‖|A|^(2m+1)‖₁ ≤ ‖A‖₁^(2m+1), so a small ‖A‖₁ settles it without a
-    product. Otherwise |A| is divided by ‖A‖₁, so that its powers cannot
-    overflow, and the 1-norm of the power is the largest entry of the row
-    of ones times it, formed by binary powering.
-    """
-    log_bound = math.log2(_PADE_C[m]) + 2 * m * math.log2(norm)
+    log_bound = math.log2(_PADE_C) + 26 * math.log2(norm)
     if log_bound <= -53:
         return 0
-    power, row, p = np.abs(a) / norm, np.ones(a.shape[0]), 2 * m + 1
+    power, row, p = np.abs(a) / norm, np.ones(a.shape[0]), 27
     while p:
         if p & 1:
             row = row @ power
@@ -178,7 +164,7 @@ def _ell(a: np.ndarray, m: int, norm: float) -> int:
     peak = float(row.max())
     if peak == 0:
         return 0
-    return max(0, math.ceil((log_bound + math.log2(peak) + 53) / (2 * m)))
+    return max(0, math.ceil((log_bound + math.log2(peak) + 53) / 26))
 
 
 def _onenorms(a: np.ndarray) -> list:
@@ -198,42 +184,37 @@ def _powers(a: np.ndarray) -> np.ndarray:
     return powers
 
 
-def _degree_and_squarings(powers: np.ndarray) -> tuple[int, int]:
-    """The Padé degree m and the squarings s of Al-Mohy and Higham's Algorithm 5.1, from exact 1-norms.
+def _squarings(powers: np.ndarray) -> int:
+    """The squarings s of the degree-13 branch of Al-Mohy and Higham's Algorithm 5.1, from exact 1-norms.
 
     d_p = ‖A^p‖₁^(1/p) ≤ ‖A‖₁ always holds, so capping d_p at ‖A‖₁ changes
-    nothing but the inf or NaN of a power that overflowed.
+    nothing but the inf or NaN of a power that overflowed; for the same
+    reason ‖A‖₁ ≤ θ13 gives s = 0, and ell is 0 there, as |c27| θ13²⁶ < 2^-53.
     """
-    norm, _, n4, n6 = _onenorms(powers[1:])
+    norm = _onenorms(powers[1])
     if not math.isfinite(norm):
         raise NonFiniteError("matrix 1-norm exceeds the largest double")
-    a = powers[1]
+    if norm <= _THETA13:
+        return 0
     # min(norm, nan) is norm
-    d4, d6 = min(norm, n4 ** (1 / 4)), min(norm, n6 ** (1 / 6))
-    for m in (3, 5):
-        if max(d4, d6) <= _PADE_THETA[m] and _ell(a, m, norm) == 0:
-            return m, 0
+    d6 = min(norm, _onenorms(powers[4]) ** (1 / 6))
     d8 = min(norm, _onenorms(powers[3] @ powers[3]) ** (1 / 8))
-    for m in (7, 9):
-        if max(d6, d8) <= _PADE_THETA[m] and _ell(a, m, norm) == 0:
-            return m, 0
     d10 = min(norm, _onenorms(powers[3] @ powers[4]) ** (1 / 10))
     # eta is 0 for a nilpotent A whose |A| is not, where only ell asks for squarings
     eta = min(max(d6, d8), max(d8, d10))
-    s = max(0, math.ceil(math.log2(eta / _PADE_THETA[13]))) if eta else 0
-    return 13, s + _ell(a * 2.0**-s, 13, norm * 2.0**-s)
+    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta else 0
+    return s + _ell(powers[1] * 2.0**-s, norm * 2.0**-s)
 
 
 def _pade_scaling_and_squaring(a: np.ndarray) -> np.ndarray:
-    """exp(A) for a non-diagonal A: the [m/m] Padé approximant of exp(2^-s A), squared s times."""
+    """exp(A) for a non-diagonal A: the [13/13] Padé approximant of exp(2^-s A), squared s times."""
     powers = _powers(a)
-    m, s = _degree_and_squarings(powers)
+    s = _squarings(powers)
     if s:
         powers = _powers(a * 2.0**-s)
     n = a.shape[0]
-    parts = (_PADE_WEIGHTS[m] @ powers.reshape(5, -1)).reshape(-1, n, n)
-    if m >= 9:
-        parts = parts[1::2] + powers[4] @ parts[0::2]
+    parts = (_PADE_WEIGHTS @ powers.reshape(5, -1)).reshape(4, n, n)
+    parts = parts[1::2] + powers[4] @ parts[0::2]
     u = powers[1] @ parts[0]
     # q⁻¹p = I + 2 q⁻¹U keeps the identity exact, so a column sum that A
     # preserves, such as a generator's trace, stays at round-off
@@ -247,7 +228,8 @@ def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b for a square system, with one iterative-refinement step.
 
     Raises SingularMatrixError when the system is singular or its condition
-    number exceeds 1e12.
+    number exceeds 1e12, NoConvergenceError if the singular value solver
+    behind that condition number fails.
     """
     mat = _as_square(a, "a")
     rhs = np.asarray(b, dtype=complex)
@@ -256,7 +238,10 @@ def solve_linear(a, b) -> np.ndarray:
             f"rhs length {rhs.shape[0]} does not match system size {mat.shape[0]}"
         )
     if mat.size:
-        cond = np.linalg.cond(mat)
+        try:
+            cond = np.linalg.cond(mat)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise SingularMatrixError(f"condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}")
     try:

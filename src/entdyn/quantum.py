@@ -138,7 +138,9 @@ def _raise_first_failure(stack: np.ndarray, gates, deviation: np.ndarray, lowest
     if non_hermitian[k]:
         raise NotHermitianError(f"max|rho - rho†| = {deviation[k]:.3e} exceeds {skew_gate:.1e}")
     if off_trace[k]:
-        raise InvalidStateError(f"trace {np.trace(stack[k]):.12f} deviates from 1 beyond {trace_gate:.1e}")
+        trace = complex(np.trace(stack[k]))
+        imaginary = f" (imaginary part {trace.imag:.3e})" if trace.imag else ""
+        raise InvalidStateError(f"trace {trace.real:.12f}{imaginary} deviates from 1 beyond {trace_gate:.1e}")
     raise NotPSDError(f"eigenvalue {lowest[k]:.3e} below {eig_gate:.1e}")
 
 

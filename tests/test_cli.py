@@ -174,8 +174,7 @@ class TestTrajectoryScenarios:
         code, out = run(tmp_path, "fig1", "--steps", "10")
         assert code == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("entdyn: numerical failure: trace 1.000000040000")
+        assert lines == ["entdyn: numerical failure: trace 1.000000040000 deviates from 1 beyond 1.0e-08"]
         assert not out.exists()
 
     def test_trace_drift_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
@@ -442,6 +441,18 @@ class TestSteadyScenario:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert len(read_csv(out)[1]) == 1
         assert abs(table["concurrence"] - table["concurrence_closed_form"]) <= 1e-12
+
+    def test_svd_failure_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError leaves the library as NoConvergenceError, an EntdynError
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        code, out = run(tmp_path, "steady")
+        assert code == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["entdyn: numerical failure: singular value solver failed: SVD did not converge"]
+        assert not out.exists()
 
     def test_degenerate_point_exits_two(self, tmp_path):
         code, _ = run(tmp_path, "steady", "--f", "0")

@@ -60,8 +60,10 @@ class TestTimeGrid:
             TimeGrid(1.0, 0.0, 10)
 
     def test_rejects_single_sample(self):
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 1)
+        # inf and nan get the grid's own message, not int()'s OverflowError or ValueError
+        for n_samples in (1, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 2, got {n_samples}$"):
+                TimeGrid(0.0, 1.0, n_samples)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -577,6 +579,15 @@ class TestSteadyState:
     def test_rejects_non_liouville_size(self):
         with pytest.raises(DimensionMismatchError):
             steady_state(np.zeros((5, 5)))
+
+    def test_svd_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        gen = wm_subspace_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        with pytest.raises(NoConvergenceError, match="^singular value solver failed: SVD did not converge$"):
+            steady_state(gen)
 
     def test_decaying_generator_has_no_normalizable_state(self):
         with pytest.raises(NonUniqueSteadyStateError, match="no normalizable steady state"):

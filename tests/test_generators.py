@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entdyn.errors import DimensionMismatchError, NonFiniteError, NotHermitianError
+from entdyn.errors import DimensionMismatchError, NoConvergenceError, NonFiniteError, NotHermitianError
 from entdyn.generators import (
     HamiltonianParams,
     _two_sided,
@@ -342,6 +342,16 @@ class TestConstraintCheck:
     def test_rejects_wrong_size(self):
         with pytest.raises(DimensionMismatchError):
             check_dephasing_constraints(np.zeros((3, 3)))
+
+    def test_solver_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        monkeypatch.setattr(np.linalg, "lstsq", fail)
+        rates = np.full((4, 4), 1.3)
+        np.fill_diagonal(rates, 0.0)
+        with pytest.raises(NoConvergenceError, match="^least-squares solver failed: SVD did not converge"):
+            check_dephasing_constraints(rates)
 
 
 class TestAssembleLiouvillian:

@@ -5,6 +5,7 @@ import pytest
 
 from entdyn.errors import (
     DimensionMismatchError,
+    NoConvergenceError,
     NonFiniteError,
     NotHermitianError,
     SingularMatrixError,
@@ -118,6 +119,22 @@ def assert_matches_reference(a, reference_expm):
     assert gap <= bound, (gap, bound)
 
 
+def taylor_expm_longdouble(a) -> np.ndarray:
+    """exp(A) as a Taylor series summed in np.clongdouble: A scaled by a power of two to ‖A‖₁ ≤ 1/2, then squared back."""
+    a = np.asarray(a, dtype=np.clongdouble)
+    squarings = max(0, int(np.ceil(np.log2(2.0 * float(np.abs(a).sum(axis=0).max())))))
+    a = a / np.longdouble(2.0) ** squarings
+    term = np.eye(a.shape[0], dtype=np.clongdouble)
+    total = term.copy()
+    # the 26th term is below 2^-26 / 26! ~ 4e-35 of the sum
+    for k in range(1, 26):
+        term = term @ a / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
 class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
@@ -159,7 +176,7 @@ class TestExpm:
 
     def test_feedback_generator_sector_blocks(self, scipy_expm):
         # rates log-uniform over 1e-6 to 1e9 and steps over 1e-4 to 10 give
-        # 1500 blocks with 1-norms from 1e-5 to 1e10, every Padé degree and up to 32 squarings
+        # 1500 blocks with 1-norms from 1e-5 to 1e10, from no squaring up to 32 squarings
         rng = np.random.default_rng(132)
 
         def rate():
@@ -175,6 +192,28 @@ class TestExpm:
                 for label in np.unique(labels):
                     idx = np.flatnonzero(labels == label)
                     assert_matches_reference(gen[np.ix_(idx, idx)] * dt, scipy_expm)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double")
+    def test_sector_steps_within_eight_ulp_of_long_double_taylor(self):
+        # small steps, dt ‖L‖₁ from 1e-4 to 2, take no squaring: the
+        # [13/13] approximant alone must stay within 8 eps of the exact exponential
+        rng = np.random.default_rng(134)
+        eps = np.finfo(float).eps
+
+        def rate():
+            return 10.0 ** rng.uniform(-6, 9)
+
+        worst = 0.0
+        for _ in range(600):
+            params = FeedbackParams(
+                m=rate(), f=rate(), gamma=rate(), mu=rng.choice([-1, 1]) * rate(), y=rng.choice([-1, 1]) * rate()
+            )
+            gen = wm_subspace_generator(params)
+            a = gen * (10.0 ** rng.uniform(-4, np.log10(2.0)) / np.abs(gen).sum(axis=0).max())
+            reference = taylor_expm_longdouble(a)
+            gap = float(np.max(np.abs(expm(a) - reference)))
+            worst = max(worst, gap / (eps * float(np.max(np.abs(reference)))))
+        assert worst <= 8.0, worst
 
     def test_nilpotent_operand_with_non_nilpotent_modulus(self, scipy_expm):
         # A² = 0, so every d_p is 0, while |A| is not nilpotent and ell asks for squarings
@@ -233,6 +272,14 @@ class TestSolveLinear:
     def test_rejects_singular(self):
         with pytest.raises(SingularMatrixError):
             solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+
+    def test_condition_number_failure_is_no_convergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "cond", fail)
+        with pytest.raises(NoConvergenceError, match="^singular value solver failed: SVD did not converge$"):
+            solve_linear(np.eye(2), np.ones(2))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):

@@ -46,3 +46,8 @@ def test_readme_quick_start_runs():
         exec(block, {})
     closed_form, propagated = map(float, out.getvalue().split())
     assert abs(closed_form - propagated) <= 1e-12
+
+
+def test_benchmark_plugin_is_blocked(pytestconfig):
+    # pytest-benchmark, where installed, would leave .benchmarks in the working directory
+    assert pytestconfig.pluginmanager.is_blocked("benchmark")

@@ -56,8 +56,9 @@ class TestStatesAndValidation:
         validate_density(random_density(rng, 4))
 
     def test_validate_density_rejects_bad_trace(self):
-        with pytest.raises(InvalidStateError):
+        with pytest.raises(InvalidStateError) as excinfo:
             validate_density(np.eye(4) / 2)
+        assert str(excinfo.value) == "trace 2.000000000000 deviates from 1 beyond 1.0e-10"
 
     def test_validate_density_rejects_non_hermitian(self):
         rho = np.eye(4) / 4 + 0.0j
@@ -254,10 +255,13 @@ class TestConcurrence:
     def test_rejects_trace_off_one(self, general_route):
         # Wootters' concurrence is defined on unit-trace states; 2e-8 is past the 1e-8 gate
         rho = np.diag([0.0, 0.5, 0.5 + 2e-8, 0.0]).astype(complex)
-        with pytest.raises(InvalidStateError, match="trace 1.000000020000"):
+        message = "trace 1.000000020000 deviates from 1 beyond 1.0e-08"
+        with pytest.raises(InvalidStateError) as excinfo:
             concurrence(rho)
-        with pytest.raises(InvalidStateError, match="trace 1.000000020000"):
+        assert str(excinfo.value) == message
+        with pytest.raises(InvalidStateError) as excinfo:
             general_route(concurrence, rho)
+        assert str(excinfo.value) == message
         assert concurrence(np.diag([0.0, 0.5, 0.5 + 5e-9, 0.0])) == 0.0
 
 
@@ -295,8 +299,13 @@ class TestEmbeddedConcurrence:
 
     def test_rejects_trace_off_one(self):
         rho = np.diag([0.5, 0.5 + 2e-8]).astype(complex)
-        with pytest.raises(InvalidStateError, match="trace 1.000000020000"):
+        with pytest.raises(InvalidStateError) as excinfo:
             concurrence_2x2_embedded(rho)
+        assert str(excinfo.value) == "trace 1.000000020000 deviates from 1 beyond 1.0e-08"
+        # an imaginary part within the Hermiticity gate is named; a real trace prints none
+        with pytest.raises(InvalidStateError) as excinfo:
+            concurrence_2x2_embedded(np.diag([0.5, 0.5 + 2e-8 + 1e-9j]))
+        assert str(excinfo.value) == "trace 1.000000020000 (imaginary part 1.000e-09) deviates from 1 beyond 1.0e-08"
         assert concurrence_2x2_embedded(np.diag([0.5, 0.5 + 5e-9])) == 0.0
 
     def test_round_off_asymmetry_within_gate_is_accepted(self):

@@ -374,6 +374,8 @@ def _write_csv(path: str, table: dict) -> int:
 
 
 def _time_grid(values: dict) -> TimeGrid:
+    _require(0 < values["t_max"] < np.inf, f"t-max must be positive and finite, got {values['t_max']}")
+    _require(values["steps"] >= 1, f"steps must be at least 1, got {values['steps']}")
     return TimeGrid(0.0, values["t_max"], values["steps"] + 1)
 
 

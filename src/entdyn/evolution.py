@@ -1,5 +1,6 @@
 """Time evolution and steady states.
 
+Every propagator takes its initial state as the state at grid.t_start.
 Two independent propagation routes are provided on purpose: propagate_expm
 exponentiates the generator, restricted to the invariant sectors that the
 initial state touches, once for the uniform sample step and fills the
@@ -42,7 +43,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling of a time interval, endpoints included."""
+    """Uniform sampling of a time interval, endpoints included; a propagator's r0 is the state at t_start."""
 
     t_start: float
     t_end: float
@@ -112,13 +113,13 @@ def _require_finite(states: np.ndarray, times: np.ndarray):
 
 
 def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
-    """Closed-system evolution v(t) = expm(sign * i t H) v0.
+    """Closed-system evolution v(t) = expm(sign * i (t - t_start) H) v0, v0 being v(t_start).
 
     H is diagonalized once, H = U diag(w) U†, and every sample is
-    U diag(exp(sign * i t w)) U† v0 with unit-modulus phases, so the norm
-    is kept to round-off however fast the phases turn. sign selects
-    the convention for the evolution operator and must be +1 or -1; measures
-    built from |v(t)| are identical for both choices.
+    U diag(exp(sign * i (t - t_start) w)) U† v0 with unit-modulus phases,
+    so the norm is kept to round-off however fast the phases turn. sign
+    selects the convention for the evolution operator and must be +1 or -1;
+    measures built from |v(t)| are identical for both choices.
     """
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -131,7 +132,7 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     quantum._require_unit_norm(v, "initial")
     times = grid.times
     with np.errstate(over="ignore", invalid="ignore"):
-        phases = np.exp(sign * 1j * np.outer(times, energies))
+        phases = np.exp(sign * 1j * np.outer(times - grid.t_start, energies))
     states = (phases * (basis.conj().T @ v)) @ basis.T
     _require_finite(states, times)
     obs = {"norm": np.linalg.norm(states, axis=1)}
@@ -156,16 +157,8 @@ def _check_generator_and_state(l, r0) -> tuple[np.ndarray, np.ndarray, int]:
     return gen, r, n
 
 
-def _scaled(gen: np.ndarray, t: float) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = gen * t
-    if not np.all(np.isfinite(scaled)):
-        raise NonFiniteError(f"generator scaled by t = {t:.6g} is not finite")
-    return scaled
-
-
 def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
-    """Propagate r(t) = expm(t L) r0 over a uniform time grid.
+    """Propagate r(t) = expm((t - t_start) L) r0 over a uniform grid, r0 being r(t_start).
 
     The generator's exact zeros split the Liouville indices into sectors,
     the connected components of its nonzero pattern (see _sector_labels);
@@ -175,30 +168,29 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     all commute with the parity Z⊗Z, the Bell state touches one sector of
     four out of sixteen indices.
 
-    The grid step dt is the same everywhere, so r(t_start) = expm(t_start L) r0
-    and P = expm(dt L) are the only exponentials needed: sample k is P^k
-    applied to the first. The samples are filled by doubling: once the
-    first `filled` are known, the next `filled` are those times P^filled,
-    which is then squared. N samples take ceil(log2 N) stacked products
-    instead of N - 1 matrix-vector steps. Exact up to round-off for a
-    time-independent generator, with two exponentials per grid whatever
-    its length. The generator must preserve the trace, vec(I)ᵀ L = 0, and
-    Hermiticity, S L̄ S = L for the transposition S, vec(ρᵀ) = S vec(ρ), as
-    every Lindblad generator does; one that visibly does not (beyond 1e-12
-    of its largest entry) raises ValueError. The sectors are taken from
-    the nonzero patterns of L and S L̄ S together, so S maps every sector
-    onto a sector, and the propagated ones are those that r0 or its
-    transpose S r0 touches: the propagated indices are closed under S,
-    whatever r0. Both exponentials are then projected to keep the trace,
-    vec(I)ᵀ P = vec(I)ᵀ on the propagated indices, and then onto maps that
-    keep Hermiticity, P = (P + S P̄ S)/2, as the exact propagator does, so
-    the round-off of a stiff generator's exponential no longer accumulates
-    into a trace or Hermiticity drift over the samples. Raises
-    NonFiniteError if a scaled generator block, an exponential or a
-    propagated state holds inf or NaN. diagnostics records the route and
-    the propagated sectors, each as its sorted list of Liouville indices;
-    for a non-Hermitian r0 they include the S images of the sectors it
-    touches.
+    The grid step dt is the same everywhere, so P = expm(dt L) is the only
+    exponential needed: sample k is P^k r0. The samples are filled by
+    doubling: once the first `filled` are known, the next `filled` are
+    those times P^filled, which is then squared. N samples take
+    ceil(log2 N) stacked products instead of N - 1 matrix-vector steps.
+    Exact up to round-off for a time-independent generator, with one
+    exponential per grid whatever its length. The generator must preserve
+    the trace, vec(I)ᵀ L = 0, and Hermiticity, S L̄ S = L for the
+    transposition S, vec(ρᵀ) = S vec(ρ), as every Lindblad generator does;
+    one that visibly does not (beyond 1e-12 of its largest entry) raises
+    ValueError. The sectors are taken from the nonzero patterns of L and
+    S L̄ S together, so S maps every sector onto a sector, and the
+    propagated ones are those that r0 or its transpose S r0 touches: the
+    propagated indices are closed under S, whatever r0. P is then
+    projected to keep the trace, vec(I)ᵀ P = vec(I)ᵀ on the propagated
+    indices, and then onto maps that keep Hermiticity, P = (P + S P̄ S)/2,
+    as the exact propagator does, so the round-off of a stiff generator's
+    exponential no longer accumulates into a trace or Hermiticity drift
+    over the samples. Raises NonFiniteError if the scaled generator block,
+    P or a propagated state holds inf or NaN. diagnostics records the
+    route and the propagated sectors, each as its sorted list of Liouville
+    indices; for a non-Hermitian r0 they include the S images of the
+    sectors it touches.
     """
     gen, r, n = _check_generator_and_state(l, r0)
     identity = _trace_row(n)
@@ -219,14 +211,17 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     # S on the propagated indices: position k holds the position of idx[k]'s transpose
     flip = np.searchsorted(idx, transpose[idx])
     times = grid.times
-    start = expm(_scaled(block, grid.t_start))
-    step = expm(_scaled(block, grid.span / (times.size - 1)))
+    dt = grid.span / (times.size - 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = block * dt
+    if not np.all(np.isfinite(scaled)):
+        raise NonFiniteError(f"generator scaled by t = {dt:.6g} is not finite")
+    step = expm(scaled)
     vectors = np.zeros((times.size, r.size), dtype=complex)
     # an overflowing power or state is reported by _require_finite
     with np.errstate(over="ignore", invalid="ignore"):
-        start = _hermiticity_preserving(_trace_preserving(start, identity), flip)
         step = _hermiticity_preserving(_trace_preserving(step, identity), flip)
-        vectors[:, idx] = _filled_by_doubling(start @ r[idx], step, times.size, identity)
+        vectors[:, idx] = _filled_by_doubling(r[idx], step, times.size, identity)
     _require_finite(vectors, times)
     trajectory = _density_trajectory(times, vectors, n)
     trajectory.diagnostics = {
@@ -364,6 +359,9 @@ _DOUBLE_MAX = np.finfo(float).max
 _MAX_EXPONENT = int(np.finfo(float).maxexp) - 1
 
 _MAX_STEP_ATTEMPTS = 1_000_000
+#: local error tolerance of propagate_ode, per component: _ATOL + _RTOL * |r|
+_RTOL = 1e-10
+_ATOL = 1e-12
 
 
 def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
@@ -404,11 +402,11 @@ def _dp_polynomial_step(block: np.ndarray, z: float) -> np.ndarray:
     return ((_DP_POLY * np.minimum(z**_DP_DEGREES, _DOUBLE_MAX)) @ block).view(complex)
 
 
-def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
-    """Propagate by adaptive Runge-Kutta integration of dr/dt = L r.
+def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
+    """Propagate by adaptive Runge-Kutta integration of dr/dt = L r, r0 being r(t_start).
 
     An embedded Dormand-Prince 4(5) pair controls the local error against
-    atol + rtol * |r| per component. For a constant L each step is a
+    _ATOL + _RTOL * |r| per component. For a constant L each step is a
     polynomial in z = hL applied to r, with coefficients derived from the
     tableau, so an accepted step computes the Krylov block
     [(L/s)¹ r … (L/s)⁷ r] in one product and every attempt from r takes
@@ -419,8 +417,6 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
     attempts and the smallest accepted step h_min.
     """
     gen, y, n = _check_generator_and_state(l, r0)
-    if not (rtol > 0 and atol > 0):
-        raise ValueError("rtol and atol must be positive")
     times = grid.times
     floor = 1e-14 * grid.span
     vectors = [y.copy()]
@@ -435,7 +431,7 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
         rate = np.linalg.norm(block[0]) * scale
         h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
         h = min(max(h, floor), grid.span)
-        tol = atol + rtol * np.abs(y)
+        tol = _ATOL + _RTOL * np.abs(y)
         for target in times[1:].tolist():
             while target - t > floor:
                 h_try = min(h, target - t)
@@ -450,7 +446,7 @@ def propagate_ode(l, r0, grid: TimeGrid, rtol: float = 1e-10, atol: float = 1e-1
                     )
                 increment, err = _dp_polynomial_step(block, h_try * scale)
                 y_new = y + increment
-                tol_new = atol + rtol * np.abs(y_new)
+                tol_new = _ATOL + _RTOL * np.abs(y_new)
                 ratio = np.abs(err) / np.maximum(tol, tol_new)
                 err_norm = math.sqrt(float(ratio @ ratio) / ratio.size)
                 if err_norm <= 1.0:

@@ -498,6 +498,23 @@ class TestConfigHandling:
         assert capsys.readouterr().err == "entdyn: error: y must list at least one value\n"
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("fig1 --steps 0", "steps must be at least 1, got 0"),
+            ("fig1 --steps -3", "steps must be at least 1, got -3"),
+            ("evolve --t-max 0", "t-max must be positive and finite, got 0.0"),
+            ("fig2 --t-max -1", "t-max must be positive and finite, got -1.0"),
+            ("fig-nogo --t-max inf", "t-max must be positive and finite, got inf"),
+            ("evolve --t-max nan --steps 0", "t-max must be positive and finite, got nan"),
+        ],
+    )
+    def test_grid_error_names_the_flag(self, tmp_path, capsys, argv, message):
+        code, out = run(tmp_path, *argv.split())
+        assert code == 1
+        assert capsys.readouterr().err == f"entdyn: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "scenario, target",
         [
             pytest.param("fig1", "", id=""),

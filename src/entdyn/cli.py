@@ -382,10 +382,16 @@ def _time_grid(values: dict) -> TimeGrid:
 def _propagated(gen: np.ndarray, r0: np.ndarray, grid: TimeGrid, *names: str) -> dict:
     """t and the named observables of propagate_expm from r0 over the grid.
 
-    The observables gate every sampled state (see quantum._CONCURRENCE_GATES).
+    gen is one generator or a stack of them, whose rows follow one another
+    generator by generator. The observables gate every sampled state (see
+    quantum._CONCURRENCE_GATES).
     """
     traj = propagate_expm(gen, r0, grid)
-    return {"t": traj.times, **{name: traj.observables[name] for name in names}}
+    shape = traj.observables[names[0]].shape
+    return {
+        "t": np.broadcast_to(traj.times, shape).reshape(-1),
+        **{name: traj.observables[name].reshape(-1) for name in names},
+    }
 
 
 def _run_fig1(values: dict) -> dict:
@@ -406,11 +412,12 @@ def _run_fig_nogo(values: dict) -> dict:
     grid = _time_grid(values)
     # every parameter set is checked before the first propagation
     runs = [FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y) for y in values["y"]]
-    tables = []
-    for params in runs:
-        table = _propagated(wm_subspace_generator(params), _BELL_23, grid, "concurrence", "bloch_norm")
-        tables.append({"y": np.full(table["t"].size, params.y), **table})
-    return {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
+    # one propagation for every y: the generators share the grid and the start
+    gens = np.array([wm_subspace_generator(params) for params in runs])
+    return {
+        "y": np.repeat([params.y for params in runs], grid.n_samples),
+        **_propagated(gens, _BELL_23, grid, "concurrence", "bloch_norm"),
+    }
 
 
 def _fig_nogo_notes(values: dict) -> list[str]:

@@ -9,10 +9,14 @@ same flow with an adaptive embedded Dormand-Prince 4(5) pair, each step
 evaluated as the pair's stability polynomials in hL on a Krylov block of
 scaled generator powers. They share no numerical machinery, so agreement
 between them is a real cross-check.
-Observables are computed on the whole stack of sampled states at once. The
-concurrence of a 2- or 4-level trajectory gates its stack, so a sample more
-than 1e-8 from Hermitian or from unit trace, or with an eigenvalue below
--1e-9, raises (see quantum._CONCURRENCE_GATES).
+propagate_expm also takes a stack of generators that share the initial
+state and the grid, such as one per coupling of a parameter scan: one
+stacked exponential, one doubling and one call per observable serve them
+all. Observables are computed on the whole stack of sampled states at once.
+The concurrence of a 2- or 4-level trajectory gates its stack, so a sample
+more than 1e-8 from Hermitian or from unit trace, or with an eigenvalue
+below -1e-9, raises (see quantum._CONCURRENCE_GATES). A TimeGrid whose
+step is below the smallest normal double is refused.
 """
 from __future__ import annotations
 
@@ -30,6 +34,9 @@ from .errors import (
     StepUnderflowError,
 )
 from .linalg import _as_square, expm, hermitian_eig
+
+#: the smallest positive normal double, the least time step a TimeGrid takes
+_TINY = float(np.finfo(float).tiny)
 
 __all__ = [
     "TimeGrid",
@@ -57,6 +64,12 @@ class TimeGrid:
         n = self.n_samples
         if not (math.isfinite(n) and int(n) == n and n >= 2):
             raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples}")
+        # a subnormal step gives no distinct sample times
+        if self.step < _TINY:
+            raise ValueError(
+                f"time step {self.step:.3g} (span {self.span:.3g} over {int(n) - 1} intervals)"
+                f" is below the smallest normal double {_TINY:.3g}"
+            )
 
     @property
     def times(self) -> np.ndarray:
@@ -66,14 +79,19 @@ class TimeGrid:
     def span(self) -> float:
         return self.t_end - self.t_start
 
+    @property
+    def step(self) -> float:
+        return self.span / (int(self.n_samples) - 1)
+
 
 @dataclass
 class Trajectory:
     """Sampled evolution: times, the states at those times, and named series.
 
     states holds state vectors (n_samples, d) for unitary runs and density
-    matrices (n_samples, n, n) for open-system runs. observables maps a
-    series name to a real array over the same samples. diagnostics holds
+    matrices (n_samples, n, n) for open-system runs, or (k, n_samples, n, n)
+    for a stack of k generators. observables maps a series name to a real
+    array over the same samples, (n_samples,) or (k, n_samples). diagnostics holds
     what the route reports about its own run, and is empty unless the route
     fills it.
     """
@@ -101,15 +119,20 @@ def _density_observables(states: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _density_trajectory(times: np.ndarray, vectors, n: int) -> Trajectory:
-    states = np.asarray(vectors).reshape(-1, n, n)
-    return Trajectory(times, states, _density_observables(states))
+    """The trajectory of (..., N, n²) sampled vectors: the observables gate and measure all samples as one stack."""
+    vectors = np.asarray(vectors)
+    batch = vectors.shape[:-1]
+    states = vectors.reshape(-1, n, n)
+    observables = {name: values.reshape(batch) for name, values in _density_observables(states).items()}
+    return Trajectory(times, states.reshape(batch + (n, n)), observables)
 
 
 def _require_finite(states: np.ndarray, times: np.ndarray):
-    finite = np.isfinite(states).all(axis=1)
+    """Raise NonFiniteError for the first non-finite sample of (..., N, d) states, naming its time."""
+    finite = np.isfinite(states).all(axis=-1).reshape(-1)
     if not finite.all():
         k = int(np.argmin(finite))
-        raise NonFiniteError(f"propagated state at t = {times[k]:.6g} is not finite")
+        raise NonFiniteError(f"propagated state at t = {times[k % times.size]:.6g} is not finite")
 
 
 def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
@@ -141,18 +164,18 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     return Trajectory(times, states, obs)
 
 
-def _check_generator(l) -> tuple[np.ndarray, int]:
-    """The generator as a finite square matrix of size n², with n."""
-    gen = _as_square(l, "generator")
-    return gen, quantum._matrix_side(gen.shape[0], "generator")
+def _check_generator(l, stacked: bool = False) -> tuple[np.ndarray, int]:
+    """The generator, or if stacked a stack of them, as finite square matrices of size n², with n."""
+    gen = _as_square(l, "generator", stacked=stacked)
+    return gen, quantum._matrix_side(gen.shape[-1], "generator")
 
 
-def _check_generator_and_state(l, r0) -> tuple[np.ndarray, np.ndarray, int]:
-    gen, n = _check_generator(l)
+def _check_generator_and_state(l, r0, stacked: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    gen, n = _check_generator(l, stacked)
     r = np.asarray(r0, dtype=complex).reshape(-1)
-    if r.size != gen.shape[0]:
+    if r.size != gen.shape[-1]:
         raise DimensionMismatchError(
-            f"state length {r.size} does not match generator size {gen.shape[0]}"
+            f"state length {r.size} does not match generator size {gen.shape[-1]}"
         )
     return gen, r, n
 
@@ -191,37 +214,55 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     route and the propagated sectors, each as its sorted list of Liouville
     indices; for a non-Hermitian r0 they include the S images of the
     sectors it touches.
+
+    l may also be a (k, n², n²) stack of generators that share r0 and the
+    grid. Each is checked for trace and Hermiticity, and the first to fail
+    names the error. The sectors come from the union of the members'
+    patterns, a partition at least as coarse as each member's own, so
+    still invariant for every member; the k step exponentials are one
+    stacked expm, the doubling runs on (k, N, m) rows, and the observables
+    gate and measure the (k N, n, n) stack with one call each. The states
+    come out as (k, N, n, n) and every observable as (k, N); member j
+    gets the bits of a call on l[j] alone wherever its own sectors select
+    the same propagated indices. A 2-dimensional l gives (N, n, n) and
+    (N,). Failures are found stage by stage (generator checks, scaling,
+    expm, finiteness, gates), the first failing member naming the error
+    within a stage.
     """
-    gen, r, n = _check_generator_and_state(l, r0)
+    gen, r, n = _check_generator_and_state(l, r0, stacked=True)
+    stack = gen[None] if gen.ndim == 2 else gen
     identity = _trace_row(n)
     transpose = _transposition(n)
-    tolerance = 1e-12 * np.max(np.abs(gen))
-    leak = np.max(np.abs(identity @ gen))
-    if leak > tolerance:
-        raise ValueError(f"generator does not preserve the trace: max |vec(I)ᵀ L| = {leak:.3e}")
-    mirrored = gen[transpose[:, None], transpose].conj()
-    skew = np.abs(gen - mirrored).max()
-    if skew > tolerance:
-        raise ValueError(f"generator does not preserve Hermiticity: max |L - S L̄ S| = {skew:.3e}")
-    labels = _sector_labels((gen != 0) | (mirrored != 0))
+    mirrored = stack[:, transpose[:, None], transpose].conj()
+    tolerance = 1e-12 * np.abs(stack).max(axis=(1, 2))
+    leak = np.abs(identity @ stack).max(axis=1)
+    skew = np.abs(stack - mirrored).max(axis=(1, 2))
+    leaking = leak > tolerance
+    failing = leaking | (skew > tolerance)
+    if failing.any():
+        k = int(np.argmax(failing))
+        if leaking[k]:
+            raise ValueError(f"generator does not preserve the trace: max |vec(I)ᵀ L| = {leak[k]:.3e}")
+        raise ValueError(f"generator does not preserve Hermiticity: max |L - S L̄ S| = {skew[k]:.3e}")
+    labels = _sector_labels(((stack != 0) | (mirrored != 0)).any(axis=0))
     touched = np.unique(labels[(r != 0) | (r[transpose] != 0)])
     idx = np.flatnonzero(np.isin(labels, touched))
-    block = gen[np.ix_(idx, idx)]
+    block = gen[..., idx[:, None], idx]
     identity = identity[idx]
     # S on the propagated indices: position k holds the position of idx[k]'s transpose
     flip = np.searchsorted(idx, transpose[idx])
     times = grid.times
-    dt = grid.span / (times.size - 1)
+    dt = grid.step
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = block * dt
     if not np.all(np.isfinite(scaled)):
         raise NonFiniteError(f"generator scaled by t = {dt:.6g} is not finite")
     step = expm(scaled)
-    vectors = np.zeros((times.size, r.size), dtype=complex)
+    vectors = np.zeros(gen.shape[:-2] + (times.size, r.size), dtype=complex)
     # an overflowing power or state is reported by _require_finite
     with np.errstate(over="ignore", invalid="ignore"):
         step = _hermiticity_preserving(_trace_preserving(step, identity), flip)
-        vectors[:, idx] = _filled_by_doubling(r[idx], step, times.size, identity)
+        vectors[..., idx] = _filled_by_doubling(r[idx], step, times.size, identity)
     _require_finite(vectors, times)
     trajectory = _density_trajectory(times, vectors, n)
     trajectory.diagnostics = {
@@ -234,16 +275,17 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
 def _filled_by_doubling(first: np.ndarray, power: np.ndarray, samples: int, identity: np.ndarray) -> np.ndarray:
     """The rows first, P first, P² first, … for `samples` rows, filled by doubling.
 
-    Each squared power is projected to keep the trace row e (see
+    power is P or a (k, m, m) stack of them, which gives (k, samples, m)
+    rows. Each squared power is projected to keep the trace row e (see
     _trace_preserving): squaring doubles a power's trace error, so without
     it the error of P^(2^j) would grow as 2^j round-offs.
     """
-    rows = np.empty((samples, first.size), dtype=complex)
-    rows[0] = first
+    rows = np.empty(power.shape[:-2] + (samples, first.size), dtype=complex)
+    rows[..., 0, :] = first
     filled = 1
     while filled < samples:
         take = min(filled, samples - filled)
-        rows[filled : filled + take] = rows[:take] @ power.T
+        rows[..., filled : filled + take, :] = rows[..., :take, :] @ power.swapaxes(-1, -2)
         filled += take
         if filled < samples:
             power = _trace_preserving(power @ power, identity)
@@ -301,19 +343,21 @@ def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
 def _trace_preserving(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
     """P with the deficit e_j - (e P)_j of every column j spread evenly over its nonzero diagonal rows, so that e P = e.
 
-    identity is the trace row e of P's indices, 1 on the diagonal indices.
+    p is one matrix or a stack, each projected on its own. identity is the
+    trace row e of P's indices, 1 on the diagonal indices.
     The shares, 1/k on the k diagonal rows where column j of P is nonzero,
     come from P's own nonzero pattern, which has no entry between two
     sectors: this is the smallest change that keeps e and leaves every
     exact zero of P a zero. A column with no share is unchanged.
     """
     share = identity[:, None] * (p != 0)
-    return p + share / np.maximum(share.sum(axis=0), 1) * (identity - identity @ p)
+    deficit = (identity - identity @ p)[..., None, :]
+    return p + share / np.maximum(share.sum(axis=-2, keepdims=True), 1) * deficit
 
 
 def _hermiticity_preserving(p: np.ndarray, flip: np.ndarray) -> np.ndarray:
-    """(P + S P̄ S)/2, which maps Hermitian to Hermitian exactly, for S given on P's indices by flip."""
-    return 0.5 * (p + p[flip[:, None], flip].conj())
+    """(P + S P̄ S)/2, which maps Hermitian to Hermitian exactly, for S given on P's indices by flip; p may be a stack."""
+    return 0.5 * (p + p[..., flip[:, None], flip].conj())
 
 
 # Dormand-Prince 4(5) tableau. Row i of _DP_A weights stages 0..i-1 in the

@@ -2,7 +2,10 @@
 
 Three public kernels: hermitian_eig and solve_linear, thin wrappers over
 numpy's LAPACK-backed routines, and expm, a [13/13] Padé scaling and squaring
-written here so that no part of the package imports scipy. Each checks its
+written here so that no part of the package imports scipy. hermitian_eig and
+expm take one matrix or a stack of them; expm groups a stack by its number
+of squarings and evaluates each group as one stacked product chain, each
+matrix getting the bits of a call on it alone. Each kernel checks its
 inputs and raises a typed error instead of leaking library exceptions
 upward. The operand helpers other modules share live here too: _as_square
 for shape and finiteness, where a non-finite entry raises NonFiniteError,
@@ -101,22 +104,39 @@ def expm(m) -> np.ndarray:
     solve, and squared s times. A diagonal operand, the zero matrix
     included, returns diag(exp(d)) exactly, as scipy does.
 
+    m is one matrix or an (N, n, n) stack, and a matrix is a stack of one,
+    so there is one path: s is chosen per matrix, and the matrices that
+    share s go through one stacked product chain, solve and squaring. Every
+    matrix of a stack gets the bits that a call on it alone gives.
+
     Raises NonFiniteError if the 1-norm of A or any entry of the result is
     not finite, or if the Padé denominator is singular (numpy's
-    LinAlgError); overflow inside the computation raises no warning.
+    LinAlgError); overflow inside the computation raises no warning. In a
+    stack, the first failing matrix names the error.
     """
-    a = _as_square(m)
+    a = _as_square(m, stacked=True)
+    stack = a[None] if a.ndim == 2 else a
+    n = stack.shape[-1]
+    off_diagonal = stack != 0
+    off_diagonal.reshape(len(stack), n * n)[:, :: n + 1] = False
+    diagonal = ~off_diagonal.any(axis=(1, 2))
+    out = np.zeros_like(stack)
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
-            out = np.diag(np.exp(np.diagonal(a)))
-        else:
-            try:
-                out = _pade_scaling_and_squaring(a)
-            except np.linalg.LinAlgError as exc:
-                raise NonFiniteError(f"matrix exponential failed: {exc}") from exc
-    if not np.isfinite(out).all():
+        norms = _onenorms(stack)
+        overflowed = ~(diagonal | np.isfinite(norms))
+        general = ~(diagonal | overflowed)
+        if diagonal.any():
+            out.reshape(len(out), n * n)[:, :: n + 1][diagonal] = np.exp(np.diagonal(stack[diagonal], 0, 1, 2))
+        try:
+            out[general] = _pade_scaling_and_squaring(stack[general], norms[general].tolist())
+        except np.linalg.LinAlgError as exc:
+            raise NonFiniteError(f"matrix exponential failed: {exc}") from exc
+    if overflowed.any() or not np.isfinite(out).all():
+        failed = overflowed | ~np.isfinite(out).all(axis=(1, 2))
+        if overflowed[np.argmax(failed)]:
+            raise NonFiniteError("matrix 1-norm exceeds the largest double")
         raise NonFiniteError("matrix exponential is not finite")
-    return out
+    return out.reshape(a.shape)
 
 
 #: θ13, the largest d_p for which the [13/13] approximant needs no squaring (Al-Mohy
@@ -167,61 +187,74 @@ def _ell(a: np.ndarray, norm: float) -> int:
     return max(0, math.ceil((log_bound + math.log2(peak) + 53) / 26))
 
 
-def _onenorms(a: np.ndarray) -> list:
-    """‖A‖₁ of a matrix, or of every matrix in a stack, as Python floats."""
-    return np.abs(a).sum(axis=-2).max(axis=-1).tolist()
+def _onenorms(a: np.ndarray) -> np.ndarray:
+    """‖A‖₁ of every matrix in a stack (0 for a 0x0 matrix)."""
+    return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
 
 
 def _powers(a: np.ndarray) -> np.ndarray:
-    """The stack [I, A, A², A⁴, A⁶]."""
-    n = a.shape[0]
-    powers = np.zeros((5, n, n), dtype=complex)
-    powers[0].flat[:: n + 1] = 1
-    powers[1] = a
-    np.matmul(a, a, out=powers[2])
-    np.matmul(powers[2], powers[2], out=powers[3])
-    np.matmul(powers[3], powers[2], out=powers[4])
+    """[I, A, A², A⁴, A⁶] of every matrix of the (N, n, n) stack a, as an (N, 5, n, n) array."""
+    n = a.shape[-1]
+    powers = np.empty((len(a), 5, n, n), dtype=complex)
+    powers[:, 0] = np.eye(n)
+    powers[:, 1] = a
+    np.matmul(a, a, out=powers[:, 2])
+    np.matmul(powers[:, 2], powers[:, 2], out=powers[:, 3])
+    np.matmul(powers[:, 3], powers[:, 2], out=powers[:, 4])
     return powers
 
 
-def _squarings(powers: np.ndarray) -> int:
-    """The squarings s of the degree-13 branch of Al-Mohy and Higham's Algorithm 5.1, from exact 1-norms.
+def _squarings(powers: np.ndarray, norms: list) -> list:
+    """The squarings s of the degree-13 branch of Al-Mohy and Higham's Algorithm 5.1 for every matrix, from exact 1-norms.
 
-    d_p = ‖A^p‖₁^(1/p) ≤ ‖A‖₁ always holds, so capping d_p at ‖A‖₁ changes
-    nothing but the inf or NaN of a power that overflowed; for the same
-    reason ‖A‖₁ ≤ θ13 gives s = 0, and ell is 0 there, as |c27| θ13²⁶ < 2^-53.
+    powers is _powers of the stack and norms the finite ‖A‖₁ of its
+    matrices. d_p = ‖A^p‖₁^(1/p) ≤ ‖A‖₁ always holds, so capping d_p at
+    ‖A‖₁ changes nothing but the inf or NaN of a power that overflowed; for
+    the same reason ‖A‖₁ ≤ θ13 gives s = 0, and ell is 0 there, as
+    |c27| θ13²⁶ < 2^-53.
     """
-    norm = _onenorms(powers[1])
-    if not math.isfinite(norm):
-        raise NonFiniteError("matrix 1-norm exceeds the largest double")
-    if norm <= _THETA13:
-        return 0
-    # min(norm, nan) is norm
-    d6 = min(norm, _onenorms(powers[4]) ** (1 / 6))
-    d8 = min(norm, _onenorms(powers[3] @ powers[3]) ** (1 / 8))
-    d10 = min(norm, _onenorms(powers[3] @ powers[4]) ** (1 / 10))
-    # eta is 0 for a nilpotent A whose |A| is not, where only ell asks for squarings
-    eta = min(max(d6, d8), max(d8, d10))
-    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta else 0
-    return s + _ell(powers[1] * 2.0**-s, norm * 2.0**-s)
+    squarings = [0] * len(norms)
+    large = [k for k, norm in enumerate(norms) if norm > _THETA13]
+    if not large:
+        return squarings
+    p = powers[large]
+    sixth, eighth, tenth = (_onenorms(power).tolist() for power in (p[:, 4], p[:, 3] @ p[:, 3], p[:, 3] @ p[:, 4]))
+    for k, n6, n8, n10 in zip(large, sixth, eighth, tenth):
+        norm = norms[k]
+        # min(norm, nan) is norm
+        d6, d8, d10 = min(norm, n6 ** (1 / 6)), min(norm, n8 ** (1 / 8)), min(norm, n10 ** (1 / 10))
+        # eta is 0 for a nilpotent A whose |A| is not, where only ell asks for squarings
+        eta = min(max(d6, d8), max(d8, d10))
+        s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta else 0
+        squarings[k] = s + _ell(powers[k, 1] * 2.0**-s, norm * 2.0**-s)
+    return squarings
 
 
-def _pade_scaling_and_squaring(a: np.ndarray) -> np.ndarray:
-    """exp(A) for a non-diagonal A: the [13/13] Padé approximant of exp(2^-s A), squared s times."""
+def _pade_scaling_and_squaring(a: np.ndarray, norms: list) -> np.ndarray:
+    """exp(A) for every non-diagonal A of an (N, n, n) stack with finite 1-norms: the [13/13] Padé approximant of exp(2^-s A), squared s times.
+
+    The matrices that share s are evaluated as one stack.
+    """
     powers = _powers(a)
-    s = _squarings(powers)
-    if s:
-        powers = _powers(a * 2.0**-s)
-    n = a.shape[0]
-    parts = (_PADE_WEIGHTS @ powers.reshape(5, -1)).reshape(4, n, n)
-    parts = parts[1::2] + powers[4] @ parts[0::2]
-    u = powers[1] @ parts[0]
-    # q⁻¹p = I + 2 q⁻¹U keeps the identity exact, so a column sum that A
-    # preserves, such as a generator's trace, stays at round-off
-    r = powers[0] + 2 * np.linalg.solve(parts[1] - u, u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    groups: dict = {}
+    for k, s in enumerate(_squarings(powers, norms)):
+        groups.setdefault(s, []).append(k)
+    out = np.empty_like(a)
+    n = a.shape[-1]
+    for s, group in groups.items():
+        # a lone group is the whole stack, taken as a view
+        group = slice(None) if len(groups) == 1 else group
+        p = _powers(a[group] * 2.0**-s) if s else powers[group]
+        parts = (_PADE_WEIGHTS @ p.reshape(len(p), 5, -1)).reshape(-1, 4, n, n)
+        parts = parts[:, 1::2] + p[:, 4:5] @ parts[:, 0::2]
+        u = p[:, 1] @ parts[:, 0]
+        # q⁻¹p = I + 2 q⁻¹U keeps the identity exact, so a column sum that A
+        # preserves, such as a generator's trace, stays at round-off
+        r = p[:, 0] + 2 * np.linalg.solve(parts[:, 1] - u, u)
+        for _ in range(s):
+            r = r @ r
+        out[group] = r
+    return out
 
 
 def solve_linear(a, b) -> np.ndarray:

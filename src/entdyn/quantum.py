@@ -6,6 +6,7 @@ density-matrix functions that trajectories sample (validate_density,
 purity, bloch_from_density, embed_23 and both concurrences) take one
 matrix or an (N, n, n) stack of them, with the same checks per matrix.
 
+bloch_from_density takes the Pauli traces in closed form from the entries.
 validate_density and both concurrences gate a stack before computing from
 it: each matrix's Hermiticity deviation, trace and lowest eigenvalue go to
 one helper that raises the first failing matrix's error. Stacks of qubit
@@ -62,7 +63,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 _YY = np.kron(PAULI_Y, PAULI_Y)
 
 #: population allowed outside the central block when restricting
@@ -231,10 +231,14 @@ def devectorize(r) -> np.ndarray:
 def bloch_from_density(rho) -> np.ndarray:
     """Bloch vector (tr(X rho), tr(Y rho), tr(Z rho)) of a qubit state.
 
-    A stack of N states gives an (N, 3) array.
+    The traces are taken in closed form from the entries, as
+    (Re(rho_01 + rho_10), Im(rho_10 - rho_01), Re(rho_00 - rho_11)), the
+    middle one being Re(i (rho_01 - rho_10)); the matrix need not be
+    Hermitian. A stack of N states gives an (N, 3) array.
     """
     mat = _as_square(rho, "rho", stacked=True, size=2)
-    return np.einsum("pij,...ji->...p", _PAULIS, mat).real
+    upper, lower = mat[..., 0, 1], mat[..., 1, 0]
+    return np.stack([(upper + lower).real, (lower - upper).imag, (mat[..., 0, 0] - mat[..., 1, 1]).real], axis=-1)
 
 
 def density_from_bloch(s) -> np.ndarray:

@@ -121,6 +121,32 @@ class TestTrajectoryScenarios:
         assert err[:-1] == [f"fig-nogo y={y}: |Bloch fixed point| = 0.000e+00" for y in ys]
         assert err[-1].startswith("fig-nogo: wrote ")
 
+    @pytest.mark.parametrize("seed", [None, 19])
+    def test_drive_only_batch_is_the_single_coupling_runs(self, tmp_path, seed):
+        # one propagation for every y writes the bytes of one run per y
+        if seed is None:
+            ys, extra = ["0.5", "1", "5"], []
+        else:
+            rng = np.random.default_rng(seed)
+            ys = [repr(float(rng.choice([-1, 1]) * 10.0 ** rng.uniform(-1, 1))) for _ in range(3)]
+            extra = ["--gamma", repr(float(10.0 ** rng.uniform(-1, 0.3))), "--steps", "2000"]
+        code, out = run(tmp_path, "fig-nogo", *[f"--y={y}" for y in ys], *extra)
+        assert code == 0
+        lines = []
+        for k, y in enumerate(ys):
+            code, single = run(tmp_path, "fig-nogo", f"--y={y}", *extra, name=f"single{k}.csv")
+            assert code == 0
+            lines += single.read_bytes().splitlines(keepends=True)[min(k, 1):]
+        assert out.read_bytes() == b"".join(lines)
+
+    def test_drive_only_makes_one_exponential(self, tmp_path, monkeypatch):
+        shapes = []
+        expm = entdyn.evolution.expm
+        monkeypatch.setattr(entdyn.evolution, "expm", lambda m: shapes.append(m.shape) or expm(m))
+        code, _ = run(tmp_path, "fig-nogo", "--y", "0.5", "--y", "1", "--y", "5", "--y", "-2")
+        assert code == 0
+        assert shapes == [(4, 4, 4)]
+
     def test_drive_only_rejects_zero_coupling(self, tmp_path):
         code, _ = run(tmp_path, "fig-nogo", "--y", "0")
         assert code == 1
@@ -196,7 +222,8 @@ class TestTrajectoryScenarios:
         [
             (("evolve", "--steps", "10"), 1),
             (("fig2", "--steps", "10"), 1),
-            (("fig-nogo",), 3),
+            # every y in one batched propagation
+            (("fig-nogo",), 1),
             (("fig1", "--steps", "10"), 1),
         ],
     )
@@ -512,6 +539,25 @@ class TestConfigHandling:
         code, out = run(tmp_path, *argv.split())
         assert code == 1
         assert capsys.readouterr().err == f"entdyn: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, step",
+        [
+            ("fig1 --t-max 1e-310 --steps 2", "5e-311"),
+            ("fig2 --t-max 5e-324 --steps 3", "0"),
+            ("evolve --t-max 1e-320 --steps 4", "2.5e-321"),
+            ("fig-nogo --t-max 2e-308 --steps 2", "1e-308"),
+        ],
+    )
+    def test_subnormal_time_step_is_refused(self, tmp_path, capsys, argv, step):
+        # such a grid printed repeated or inexact sample times
+        code, out = run(tmp_path, *argv.split())
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"entdyn: error: time step {step} ")
+        assert err[0].endswith("is below the smallest normal double 2.23e-308")
+        assert not out.exists()
         assert not out.exists()
 
     @pytest.mark.parametrize(

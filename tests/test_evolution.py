@@ -69,6 +69,19 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, np.inf, 10)
 
+    @pytest.mark.parametrize("t_end, n_samples", [(5e-324, 4), (1e-320, 5), (2e-308, 3), (1e-300, 10**9)])
+    def test_rejects_a_subnormal_step(self, t_end, n_samples):
+        # np.linspace rounds subnormal times, so such a grid repeats sample times
+        step = t_end / (n_samples - 1)
+        with pytest.raises(ValueError, match=f"^time step {step:.3g} "):
+            TimeGrid(0.0, t_end, n_samples)
+
+    def test_smallest_normal_step_is_kept(self):
+        tiny = np.finfo(float).tiny
+        grid = TimeGrid(0.0, 2 * tiny, 3)
+        assert grid.step == tiny
+        assert np.unique(grid.times).size == 3
+
 
 class TestUnitaryEvolve:
     def test_pair_state_oscillation(self):
@@ -270,6 +283,127 @@ class TestPropagateExpm:
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
         with pytest.raises(NonFiniteError):
             propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1e300, 3))
+
+
+def nogo_generators(ys, gamma=1.0) -> np.ndarray:
+    """The fig-nogo generators: the one-excitation block with coherent coupling y and no feedback."""
+    return np.array([wm_subspace_generator(FeedbackParams(m=0.0, f=0.0, gamma=gamma, y=y)) for y in ys])
+
+
+def assert_batch_is_single_calls(gens, r0, grid):
+    """propagate_expm on the stack gives every member's single call bit for bit, in states and every observable.
+
+    Returns the batch's trajectory.
+    """
+    batch = propagate_expm(gens, r0, grid)
+    n = int(np.sqrt(gens.shape[-1]))
+    assert batch.states.shape == (len(gens), grid.n_samples, n, n)
+    for k, gen in enumerate(gens):
+        single = propagate_expm(gen, r0, grid)
+        assert single.states.shape == (grid.n_samples, n, n)
+        assert np.array_equal(batch.states[k], single.states)
+        assert batch.observables.keys() == single.observables.keys()
+        for name, values in single.observables.items():
+            assert batch.observables[name].shape == (len(gens), grid.n_samples)
+            assert np.array_equal(batch.observables[name][k], values), name
+    assert np.array_equal(batch.times, grid.times)
+    return batch
+
+
+class TestGeneratorBatches:
+    def test_nogo_stack_matches_single_calls(self):
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        gens = nogo_generators([0.5, 1.0, 5.0])
+        grid = TimeGrid(0.0, 20.0, 201)
+        batch = assert_batch_is_single_calls(gens, r0, grid)
+        assert batch.diagnostics == propagate_expm(gens[0], r0, grid).diagnostics
+
+    def test_stiff_nogo_stack_matches_single_calls(self):
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        gens = nogo_generators([-2.72e8, -9.43e7, 3.0], gamma=0.007)
+        assert_batch_is_single_calls(gens, r0, TimeGrid(0.5, 10.5, 2001))
+
+    def test_feedback_stack_with_different_sector_patterns_matches_single_calls(self):
+        # without feedback the Bell state's four indices are four sectors of
+        # one each, with it they are one parity sector; the batch takes the
+        # coarser union, which still selects the same four indices
+        plain = wm_full_generator(FeedbackParams(m=0.0, f=0.0, gamma=1.0))
+        loop = wm_full_generator(FeedbackParams(m=3.0, f=0.7, mu=0.5, gamma=1.0, y=0.3))
+        sectors = [propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1.0, 3)).diagnostics["sectors"] for gen in (plain, loop)]
+        assert sectors == [[[5], [6], [9], [10]], [[5, 6, 9, 10]]]
+        batch = assert_batch_is_single_calls(np.array([plain, loop]), bell_vector(), TimeGrid(0.0, 10.0, 2001))
+        assert batch.diagnostics["sectors"] == [[5, 6, 9, 10]]
+
+    def test_coarser_union_of_sectors_keeps_every_member_exact(self):
+        # from vec(|00><00|) the plain generator propagates index 0 alone,
+        # the batch the parity sector {0, 3, 12, 15} of the feedback loop,
+        # which neither the first nor the last member's pattern gives
+        plain = wm_full_generator(FeedbackParams(m=0.0, f=0.0, gamma=1.0, y=0.4))
+        loop = wm_full_generator(FeedbackParams(m=3.0, f=0.7, mu=0.5, gamma=1.0, y=0.3))
+        r0 = vectorize(np.diag([1.0, 0.0, 0.0, 0.0]))
+        grid = TimeGrid(0.0, 4.0, 201)
+        batch = propagate_expm(np.array([plain, loop, plain]), r0, grid)
+        assert batch.diagnostics["sectors"] == [[0, 3, 12, 15]]
+        for k, gen in enumerate((plain, loop, plain)):
+            reference = np.array([expm(gen * (t - grid.t_start)) @ r0 for t in grid.times])
+            assert np.max(np.abs(batch.states[k].reshape(grid.n_samples, -1) - reference)) <= 1e-12
+
+    def test_one_exponential_per_batch(self, monkeypatch):
+        shapes = []
+
+        def recording_expm(m):
+            shapes.append(m.shape)
+            return expm(m)
+
+        monkeypatch.setattr(entdyn.evolution, "expm", recording_expm)
+        propagate_expm(nogo_generators([0.5, 1.0, 5.0, 7.0]), vectorize(np.eye(2) / 2), TimeGrid(0.0, 5.0, 11))
+        assert shapes == [(4, 4, 4)]
+
+    @pytest.mark.parametrize(
+        "y, t_end, failure",
+        [(1e308, 20.0, NonFiniteError), (1e300, 20.0, NonFiniteError), (1e308, 1e-3, InvalidStateError)],
+        ids=["scaling", "expm", "gate"],
+    )
+    def test_failing_member_raises_its_single_call_error(self, y, t_end, failure):
+        # member 2 fails alone in its scaled generator, its exponential or
+        # the trace gate of its samples; the others pass alone
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        grid = TimeGrid(0.0, t_end, 11)
+        gens = nogo_generators([0.5, 1.0, y, 2.0])
+        for k in (0, 1, 3):
+            propagate_expm(gens[k], r0, grid)
+        with pytest.raises(failure) as single:
+            propagate_expm(gens[2], r0, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(failure) as batch:
+                propagate_expm(gens, r0, grid)
+        assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "broken, first, message",
+        [({1: "trace", 2: "trace"}, 1, "the trace"), ({0: "Hermiticity", 2: "trace"}, 0, "Hermiticity")],
+        ids=["two-traces", "hermiticity-before-trace"],
+    )
+    def test_first_member_that_breaks_a_check_names_it(self, broken, first, message):
+        gens = nogo_generators([0.5, 1.0, 5.0])
+        for k, check in broken.items():
+            # a trace leak, or a coupling whose mirror is missing, scaled by k
+            if check == "trace":
+                gens[k] -= 0.25 * (k + 1) * np.eye(4)
+            else:
+                gens[k, 1, 2] += 0.5 * (k + 1)
+        grid = TimeGrid(0.0, 1.0, 3)
+        with pytest.raises(ValueError) as single:
+            propagate_expm(gens[first], vectorize(np.eye(2) / 2), grid)
+        with pytest.raises(ValueError) as batch:
+            propagate_expm(gens, vectorize(np.eye(2) / 2), grid)
+        assert f"does not preserve {message}" in str(single.value)
+        assert str(batch.value) == str(single.value)
+
+    def test_rejects_a_stack_of_stacks(self):
+        with pytest.raises(DimensionMismatchError):
+            propagate_expm(np.zeros((2, 2, 4, 4)), vectorize(np.eye(2) / 2), TimeGrid(0.0, 1.0, 3))
 
 
 def full_route(monkeypatch):

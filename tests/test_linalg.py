@@ -13,6 +13,7 @@ from entdyn.errors import (
 from entdyn.evolution import _sector_labels
 from entdyn.feedback import FeedbackParams, wm_full_generator, wm_subspace_generator
 from entdyn.generators import _two_sided
+from entdyn import linalg
 from entdyn.linalg import expm, hermitian_eig, solve_linear
 from helpers import assert_multiset_close, eig_real_3x3, random_hermitian
 
@@ -135,6 +136,31 @@ def taylor_expm_longdouble(a) -> np.ndarray:
     return total
 
 
+def feedback_sector_blocks() -> list:
+    """1500 sector blocks of seeded feedback generators, each scaled by a step.
+
+    Rates log-uniform over 1e-6 to 1e9 and steps over 1e-4 to 10 give 1-norms
+    from 1e-5 to 1e10, from no squaring up to 32 squarings.
+    """
+    rng = np.random.default_rng(132)
+
+    def rate():
+        return 10.0 ** rng.uniform(-6, 9)
+
+    blocks = []
+    for _ in range(300):
+        params = FeedbackParams(
+            m=rate(), f=rate(), gamma=rate(), mu=rng.choice([-1, 1]) * rate(), y=rng.choice([-1, 1]) * rate()
+        )
+        dt = 10.0 ** rng.uniform(-4, 1)
+        for gen in (wm_full_generator(params), wm_subspace_generator(params)):
+            labels = _sector_labels(gen)
+            for label in np.unique(labels):
+                idx = np.flatnonzero(labels == label)
+                blocks.append(gen[np.ix_(idx, idx)] * dt)
+    return blocks
+
+
 class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
@@ -175,23 +201,8 @@ class TestExpm:
                 assert_matches_reference(a * 10.0 ** rng.uniform(-3, 2) / np.abs(a).sum(axis=0).max(), scipy_expm)
 
     def test_feedback_generator_sector_blocks(self, scipy_expm):
-        # rates log-uniform over 1e-6 to 1e9 and steps over 1e-4 to 10 give
-        # 1500 blocks with 1-norms from 1e-5 to 1e10, from no squaring up to 32 squarings
-        rng = np.random.default_rng(132)
-
-        def rate():
-            return 10.0 ** rng.uniform(-6, 9)
-
-        for _ in range(300):
-            params = FeedbackParams(
-                m=rate(), f=rate(), gamma=rate(), mu=rng.choice([-1, 1]) * rate(), y=rng.choice([-1, 1]) * rate()
-            )
-            dt = 10.0 ** rng.uniform(-4, 1)
-            for gen in (wm_full_generator(params), wm_subspace_generator(params)):
-                labels = _sector_labels(gen)
-                for label in np.unique(labels):
-                    idx = np.flatnonzero(labels == label)
-                    assert_matches_reference(gen[np.ix_(idx, idx)] * dt, scipy_expm)
+        for block in feedback_sector_blocks():
+            assert_matches_reference(block, scipy_expm)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider than double")
     def test_sector_steps_within_eight_ulp_of_long_double_taylor(self):
@@ -242,6 +253,74 @@ class TestExpm:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError):
                 expm(a)
+
+
+#: operands whose exponential fails, each with the error a call on it alone raises
+FAILING_OPERANDS = {
+    "diagonal": np.diag([800.0, 0.0]),
+    "triangular": np.array([[800.0, 1.0], [0.0, 0.0]]),
+    "norm-beyond-double": np.full((2, 2), 1e308),
+}
+
+
+def single_call_error(a) -> str:
+    with pytest.raises(NonFiniteError) as info:
+        expm(a)
+    return str(info.value)
+
+
+class TestExpmStack:
+    def test_sector_blocks_in_one_call_match_the_per_matrix_calls(self):
+        blocks = feedback_sector_blocks()
+        stack = np.array(blocks)
+        norms = linalg._onenorms(stack).tolist()
+        squarings = linalg._squarings(linalg._powers(stack), norms)
+        # the stack spans every group from no squaring to 32
+        assert min(squarings) == 0 and max(squarings) == 32
+        assert len(set(squarings)) > 20
+        stacked = expm(stack)
+        assert stacked.shape == stack.shape
+        for block, out in zip(blocks, stacked):
+            assert np.array_equal(out, expm(block))
+
+    def test_stack_of_one_is_the_matrix_call(self):
+        for block in feedback_sector_blocks()[::15]:
+            single = expm(block[None])
+            assert single.shape == (1,) + block.shape
+            assert np.array_equal(single[0], expm(block))
+
+    def test_diagonal_and_general_members_match_the_per_matrix_calls(self):
+        rng = np.random.default_rng(135)
+        stack = rng.normal(size=(12, 3, 3)) + 1j * rng.normal(size=(12, 3, 3))
+        stack *= 10.0 ** rng.uniform(-3, 1.5, size=(12, 1, 1))
+        stack[::3] *= np.eye(3)
+        stack[1] = 0
+        stacked = expm(stack)
+        for a, out in zip(stack, stacked):
+            assert np.array_equal(out, expm(a))
+
+    def test_empty_operands(self):
+        assert expm(np.zeros((0, 0))).shape == (0, 0)
+        assert expm(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+    @pytest.mark.parametrize("name", FAILING_OPERANDS)
+    def test_failing_member_raises_its_single_call_error(self, name):
+        a = FAILING_OPERANDS[name]
+        stack = np.array([0.1 * np.ones((2, 2)), np.diag([1.0, 2.0]), a, np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as info:
+                expm(stack)
+        assert str(info.value) == single_call_error(a)
+
+    def test_first_failing_member_names_the_error(self):
+        # member 1's result overflows and member 2's norm does: member 1 is first
+        triangular, beyond = FAILING_OPERANDS["triangular"], FAILING_OPERANDS["norm-beyond-double"]
+        assert single_call_error(triangular) != single_call_error(beyond)
+        for stack, first in (([np.eye(2), triangular, beyond], triangular), ([np.eye(2), beyond, triangular], beyond)):
+            with pytest.raises(NonFiniteError) as info:
+                expm(np.array(stack))
+            assert str(info.value) == single_call_error(first)
 
 
 class TestSolveLinear:

@@ -12,8 +12,12 @@ from entdyn.errors import (
     OutsideBlochBallError,
 )
 from entdyn.evolution import steady_state
+from entdyn.feedback import FeedbackParams, wm_subspace_generator
 from entdyn.generators import assemble_liouvillian
 from entdyn.quantum import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     bell_state,
     bloch_from_density,
     concurrence,
@@ -142,6 +146,38 @@ class TestBloch:
     def test_rejects_outside_ball(self):
         with pytest.raises(OutsideBlochBallError):
             density_from_bloch([1.1, 0.0, 0.0])
+
+    def test_closed_form_prints_as_the_pauli_traces(self):
+        # the closed form against tr(sigma rho) as an einsum over the Pauli
+        # matrices, in the bytes "%.9g" prints, so the sign of a zero counts
+        paulis = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+
+        def printed(values):
+            return [b"%.9g" % v for v in np.ravel(values).tolist()]
+
+        rng = np.random.default_rng(54)
+
+        def rate():
+            return 10.0 ** rng.uniform(-3, 3)
+
+        general = rng.normal(size=(500, 2, 2)) + 1j * rng.normal(size=(500, 2, 2))
+        hermitian = general + np.swapaxes(general, 1, 2).conj()
+        steady = []
+        for k in range(400):
+            mu = 0.0 if k % 4 == 0 else rng.choice([-1, 1]) * rate()
+            y = 0.0 if k % 3 == 0 else rng.choice([-1, 1]) * rate()
+            params = FeedbackParams(m=rate(), f=rate(), gamma=rate(), mu=mu, y=y)
+            steady.append(steady_state(wm_subspace_generator(params)))
+        steady = np.array(steady)
+        traces = np.einsum("pij,...ji->...p", paulis, steady).real
+        # y = 0 or mu = 0 leaves components that are exact zeros
+        assert np.count_nonzero(traces == 0) >= 10
+        for stack in (general, hermitian, steady):
+            assert printed(bloch_from_density(stack)) == printed(np.einsum("pij,...ji->...p", paulis, stack).real)
+            for rho in stack[::20]:
+                single = bloch_from_density(rho)
+                assert single.shape == (3,)
+                assert printed(single) == printed(np.einsum("pij,ji->p", paulis, rho).real)
 
 
 class TestBlockRestriction:

@@ -54,9 +54,11 @@ class StepUnderflowError(EntdynError):
 
 
 class NonFiniteError(EntdynError):
-    """A matrix operand, a scaled generator or a propagated state holds inf or NaN.
+    """A matrix operand, a scaled generator or a propagated state holds inf or NaN, or a step exponential is meaningless.
 
     Raised for non-finite input to the matrix checks in linalg, including an
-    operator that overflowed while a generator was assembled, and for a
-    propagation that overflowed.
+    operator that overflowed while a generator was assembled, for a
+    propagation that overflowed, and for a step exponential that misses
+    the trace by more than the 1e-8 trace gate, as when the exponential
+    of a stiff step has lost its digits to round-off.
     """

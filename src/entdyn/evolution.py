@@ -13,10 +13,12 @@ propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
 stacked exponential, one doubling and one call per observable serve them
 all. Observables are computed on the whole stack of sampled states at once.
-The concurrence of a 2- or 4-level trajectory gates its stack, so a sample
-more than 1e-8 from Hermitian or from unit trace, or with an eigenvalue
-below -1e-9, raises (see quantum._CONCURRENCE_GATES). A TimeGrid whose
-step is below the smallest normal double is refused.
+The concurrence of a 2- or 4-level trajectory gates its stack before any
+other measure is taken, so a sample more than 1e-8 from Hermitian or from
+unit trace, or with an eigenvalue below -1e-9, raises (see
+quantum._CONCURRENCE_GATES). propagate_expm refuses a step exponential
+that misses the trace by more than that 1e-8 before projecting it. A
+TimeGrid whose step is below the smallest normal double is refused.
 """
 from __future__ import annotations
 
@@ -105,16 +107,17 @@ class Trajectory:
 def _density_observables(states: np.ndarray) -> dict[str, np.ndarray]:
     n = states.shape[1]
     obs: dict[str, np.ndarray] = {}
-    obs["purity"] = quantum.purity(states)
+    # the concurrence gates the stack, so a failing state raises before a measure can overflow on it
     if n == 4:
         obs["concurrence"] = quantum.concurrence(states)
     elif n == 2:
+        obs["concurrence"] = quantum.concurrence_2x2_embedded(states)
         bloch = quantum.bloch_from_density(states)
         obs["bloch_x"] = bloch[:, 0]
         obs["bloch_y"] = bloch[:, 1]
         obs["bloch_z"] = bloch[:, 2]
         obs["bloch_norm"] = np.linalg.norm(bloch, axis=1)
-        obs["concurrence"] = quantum.concurrence_2x2_embedded(states)
+    obs["purity"] = quantum.purity(states)
     return obs
 
 
@@ -209,11 +212,14 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     indices, and then onto maps that keep Hermiticity, P = (P + S P̄ S)/2,
     as the exact propagator does, so the round-off of a stiff generator's
     exponential no longer accumulates into a trace or Hermiticity drift
-    over the samples. Raises NonFiniteError if the scaled generator block,
-    P or a propagated state holds inf or NaN. diagnostics records the
-    route and the propagated sectors, each as its sorted list of Liouville
-    indices; for a non-Hermitian r0 they include the S images of the
-    sectors it touches.
+    over the samples. The projection is for round-off alone: a P that
+    misses the trace, max |e - e P| for the trace row e, by more than the
+    concurrence's trace gate 1e-8 (quantum._TRACE_DRIFT) raises
+    NonFiniteError, as a scaled generator block, P or a propagated state
+    that holds inf or NaN does. diagnostics records the route and the
+    propagated sectors, each as its sorted list of Liouville indices; for
+    a non-Hermitian r0 they include the S images of the sectors it
+    touches.
 
     l may also be a (k, n², n²) stack of generators that share r0 and the
     grid. Each is checked for trace and Hermiticity, and the first to fail
@@ -226,8 +232,8 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     gets the bits of a call on l[j] alone wherever its own sectors select
     the same propagated indices. A 2-dimensional l gives (N, n, n) and
     (N,). Failures are found stage by stage (generator checks, scaling,
-    expm, finiteness, gates), the first failing member naming the error
-    within a stage.
+    expm, the trace of P, finiteness, gates), the first failing member
+    naming the error within a stage.
     """
     gen, r, n = _check_generator_and_state(l, r0, stacked=True)
     stack = gen[None] if gen.ndim == 2 else gen
@@ -258,6 +264,15 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     if not np.all(np.isfinite(scaled)):
         raise NonFiniteError(f"generator scaled by t = {dt:.6g} is not finite")
     step = expm(scaled)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deficit = np.abs(identity - identity @ step).max(axis=-1, initial=0.0).reshape(-1)
+    # the projection below hides a step that misses the trace by more than round-off
+    refused = ~(deficit <= quantum._TRACE_DRIFT)
+    if refused.any():
+        raise NonFiniteError(
+            f"step exponential at dt = {dt:.6g} loses the trace: max |e - e P| ="
+            f" {deficit[np.argmax(refused)]:.3e} exceeds {quantum._TRACE_DRIFT:.1e}"
+        )
     vectors = np.zeros(gen.shape[:-2] + (times.size, r.size), dtype=complex)
     # an overflowing power or state is reported by _require_finite
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUniqueSteadyStateError, RequiresZeroYError
+from .evolution import _TINY
 from .generators import (
     HamiltonianParams,
     build_hamiltonian,
@@ -40,9 +41,6 @@ __all__ = [
 #: grid points per closed-form block in concurrence_sweep; bounds the
 #: temporaries of a large grid to a fixed size
 _SWEEP_BLOCK = 8192
-
-#: smallest normal double; a deficit below it has lost digits to underflow
-_TINY = np.finfo(float).tiny
 
 #: the two-qubit measured and dephased operator Z⊗I and the feedback operator X⊗X
 _ZI = np.kron(PAULI_Z, np.eye(2, dtype=complex))
@@ -217,6 +215,7 @@ def _concurrence_and_log_deficit(m, f, mu, gamma):
     d = ak * ak + r * kl
     deficit = np.minimum((gap * gap + gamma * kl) / d, 1.0)
     conc = 2.0 * ak * root / d
+    # a deficit below the smallest normal double has lost digits to underflow
     if np.min(deficit) >= _TINY:
         return conc, np.log10(deficit)
     with np.errstate(divide="ignore"):

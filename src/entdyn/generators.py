@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, NoConvergenceError, NonFiniteError
-from .linalg import _HERM_ATOL, _as_square, _check_hermitian
+from .linalg import _as_square, _check_hermitian
 from .quantum import _matrix_side
 
 __all__ = [
@@ -79,7 +79,7 @@ def _two_sided(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def hamiltonian_superop(h) -> np.ndarray:
     """Superoperator of the coherent part, -i (H rho - rho H), for H Hermitian to 1e-10."""
     mat = _as_square(h, "h")
-    _check_hermitian(mat, _HERM_ATOL, "h")
+    _check_hermitian(mat, "h")
     eye = np.eye(mat.shape[0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         return -1j * (_two_sided(mat, eye) - _two_sided(eye, mat))

@@ -3,17 +3,16 @@
 Three public kernels: hermitian_eig and solve_linear, thin wrappers over
 numpy's LAPACK-backed routines, and expm, a [13/13] Padé scaling and squaring
 written here so that no part of the package imports scipy. hermitian_eig and
-expm take one matrix or a stack of them; expm groups a stack by its number
-of squarings and evaluates each group as one stacked product chain, each
-matrix getting the bits of a call on it alone. Each kernel checks its
-inputs and raises a typed error instead of leaking library exceptions
-upward. The operand helpers other modules share live here too: _as_square
-for shape and finiteness, where a non-finite entry raises NonFiniteError,
-_dagger for the adjoint of a matrix or a stack, and _check_hermitian for
-the Hermiticity gate of an operator. Density matrices are gated in
-quantum, from margins it computes per matrix. Kronecker products are not
-wrapped here: generators builds every superoperator through its one
-two-sided-product rule.
+expm take one matrix or a stack of them; expm exponentiates a stack one
+matrix after another, each getting the bits of a call on it alone. Each
+kernel checks its inputs and raises a typed error instead of leaking
+library exceptions upward. The operand helpers other modules share live
+here too: _as_square for shape and finiteness, where a non-finite entry
+raises NonFiniteError, _dagger for the adjoint of a matrix or a stack, and
+_check_hermitian for the Hermiticity gate of an operator. Density
+matrices are gated in quantum, from margins it computes per matrix.
+Kronecker products are not wrapped here: generators builds every
+superoperator through its one two-sided-product rule.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ __all__ = [
 #: relative condition-number gate for solve_linear
 _COND_LIMIT = 1e12
 
-#: Hermiticity gate of an operator: hermitian_eig and generators.hamiltonian_superop
+#: Hermiticity gate of _check_hermitian, for hermitian_eig and generators.hamiltonian_superop
 _HERM_ATOL = 1e-10
 
 
@@ -62,14 +61,14 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return np.swapaxes(m, -1, -2).conj()
 
 
-def _check_hermitian(m: np.ndarray, atol: float, name: str = "m") -> None:
-    """Raise NotHermitianError if max|m - m†| exceeds atol.
+def _check_hermitian(m: np.ndarray, name: str = "m") -> None:
+    """Raise NotHermitianError if max|m - m†| exceeds _HERM_ATOL.
 
     m is one matrix or a stack, already through _as_square.
     """
     dev = np.abs(m - _dagger(m)).max() if m.size else 0.0
-    if dev > atol:
-        raise NotHermitianError(f"max|{name} - {name}†| = {dev:.3e} exceeds {atol:.1e}")
+    if dev > _HERM_ATOL:
+        raise NotHermitianError(f"max|{name} - {name}†| = {dev:.3e} exceeds {_HERM_ATOL:.1e}")
 
 
 def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
@@ -83,7 +82,7 @@ def hermitian_eig(m) -> tuple[np.ndarray, np.ndarray]:
     if the underlying solver fails.
     """
     mat = _as_square(m, stacked=True)
-    _check_hermitian(mat, _HERM_ATOL)
+    _check_hermitian(mat)
     try:
         values, vectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
@@ -104,10 +103,8 @@ def expm(m) -> np.ndarray:
     solve, and squared s times. A diagonal operand, the zero matrix
     included, returns diag(exp(d)) exactly, as scipy does.
 
-    m is one matrix or an (N, n, n) stack, and a matrix is a stack of one,
-    so there is one path: s is chosen per matrix, and the matrices that
-    share s go through one stacked product chain, solve and squaring. Every
-    matrix of a stack gets the bits that a call on it alone gives.
+    m is one matrix or an (N, n, n) stack, whose matrices are exponentiated
+    one after another, so each gets the bits of a call on it alone.
 
     Raises NonFiniteError if the 1-norm of A or any entry of the result is
     not finite, or if the Padé denominator is singular (numpy's
@@ -116,27 +113,25 @@ def expm(m) -> np.ndarray:
     """
     a = _as_square(m, stacked=True)
     stack = a[None] if a.ndim == 2 else a
-    n = stack.shape[-1]
-    off_diagonal = stack != 0
-    off_diagonal.reshape(len(stack), n * n)[:, :: n + 1] = False
-    diagonal = ~off_diagonal.any(axis=(1, 2))
-    out = np.zeros_like(stack)
+    out = np.empty_like(stack)
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = _onenorms(stack)
-        overflowed = ~(diagonal | np.isfinite(norms))
-        general = ~(diagonal | overflowed)
-        if diagonal.any():
-            out.reshape(len(out), n * n)[:, :: n + 1][diagonal] = np.exp(np.diagonal(stack[diagonal], 0, 1, 2))
+        for k, matrix in enumerate(stack):
+            out[k] = _exponential(matrix)
+    return out.reshape(a.shape)
+
+
+def _exponential(a: np.ndarray) -> np.ndarray:
+    """exp(A) of one matrix, as expm describes it."""
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        out = np.diag(np.exp(np.diagonal(a)))
+    else:
         try:
-            out[general] = _pade_scaling_and_squaring(stack[general], norms[general].tolist())
+            out = _pade_scaling_and_squaring(a)
         except np.linalg.LinAlgError as exc:
             raise NonFiniteError(f"matrix exponential failed: {exc}") from exc
-    if overflowed.any() or not np.isfinite(out).all():
-        failed = overflowed | ~np.isfinite(out).all(axis=(1, 2))
-        if overflowed[np.argmax(failed)]:
-            raise NonFiniteError("matrix 1-norm exceeds the largest double")
+    if not np.isfinite(out).all():
         raise NonFiniteError("matrix exponential is not finite")
-    return out.reshape(a.shape)
+    return out
 
 
 #: θ13, the largest d_p for which the [13/13] approximant needs no squaring (Al-Mohy
@@ -187,74 +182,61 @@ def _ell(a: np.ndarray, norm: float) -> int:
     return max(0, math.ceil((log_bound + math.log2(peak) + 53) / 26))
 
 
-def _onenorms(a: np.ndarray) -> np.ndarray:
-    """‖A‖₁ of every matrix in a stack (0 for a 0x0 matrix)."""
-    return np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+def _onenorm(a: np.ndarray) -> float:
+    """‖A‖₁ of a matrix, as a Python float."""
+    return float(np.abs(a).sum(axis=0).max())
 
 
 def _powers(a: np.ndarray) -> np.ndarray:
-    """[I, A, A², A⁴, A⁶] of every matrix of the (N, n, n) stack a, as an (N, 5, n, n) array."""
-    n = a.shape[-1]
-    powers = np.empty((len(a), 5, n, n), dtype=complex)
-    powers[:, 0] = np.eye(n)
-    powers[:, 1] = a
-    np.matmul(a, a, out=powers[:, 2])
-    np.matmul(powers[:, 2], powers[:, 2], out=powers[:, 3])
-    np.matmul(powers[:, 3], powers[:, 2], out=powers[:, 4])
+    """The stack [I, A, A², A⁴, A⁶]."""
+    n = a.shape[0]
+    powers = np.zeros((5, n, n), dtype=complex)
+    powers[0].flat[:: n + 1] = 1
+    powers[1] = a
+    np.matmul(a, a, out=powers[2])
+    np.matmul(powers[2], powers[2], out=powers[3])
+    np.matmul(powers[3], powers[2], out=powers[4])
     return powers
 
 
-def _squarings(powers: np.ndarray, norms: list) -> list:
-    """The squarings s of the degree-13 branch of Al-Mohy and Higham's Algorithm 5.1 for every matrix, from exact 1-norms.
+def _squarings(powers: np.ndarray) -> int:
+    """The squarings s of the degree-13 branch of Al-Mohy and Higham's Algorithm 5.1, from exact 1-norms.
 
-    powers is _powers of the stack and norms the finite ‖A‖₁ of its
-    matrices. d_p = ‖A^p‖₁^(1/p) ≤ ‖A‖₁ always holds, so capping d_p at
-    ‖A‖₁ changes nothing but the inf or NaN of a power that overflowed; for
-    the same reason ‖A‖₁ ≤ θ13 gives s = 0, and ell is 0 there, as
-    |c27| θ13²⁶ < 2^-53.
+    d_p = ‖A^p‖₁^(1/p) ≤ ‖A‖₁ always holds, so capping d_p at ‖A‖₁ changes
+    nothing but the inf or NaN of a power that overflowed; for the same
+    reason ‖A‖₁ ≤ θ13 gives s = 0, and ell is 0 there, as |c27| θ13²⁶ < 2^-53.
     """
-    squarings = [0] * len(norms)
-    large = [k for k, norm in enumerate(norms) if norm > _THETA13]
-    if not large:
-        return squarings
-    p = powers[large]
-    sixth, eighth, tenth = (_onenorms(power).tolist() for power in (p[:, 4], p[:, 3] @ p[:, 3], p[:, 3] @ p[:, 4]))
-    for k, n6, n8, n10 in zip(large, sixth, eighth, tenth):
-        norm = norms[k]
-        # min(norm, nan) is norm
-        d6, d8, d10 = min(norm, n6 ** (1 / 6)), min(norm, n8 ** (1 / 8)), min(norm, n10 ** (1 / 10))
-        # eta is 0 for a nilpotent A whose |A| is not, where only ell asks for squarings
-        eta = min(max(d6, d8), max(d8, d10))
-        s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta else 0
-        squarings[k] = s + _ell(powers[k, 1] * 2.0**-s, norm * 2.0**-s)
-    return squarings
+    norm = _onenorm(powers[1])
+    if not math.isfinite(norm):
+        raise NonFiniteError("matrix 1-norm exceeds the largest double")
+    if norm <= _THETA13:
+        return 0
+    # min(norm, nan) is norm
+    d6 = min(norm, _onenorm(powers[4]) ** (1 / 6))
+    d8 = min(norm, _onenorm(powers[3] @ powers[3]) ** (1 / 8))
+    d10 = min(norm, _onenorm(powers[3] @ powers[4]) ** (1 / 10))
+    # eta is 0 for a nilpotent A whose |A| is not, where only ell asks for squarings
+    eta = min(max(d6, d8), max(d8, d10))
+    s = max(0, math.ceil(math.log2(eta / _THETA13))) if eta else 0
+    return s + _ell(powers[1] * 2.0**-s, norm * 2.0**-s)
 
 
-def _pade_scaling_and_squaring(a: np.ndarray, norms: list) -> np.ndarray:
-    """exp(A) for every non-diagonal A of an (N, n, n) stack with finite 1-norms: the [13/13] Padé approximant of exp(2^-s A), squared s times.
-
-    The matrices that share s are evaluated as one stack.
-    """
+def _pade_scaling_and_squaring(a: np.ndarray) -> np.ndarray:
+    """exp(A) for a non-diagonal A: the [13/13] Padé approximant of exp(2^-s A), squared s times."""
     powers = _powers(a)
-    groups: dict = {}
-    for k, s in enumerate(_squarings(powers, norms)):
-        groups.setdefault(s, []).append(k)
-    out = np.empty_like(a)
-    n = a.shape[-1]
-    for s, group in groups.items():
-        # a lone group is the whole stack, taken as a view
-        group = slice(None) if len(groups) == 1 else group
-        p = _powers(a[group] * 2.0**-s) if s else powers[group]
-        parts = (_PADE_WEIGHTS @ p.reshape(len(p), 5, -1)).reshape(-1, 4, n, n)
-        parts = parts[:, 1::2] + p[:, 4:5] @ parts[:, 0::2]
-        u = p[:, 1] @ parts[:, 0]
-        # q⁻¹p = I + 2 q⁻¹U keeps the identity exact, so a column sum that A
-        # preserves, such as a generator's trace, stays at round-off
-        r = p[:, 0] + 2 * np.linalg.solve(parts[:, 1] - u, u)
-        for _ in range(s):
-            r = r @ r
-        out[group] = r
-    return out
+    s = _squarings(powers)
+    if s:
+        powers = _powers(a * 2.0**-s)
+    n = a.shape[0]
+    parts = (_PADE_WEIGHTS @ powers.reshape(5, -1)).reshape(4, n, n)
+    parts = parts[1::2] + powers[4] @ parts[0::2]
+    u = powers[1] @ parts[0]
+    # q⁻¹p = I + 2 q⁻¹U keeps the identity exact, so a column sum that A
+    # preserves, such as a generator's trace, stays at round-off
+    r = powers[0] + 2 * np.linalg.solve(parts[1] - u, u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 def solve_linear(a, b) -> np.ndarray:

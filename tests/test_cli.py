@@ -171,6 +171,8 @@ class TestTrajectoryScenarios:
             ("evolve", "--gamma", "1e308"),
             ("fig-nogo", "--gamma", "1e308"),
             ("fig-nogo", "--y", "1", "--y", "1e308"),
+            ("fig-nogo", "--y", "1e12", "--steps", "200"),
+            ("fig-nogo", "--y", "1e20", "--steps", "200"),
             ("steady", "--y", "1e308"),
             ("steady", "--f", "1e308", "--gamma", "1.05"),
         ],

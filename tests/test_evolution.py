@@ -11,6 +11,7 @@ from entdyn.errors import (
     NonFiniteError,
     NonUniqueSteadyStateError,
     NotHermitianError,
+    NotPSDError,
     StepUnderflowError,
 )
 from entdyn.evolution import (
@@ -120,6 +121,10 @@ class TestUnitaryEvolve:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(InvalidStateError):
             unitary_evolve(np.zeros((2, 2)), np.array([1, 1]), TimeGrid(0, 1, 3))
+
+    def test_rejects_state_of_another_length(self):
+        with pytest.raises(DimensionMismatchError, match="^state length 3 does not match Hamiltonian size 2$"):
+            unitary_evolve(np.zeros((2, 2)), np.array([1, 0, 0]), TimeGrid(0, 1, 3))
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_matches_per_sample_exponentials(self, sign):
@@ -284,10 +289,49 @@ class TestPropagateExpm:
         with pytest.raises(NonFiniteError):
             propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1e300, 3))
 
+    def test_overflowing_sample_names_its_time(self):
+        # the excited population e^t / 2 passes the largest double at t = 710.5
+        with pytest.raises(NonFiniteError, match=r"^propagated state at t = 711 is not finite$"):
+            propagate_expm(anti_damping_generator(), vectorize(np.eye(2) / 2), TimeGrid(0.0, 1000.0, 1001))
+
+    def test_gate_raises_before_a_measure_overflows(self):
+        # the Bloch norm would square populations near e^370 / 2 = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPSDError):
+                propagate_expm(anti_damping_generator(), vectorize(np.eye(2) / 2), TimeGrid(0.0, 370.0, 371))
+
+    @pytest.mark.parametrize("y", [1e12, 1e16, 1e20])
+    def test_step_that_loses_the_trace_is_refused(self, y):
+        # the trace projection would spread the step's error over every sample
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        message = r"^step exponential at dt = 0\.1 loses the trace: max \|e - e P\| = \S+ exceeds 1\.0e-08$"
+        with pytest.raises(NonFiniteError, match=message):
+            propagate_expm(nogo_generators([y])[0], r0, TimeGrid(0.0, 20.0, 201))
+
+    def test_first_member_whose_step_loses_the_trace_names_it(self):
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        grid = TimeGrid(0.0, 20.0, 201)
+        gens = nogo_generators([0.5, 1e16, 1e12])
+        singles = []
+        for gen in gens[1:]:
+            with pytest.raises(NonFiniteError) as single:
+                propagate_expm(gen, r0, grid)
+            singles.append(str(single.value))
+        assert singles[0] != singles[1]
+        with pytest.raises(NonFiniteError) as batch:
+            propagate_expm(gens, r0, grid)
+        assert str(batch.value) == singles[0]
+
 
 def nogo_generators(ys, gamma=1.0) -> np.ndarray:
     """The fig-nogo generators: the one-excitation block with coherent coupling y and no feedback."""
     return np.array([wm_subspace_generator(FeedbackParams(m=0.0, f=0.0, gamma=gamma, y=y)) for y in ys])
+
+
+def anti_damping_generator() -> np.ndarray:
+    """Amplitude damping of a qubit run backwards: from I/2 the excited population is e^t / 2, negative ground population after t = ln 2."""
+    return -lindblad_dissipator_superop(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def assert_batch_is_single_calls(gens, r0, grid):
@@ -360,16 +404,21 @@ class TestGeneratorBatches:
         assert shapes == [(4, 4, 4)]
 
     @pytest.mark.parametrize(
-        "y, t_end, failure",
-        [(1e308, 20.0, NonFiniteError), (1e300, 20.0, NonFiniteError), (1e308, 1e-3, InvalidStateError)],
+        "member, mixed, failure",
+        [
+            (nogo_generators([1e308])[0], False, NonFiniteError),
+            (nogo_generators([1e300])[0], False, NonFiniteError),
+            (anti_damping_generator(), True, NotPSDError),
+        ],
         ids=["scaling", "expm", "gate"],
     )
-    def test_failing_member_raises_its_single_call_error(self, y, t_end, failure):
+    def test_failing_member_raises_its_single_call_error(self, member, mixed, failure):
         # member 2 fails alone in its scaled generator, its exponential or
-        # the trace gate of its samples; the others pass alone
-        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
-        grid = TimeGrid(0.0, t_end, 11)
-        gens = nogo_generators([0.5, 1.0, y, 2.0])
+        # the positivity gate of its samples; the others pass alone
+        r0 = vectorize(np.eye(2) / 2 if mixed else restrict_23(density_from_pure(bell_state())))
+        grid = TimeGrid(0.0, 20.0, 11)
+        gens = nogo_generators([0.5, 1.0, 1.0, 2.0])
+        gens[2] = member
         for k in (0, 1, 3):
             propagate_expm(gens[k], r0, grid)
         with pytest.raises(failure) as single:

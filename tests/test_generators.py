@@ -167,6 +167,10 @@ class TestRateValidation:
         with pytest.raises(ValueError):
             validate_relaxation_rates(rates)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError, match=r"^rates must be square, got shape \(4, 3\)$"):
+            validate_dephasing_rates(np.zeros((4, 3)))
+
 
 class TestPhenomenologicalSuperop:
     def test_all_rates_zero(self):
@@ -244,6 +248,10 @@ class TestPureDephasing:
         result = pure_dephasing_from_amplitudes(np.zeros(4))
         assert np.array_equal(result.rates, np.zeros((4, 4)))
         assert np.array_equal(result.superop, np.zeros((16, 16)))
+
+    def test_rejects_a_nan_amplitude(self):
+        with pytest.raises(ValueError, match="^amplitudes contain non-finite entries$"):
+            pure_dephasing_from_amplitudes([0.0, np.nan, 1.0, 0.0])
 
     def test_alternating_amplitudes_rates(self):
         g = 0.35
@@ -377,6 +385,10 @@ class TestAssembleLiouvillian:
     def test_rejects_mismatched_shapes(self):
         with pytest.raises(DimensionMismatchError):
             assemble_liouvillian(None, [np.zeros((16, 16)), np.zeros((4, 4))])
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionMismatchError, match=r"^superoperators must be square, got \(16, 4\)$"):
+            assemble_liouvillian(None, [np.zeros((16, 4)), np.zeros((16, 4))])
 
     def test_trace_and_hermiticity_preservation(self):
         rng = np.random.default_rng(50)

@@ -147,6 +147,10 @@ class TestBloch:
         with pytest.raises(OutsideBlochBallError):
             density_from_bloch([1.1, 0.0, 0.0])
 
+    def test_rejects_two_components(self):
+        with pytest.raises(DimensionMismatchError, match="^Bloch vector must have 3 components, got 2$"):
+            density_from_bloch([0.5, 0.5])
+
     def test_closed_form_prints_as_the_pauli_traces(self):
         # the closed form against tr(sigma rho) as an einsum over the Pauli
         # matrices, in the bytes "%.9g" prints, so the sign of a zero counts

@@ -61,7 +61,7 @@ _BELL_23 = vectorize(restrict_23(density_from_pure(bell_state())))
 _WRITE_BLOCK = 2048
 
 #: a block of fewer values is formatted value by value: the kernel's fixed
-#: cost of about 45 numpy calls exceeds "%" on every value below about 112
+#: cost of about 50 numpy calls exceeds "%" on every value below about 112
 #: values, whether 40 rows of 3 columns or 10 rows of 12
 _KERNEL_MIN_VALUES = 112
 
@@ -304,7 +304,8 @@ def _format_block(block: np.ndarray) -> bytes:
     across a power of ten puts s next to an end, so that case is among the
     others (near a half or an end, zeros, non-finite values and |v| outside
     [1e-290, 1e290]), which "%" formats one at a time. The bytes therefore
-    match "%" for every double.
+    match "%" for every double. Each value fills the _SLOTS bytes of its
+    _TEMPLATES row, and deleting every 0 byte of the slots gives the CSV.
     """
     rows, cols = block.shape
     v = block.reshape(-1)
@@ -329,16 +330,11 @@ def _format_block(block: np.ndarray) -> bytes:
     words[:, 2] &= _GROUPS[mid]
     words[:, 3] &= _GROUPS[low]
     words[:, 4] &= _EXPONENTS[exponent]
-    present = np.zeros(len(_TEMPLATES), dtype=bool)
-    present[key] = True
-    used = np.logical_or.reduce(_TEMPLATES[present])
     fallback = slow.nonzero()[0]
     if fallback.size:
-        texts = [b"%.9g" % x for x in v[fallback].tolist()]
-        padded = b"".join(text.ljust(_SEPARATOR, b"\0") for text in texts)
+        padded = b"".join((b"%.9g" % x).ljust(_SEPARATOR, b"\0") for x in v[fallback].tolist())
         slots[fallback, :_SEPARATOR] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _SEPARATOR)
-        used[: max(map(len, texts))] = True
-    return slots[:, used].tobytes().translate(None, b"\0")
+    return slots.tobytes().translate(None, b"\0")
 
 
 def _format_rows(block: np.ndarray) -> bytes:

@@ -35,7 +35,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     StepUnderflowError,
 )
-from .linalg import _as_square, expm, hermitian_eig
+from .linalg import _as_square, _dagger, expm, hermitian_eig
 
 #: the smallest positive normal double, the least time step a TimeGrid takes
 _TINY = float(np.finfo(float).tiny)
@@ -239,17 +239,7 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     stack = gen[None] if gen.ndim == 2 else gen
     identity = _trace_row(n)
     transpose = _transposition(n)
-    mirrored = stack[:, transpose[:, None], transpose].conj()
-    tolerance = 1e-12 * np.abs(stack).max(axis=(1, 2))
-    leak = np.abs(identity @ stack).max(axis=1)
-    skew = np.abs(stack - mirrored).max(axis=(1, 2))
-    leaking = leak > tolerance
-    failing = leaking | (skew > tolerance)
-    if failing.any():
-        k = int(np.argmax(failing))
-        if leaking[k]:
-            raise ValueError(f"generator does not preserve the trace: max |vec(I)ᵀ L| = {leak[k]:.3e}")
-        raise ValueError(f"generator does not preserve Hermiticity: max |L - S L̄ S| = {skew[k]:.3e}")
+    mirrored = _checked_mirror(stack, n, trace=True)
     labels = _sector_labels(((stack != 0) | (mirrored != 0)).any(axis=0))
     touched = np.unique(labels[(r != 0) | (r[transpose] != 0)])
     idx = np.flatnonzero(np.isin(labels, touched))
@@ -285,6 +275,27 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
         "sectors": [np.flatnonzero(labels == label).tolist() for label in touched],
     }
     return trajectory
+
+
+def _checked_mirror(stack: np.ndarray, n: int, trace: bool) -> np.ndarray:
+    """S L̄ S for every L of a (k, n², n²) stack, S being the transposition.
+
+    The first L that breaks Hermiticity, L = S L̄ S, or if trace the trace,
+    vec(I)ᵀ L = 0, beyond 1e-12 of its largest entry raises ValueError; the
+    trace is named first.
+    """
+    transpose = _transposition(n)
+    mirrored = stack[:, transpose[:, None], transpose].conj()
+    tolerance = 1e-12 * np.abs(stack).max(axis=(1, 2))
+    leak = np.abs(_trace_row(n) @ stack).max(axis=1) if trace else np.zeros(len(stack))
+    skew = np.abs(stack - mirrored).max(axis=(1, 2))
+    failing = (leak > tolerance) | (skew > tolerance)
+    if failing.any():
+        k = int(np.argmax(failing))
+        if leak[k] > tolerance[k]:
+            raise ValueError(f"generator does not preserve the trace: max |vec(I)ᵀ L| = {leak[k]:.3e}")
+        raise ValueError(f"generator does not preserve Hermiticity: max |L - S L̄ S| = {skew[k]:.3e}")
+    return mirrored
 
 
 def _filled_by_doubling(first: np.ndarray, power: np.ndarray, samples: int, identity: np.ndarray) -> np.ndarray:
@@ -343,14 +354,12 @@ def _ldexp(gen: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
-    """gen / 2^e and e for the largest 2^e at most gen's peak entry (e = 0 for a zero gen).
+    """gen / 2^e and e for the largest 2^e at most gen's peak entry (e = -1 for a zero gen, which stays zero).
 
     The scaling is exact, and the result's Frobenius norm is finite for any finite gen.
     """
     # real and imaginary parts apart: |z| itself can overflow
     peak = max(abs(gen.real).max(), abs(gen.imag).max())
-    if peak == 0:
-        return gen, 0
     exponent = math.frexp(peak)[1] - 1
     return _ldexp(gen, -exponent), exponent
 
@@ -434,7 +443,7 @@ def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
     NonFiniteError.
     """
     normed, exponent = _peak_normed(gen)
-    # frexp(0) gives exponent 0, so a zero L keeps s = 1
+    # a zero L has exponent -1 and frexp(0) gives 0, so s = 1/2 scales only zero powers
     exponent += math.frexp(np.linalg.norm(normed))[1]
     if exponent > _MAX_EXPONENT + 1:
         raise NonFiniteError("generator norm exceeds the largest double")
@@ -541,14 +550,19 @@ def steady_state(l) -> np.ndarray:
     system. L is first divided by a power of two near its peak entry
     (_peak_normed), which is exact and keeps the Frobenius norm finite for
     any finite L. The trace row is scaled by that norm, so it keeps its
-    weight at any rate scale, and one SVD of the stacked system gives its rank, its least-squares solution and the residual relative
-    to sigma_max |r|. A rank deficiency means the generator admits several
+    weight at any rate scale, and one SVD of the stacked system gives its
+    rank, its least-squares solution and the residual relative to
+    sigma_max |r|. A rank deficiency means the generator admits several
     normalizable steady states, a residual above 1e-8 that it admits none;
     both raise NonUniqueSteadyStateError. A failing SVD raises
-    NoConvergenceError. The result is validated as a density matrix.
+    NoConvergenceError. L must preserve Hermiticity as propagate_expm
+    describes, or ValueError is raised; its kernel is then closed under
+    ρ ↦ ρ†, so the Hermitian part (ρ + ρ†)/2 of the solution, free of the
+    SVD's round-off off Hermitian, is validated as a density matrix.
     """
     gen, n = _check_generator(l)
     gen, _ = _peak_normed(gen)
+    _checked_mirror(gen[None], n, trace=False)
     size = gen.shape[0]
     scale = float(np.linalg.norm(gen)) or 1.0
     stacked = np.vstack([gen, scale * _trace_row(n)])
@@ -569,4 +583,5 @@ def steady_state(l) -> np.ndarray:
         raise NonUniqueSteadyStateError(
             f"no normalizable steady state (relative residual {residual:.3e})"
         )
-    return quantum.validate_density(quantum.devectorize(solution))
+    rho = quantum.devectorize(solution)
+    return quantum.validate_density((rho + _dagger(rho)) / 2)

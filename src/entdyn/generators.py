@@ -187,13 +187,17 @@ class ConstraintCheck(NamedTuple):
     witness: np.ndarray | None
 
 
-def check_dephasing_constraints(rates, rtol: float = 1e-9) -> ConstraintCheck:
+#: relative tolerance of check_dephasing_constraints, against the largest rate
+_CONSTRAINT_RTOL = 1e-9
+
+
+def check_dephasing_constraints(rates) -> ConstraintCheck:
     """Decide whether 4-level dephasing rates come from diagonal amplitudes.
 
     The rates are physical exactly when nonnegative per-level strengths
     x1..x4 exist with rates[i, j] = (x_i + x_j) / 2. Necessary conditions
     are the pair-sum equalities G12+G34 = G14+G23 = G13+G24; these are
-    checked to rtol * max(rates), then the strengths are solved for and
+    checked to 1e-9 * max(rates), then the strengths are solved for and
     must come out nonnegative (the equalities alone do not guarantee
     that). On success the witness x is returned, clipped at zero.
     """
@@ -201,7 +205,7 @@ def check_dephasing_constraints(rates, rtol: float = 1e-9) -> ConstraintCheck:
     if mat.shape != (4, 4):
         raise DimensionMismatchError(f"expected 4x4 rates, got {mat.shape}")
     scale = float(np.max(mat))
-    tol = rtol * scale
+    tol = _CONSTRAINT_RTOL * scale
     sums = (mat[0, 1] + mat[2, 3], mat[0, 3] + mat[1, 2], mat[0, 2] + mat[1, 3])
     if max(sums) - min(sums) > tol:
         return ConstraintCheck(False, None)
@@ -215,7 +219,7 @@ def check_dephasing_constraints(rates, rtol: float = 1e-9) -> ConstraintCheck:
         x, *_ = np.linalg.lstsq(system, target, rcond=None)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(f"least-squares solver failed: {exc}") from exc
-    if np.min(x) < -max(tol, rtol):
+    if np.min(x) < -max(tol, _CONSTRAINT_RTOL):
         return ConstraintCheck(False, None)
     return ConstraintCheck(True, np.clip(x, 0.0, None))
 

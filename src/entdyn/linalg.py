@@ -2,17 +2,16 @@
 
 Three public kernels: hermitian_eig and solve_linear, thin wrappers over
 numpy's LAPACK-backed routines, and expm, a [13/13] Padé scaling and squaring
-written here so that no part of the package imports scipy. hermitian_eig and
-expm take one matrix or a stack of them; expm exponentiates a stack one
-matrix after another, each getting the bits of a call on it alone. Each
-kernel checks its inputs and raises a typed error instead of leaking
-library exceptions upward. The operand helpers other modules share live
-here too: _as_square for shape and finiteness, where a non-finite entry
-raises NonFiniteError, _dagger for the adjoint of a matrix or a stack, and
-_check_hermitian for the Hermiticity gate of an operator. Density
-matrices are gated in quantum, from margins it computes per matrix.
-Kronecker products are not wrapped here: generators builds every
-superoperator through its one two-sided-product rule.
+written here so that no part of the package imports scipy: _scaled_exponential
+gives a matrix's exp(2^-s A) and s, and expm squares it s times, on each
+matrix of a stack in turn. Each kernel checks its inputs and raises a typed
+error instead of leaking library exceptions upward. The operand helpers
+other modules share live here too: _as_square for shape and finiteness,
+where a non-finite entry raises NonFiniteError, _dagger for the adjoint of
+a matrix or a stack, and _check_hermitian for the Hermiticity gate of an
+operator. Density matrices are gated in quantum, from margins it computes
+per matrix. Kronecker products are not wrapped here: generators builds
+every superoperator through its one two-sided-product rule.
 """
 from __future__ import annotations
 
@@ -116,22 +115,13 @@ def expm(m) -> np.ndarray:
     out = np.empty_like(stack)
     with np.errstate(over="ignore", invalid="ignore"):
         for k, matrix in enumerate(stack):
-            out[k] = _exponential(matrix)
+            r, s = _scaled_exponential(matrix)
+            for _ in range(s):
+                r = r @ r
+            if not np.isfinite(r).all():
+                raise NonFiniteError("matrix exponential is not finite")
+            out[k] = r
     return out.reshape(a.shape)
-
-
-def _exponential(a: np.ndarray) -> np.ndarray:
-    """exp(A) of one matrix, as expm describes it."""
-    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
-        out = np.diag(np.exp(np.diagonal(a)))
-    else:
-        try:
-            out = _pade_scaling_and_squaring(a)
-        except np.linalg.LinAlgError as exc:
-            raise NonFiniteError(f"matrix exponential failed: {exc}") from exc
-    if not np.isfinite(out).all():
-        raise NonFiniteError("matrix exponential is not finite")
-    return out
 
 
 #: θ13, the largest d_p for which the [13/13] approximant needs no squaring (Al-Mohy
@@ -162,21 +152,12 @@ def _ell(a: np.ndarray, norm: float) -> int:
     """Squarings still needed so that |c27| ‖|A|²⁷‖₁ / ‖A‖₁ ≤ 2^-53 for the operand A / 2^ell.
 
     ‖|A|²⁷‖₁ ≤ ‖A‖₁²⁷, so a small ‖A‖₁ settles it without a product.
-    Otherwise |A| is divided by ‖A‖₁, so that its powers cannot overflow,
-    and the 1-norm of the power is the largest entry of the row of ones
-    times it, formed by binary powering.
+    Otherwise |A| is divided by ‖A‖₁, so that its powers cannot overflow.
     """
     log_bound = math.log2(_PADE_C) + 26 * math.log2(norm)
     if log_bound <= -53:
         return 0
-    power, row, p = np.abs(a) / norm, np.ones(a.shape[0]), 27
-    while p:
-        if p & 1:
-            row = row @ power
-        p >>= 1
-        if p:
-            power = power @ power
-    peak = float(row.max())
+    peak = _onenorm(np.linalg.matrix_power(np.abs(a) / norm, 27))
     if peak == 0:
         return 0
     return max(0, math.ceil((log_bound + math.log2(peak) + 53) / 26))
@@ -221,8 +202,10 @@ def _squarings(powers: np.ndarray) -> int:
     return s + _ell(powers[1] * 2.0**-s, norm * 2.0**-s)
 
 
-def _pade_scaling_and_squaring(a: np.ndarray) -> np.ndarray:
-    """exp(A) for a non-diagonal A: the [13/13] Padé approximant of exp(2^-s A), squared s times."""
+def _scaled_exponential(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(exp(2^-s A), s) for one matrix: (diag(exp(d)), 0) if A is diagonal, else the [13/13] approximant, s from _squarings."""
+    if np.count_nonzero(a) == np.count_nonzero(np.diagonal(a)):
+        return np.diag(np.exp(np.diagonal(a))), 0
     powers = _powers(a)
     s = _squarings(powers)
     if s:
@@ -233,10 +216,10 @@ def _pade_scaling_and_squaring(a: np.ndarray) -> np.ndarray:
     u = powers[1] @ parts[0]
     # q⁻¹p = I + 2 q⁻¹U keeps the identity exact, so a column sum that A
     # preserves, such as a generator's trace, stays at round-off
-    r = powers[0] + 2 * np.linalg.solve(parts[1] - u, u)
-    for _ in range(s):
-        r = r @ r
-    return r
+    try:
+        return powers[0] + 2 * np.linalg.solve(parts[1] - u, u), s
+    except np.linalg.LinAlgError as exc:
+        raise NonFiniteError(f"matrix exponential failed: {exc}") from exc
 
 
 def solve_linear(a, b) -> np.ndarray:

@@ -458,6 +458,14 @@ class TestSteadyScenario:
         row = dict(zip(header, rows[0]))
         assert abs(row["concurrence"] - row["concurrence_closed_form"]) <= 1e-6
 
+    def test_wide_rate_spread_passes_the_density_gate(self, tmp_path):
+        # the SVD solution was 1.76e-10 off Hermitian here, past validate_density's 1e-10
+        code, out = run(tmp_path, "steady", "--m", "0.0105", "--f", "7.1e5", "--gamma", "0.0018", "--mu=-32.46")
+        assert code == 0
+        header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert abs(row["concurrence"] - row["concurrence_closed_form"]) <= 1e-7
+
     @pytest.mark.parametrize("rate", ["1e-310", "1e-320"])
     def test_subnormal_rates(self, tmp_path, capsys, rate):
         # numpy's complex division by a subnormal power of two overflowed here
@@ -588,6 +596,31 @@ class TestConfigHandling:
         config.write_text("gamma = 1\ngamma = 2\n")
         code, _ = run(tmp_path, "fig2", "--config", str(config))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("gamma 3\n", "{path}:1: expected `key = value`, got 'gamma 3'"),
+            ("gamma =\n", "{path}:1: empty value for 'gamma'"),
+            ("mu = 3\n", "key 'mu' is not a parameter of scenario fig2"),
+        ],
+        ids=["no-equals", "empty-value", "foreign-key"],
+    )
+    def test_config_error_names_the_line(self, tmp_path, capsys, text, message):
+        config = tmp_path / "run.conf"
+        config.write_text(text)
+        code, out = run(tmp_path, "fig2", "--config", str(config))
+        assert code == 1
+        assert capsys.readouterr().err == f"entdyn: error: {message.format(path=config)}\n"
+        assert not out.exists()
+
+    def test_config_blank_and_comment_lines_are_skipped(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("\n# decay only\ngamma = 2  # rate\n")
+        code, from_file = run(tmp_path, "fig2", "--steps", "4", "--config", str(config), name="file.csv")
+        assert code == 0
+        code, from_flag = run(tmp_path, "fig2", "--steps", "4", "--gamma", "2", name="flag.csv")
+        assert from_file.read_bytes() == from_flag.read_bytes()
 
     def test_missing_config_file_rejected(self, tmp_path):
         code, _ = run(tmp_path, "fig2", "--config", str(tmp_path / "nope.conf"))

@@ -60,6 +60,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(1.0, 0.0, 10)
 
+    def test_reversed_interval_names_both_ends(self):
+        # without this check the negative span fails later as a subnormal step
+        with pytest.raises(ValueError, match=r"^t_end 0.5 must exceed t_start 1.0$"):
+            TimeGrid(1.0, 0.5, 3)
+
     def test_rejects_single_sample(self):
         # inf and nan get the grid's own message, not int()'s OverflowError or ValueError
         for n_samples in (1, float("inf"), float("nan")):
@@ -282,6 +287,12 @@ class TestPropagateExpm:
     def test_overflowing_generator_scale_raises(self):
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
         with pytest.raises(NonFiniteError):
+            propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1e308, 2))
+
+    def test_overflowing_generator_scale_names_the_step(self):
+        # without this check expm would refuse the block as "matrix contains non-finite entries"
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        with pytest.raises(NonFiniteError, match=r"^generator scaled by t = 1e\+308 is not finite$"):
             propagate_expm(gen, bell_vector(), TimeGrid(0.0, 1e308, 2))
 
     def test_non_finite_states_raise(self):
@@ -833,6 +844,25 @@ class TestSteadyState:
             warnings.simplefilter("error")
             rho = steady_state(gen * 2.0**power)
         assert np.array_equal(rho, steady_state(gen))
+
+    @pytest.mark.parametrize("m, relaxation", [(1e4, 1e-3), (1e6, 0.1)])
+    def test_feedback_with_energy_relaxation(self, m, relaxation):
+        # the SVD solution was up to 6.4e-10 off Hermitian here, past the density gate
+        lowering = np.sqrt(relaxation) * np.array([[0, 1], [0, 0]], dtype=complex)
+        gen = wm_full_generator(FeedbackParams(m=m, f=m, gamma=1.0)) + sum(
+            lindblad_dissipator_superop(c) for c in (np.kron(lowering, np.eye(2)), np.kron(np.eye(2), lowering))
+        )
+        rho = steady_state(gen)
+        assert abs(np.trace(rho) - 1) <= 1e-12
+        assert np.array_equal(rho, rho.conj().T)
+
+    def test_generator_that_breaks_hermiticity_is_refused(self):
+        # -i(h rho - rho h) with a non-Hermitian h, plus a decay
+        h = np.array([[0, 1], [0, 0]], dtype=complex)
+        gen = -1j * (np.kron(h, np.eye(2)) - np.kron(np.eye(2), h.T))
+        gen = gen + lindblad_dissipator_superop(np.array([[0, 1], [0, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            steady_state(gen)
 
     @pytest.mark.parametrize(
         "params",

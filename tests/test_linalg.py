@@ -165,6 +165,13 @@ class TestExpm:
     def test_zero_matrix(self):
         assert np.allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
 
+    def test_nilpotent_operand_with_large_norm(self):
+        # ‖A‖₁ = 90 asks for the backward-error count, and |A|²⁷ = 0 ends it
+        a = np.triu(np.full((4, 4), 30.0), 1)
+        a2 = a @ a
+        expected = np.eye(4) + a + a2 / 2 + a2 @ a / 6
+        assert np.max(np.abs(expm(a) - expected)) <= 1e-15 * np.max(np.abs(expected))
+
     def test_pauli_rotation(self):
         theta = 0.7
         expected = np.cos(theta) * I2 + 1j * np.sin(theta) * X
@@ -350,6 +357,11 @@ class TestSolveLinear:
     def test_rejects_singular(self):
         with pytest.raises(SingularMatrixError):
             solve_linear(np.array([[1.0, 1.0], [1.0, 1.0]]), np.ones(2))
+
+    def test_rejects_ill_conditioned(self):
+        # LAPACK solves this system without complaint
+        with pytest.raises(SingularMatrixError, match=r"^condition number 1.000e\+13 exceeds 1.0e\+12$"):
+            solve_linear(np.diag([1.0, 1e-13]), np.ones(2))
 
     def test_condition_number_failure_is_no_convergence(self, monkeypatch):
         def fail(*args, **kwargs):

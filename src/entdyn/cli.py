@@ -60,9 +60,10 @@ _BELL_23 = vectorize(restrict_23(density_from_pure(bell_state())))
 #: CSV rows formatted per write; bounds the temporaries of a large grid
 _WRITE_BLOCK = 2048
 
-#: a block of fewer values is formatted value by value: the kernel's fixed
-#: cost of about 50 numpy calls exceeds "%" on every value below about 112
-#: values, whether 40 rows of 3 columns or 10 rows of 12
+#: a table of fewer values is formatted value by value: the kernel's fixed
+#: cost of about 50 numpy calls exceeds "%" on every value below about 100
+#: values in rows of 3 columns and about 150 in rows of 12, where "%" costs
+#: less per value
 _KERNEL_MIN_VALUES = 112
 
 
@@ -245,24 +246,37 @@ def parse_config(argv: list[str]) -> ScenarioConfig:
 
 
 # Tables of the "%.9g" kernel, indexed by a decimal exponent j at j + 300 or
-# by a 3-digit group k = 0..999. A value is laid out in five 8-byte words:
-#   0  sign "-" and "0.000", the prefix of fixed notation below 1
-#   1  digit/dot pairs "d.d.d." of the first 3-digit group,
-#   2  of the second
-#   3  and of the third
-#   4  "e", the exponent sign, three exponent digits and the separator
+# by the parts of a value's 9-digit integer n = lead 10^8 + mid 10^4 + low:
+# _LEADS by the leading digit, _GROUPS and _GROUP_ZEROS by a 4-digit group
+# k = 0..9999. A value is laid out in four 8-byte words:
+#   0  sign "-", "0.000", the prefix of fixed notation below 1, and digit 1
+#      followed by its dot slot
+#   1  digits 2-5, the group mid, each followed by its dot slot
+#   2  digits 6-9, the group low, likewise
+#   3  "e", the exponent sign, three exponent digits and the separator
 # A 0 byte is no byte. A value's layout depends on its exponent class (e =
 # 0..8, e = -1..-4, scientific with 2 or 3 exponent digits), its count of
 # significant digits, its sign and whether it ends a row, combined into
 # key = ((class * 9 + digits - 1) * 2 + negative) * 2 + ends_row. The row of
 # _TEMPLATES for that key holds the layout's constant bytes and 0xFF where
 # the value's digits, dots and exponent go.
-_SLOTS = 40
-_SEPARATOR = 37
+_SLOTS = 32
+_SEPARATOR = 29
 _SCALES = np.array([float(f"1e{8 - j}") for j in range(-300, 301)])
-_GROUPS = np.frombuffer(b"".join(b"%c.%c.%c.\0\0" % tuple(b"%03d" % k) for k in range(1000)), dtype=np.uint64)
-# 4 * the trailing zeros of "%03d" % k: each trailing zero lowers the key by 4
-_GROUP_ZEROS = 4 * np.array([3] + [0 if k % 10 else 1 if k % 100 else 2 for k in range(1, 1000)])
+
+
+def _digit_words(digits: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """words, (k, 8) bytes, as (k,) uint64 words with the (k, d) digits in ASCII in their last 2d bytes, each followed by "."."""
+    words[:, 8 - 2 * digits.shape[1] :: 2] = digits + ord("0")
+    words[:, 9 - 2 * digits.shape[1] :: 2] = ord(".")
+    return words.view(np.uint64).reshape(-1)
+
+
+_GROUPS = _digit_words(np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10, np.zeros((10000, 8), np.uint8))
+# the leading digit keeps the sign and the "0.000" prefix of word 0
+_LEADS = _digit_words(np.arange(10)[:, None], np.full((10, 8), 0xFF, np.uint8))
+# 4 * the trailing zeros of "%04d" % k: each trailing zero lowers the key by 4
+_GROUP_ZEROS = 4 * sum(np.arange(10000) % 10**p == 0 for p in range(1, 5))
 _EXPONENTS = np.frombuffer(
     b"".join(b"e%c%03d\xff\0\0" % (b"+-"[j < 0], abs(j)) for j in range(-300, 301)), dtype=np.uint64
 )
@@ -281,11 +295,11 @@ def _layout_templates() -> np.ndarray:
     t = np.zeros((15, 9, 2, 2, _SLOTS), dtype=np.uint8)
     t[..., 0:1] = np.where(neg == 1, ord("-"), 0)
     t[..., 1:6] = np.where(small & (np.arange(5) < cls - 7), np.frombuffer(b"0.000", dtype=np.uint8), 0)
-    digit = 8 + places // 3 * 8 + places % 3 * 2
+    digit = 6 + 2 * places
     t[..., digit] = np.where((places < sig) | (fixed & (places <= cls)), 0xFF, 0)
     dot_at = np.where(fixed, cls, np.where(sci, 0, -1))
     t[..., digit + 1] = np.where((places == dot_at) & (places < sig - 1), 0xFF, 0)
-    t[..., 32:37] = np.where(sci & ((np.arange(5) != 2) | (cls == 14)), 0xFF, 0)
+    t[..., 24:29] = np.where(sci & ((np.arange(5) != 2) | (cls == 14)), 0xFF, 0)
     t[..., _SEPARATOR : _SEPARATOR + 1] = np.where(last == 1, ord("\n"), ord(","))
     return t.reshape(-1, _SLOTS)
 
@@ -293,21 +307,22 @@ def _layout_templates() -> np.ndarray:
 _TEMPLATES = _layout_templates()
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """The CSV bytes of a (rows, columns) float block, each value as "%.9g" % v.
+def _slots(block: np.ndarray, ends_row) -> np.ndarray:
+    """The (values, _SLOTS) slots of a float block, each value as "%.9g" % v.
 
-    Every value is scaled to s = |v| 10^(8 - e), with e = floor(log10 |v|),
-    and rounded to a 9-digit integer n. The power of ten and the product are
-    each rounded once, so s is off by at most about 2.3e-7. Where s lies at
-    least 1e-6 from a half and from the ends of [1e8, 1e9), n and e are
-    those of the exact value, which is what "%" prints. A log10 that rounds
-    across a power of ten puts s next to an end, so that case is among the
-    others (near a half or an end, zeros, non-finite values and |v| outside
-    [1e-290, 1e290]), which "%" formats one at a time. The bytes therefore
-    match "%" for every double. Each value fills the _SLOTS bytes of its
-    _TEMPLATES row, and deleting every 0 byte of the slots gives the CSV.
+    ends_row, broadcast against the block, marks the values that end a CSV
+    row. Every value is scaled to s = |v| 10^(8 - e), with e = floor(log10
+    |v|), and rounded to a 9-digit integer n. The power of ten and the
+    product are each rounded once, so s is off by at most about 2.3e-7.
+    Where s lies at least 1e-6 from a half and from the ends of [1e8, 1e9),
+    n and e are those of the exact value, which is what "%" prints. A log10
+    that rounds across a power of ten puts s next to an end, so that case is
+    among the others (near a half or an end, zeros, non-finite values and
+    |v| outside [1e-290, 1e290]), which "%" formats one at a time. The bytes
+    therefore match "%" for every double. Each value fills the _SLOTS bytes
+    of its _TEMPLATES row, and deleting every 0 byte of the slots gives the
+    CSV.
     """
-    rows, cols = block.shape
     v = block.reshape(-1)
     a = np.abs(v)
     # fmin and fmax replace NaN, so every clipped value is finite and in range
@@ -316,25 +331,29 @@ def _format_block(block: np.ndarray) -> bytes:
     s = clipped * _SCALES[exponent]
     n = np.rint(np.fmin(s, 1e9))
     slow = (clipped != a) | (np.abs(s - n) > 0.5 - 1e-6) | (s < 1e8 + 1e-6) | (n >= 1e9)
-    high_mid, low = np.divmod(n.astype(np.int32), 1000)
-    high, mid = np.divmod(high_mid, 1000)
-    zeros = _GROUP_ZEROS[low]
-    trailing = zeros + (low == 0) * (_GROUP_ZEROS[mid] + (mid == 0) * _GROUP_ZEROS.take(high, mode="clip"))
-    key = (_CLASS_KEYS[exponent] - trailing + 2 * (v < 0)).reshape(rows, cols)
-    key[:, -1] += 1
-    key = key.reshape(-1)
+    # n = lead 10^8 + mid 10^4 + low, and lead >= 1 wherever the kernel's bytes are kept
+    lead_mid, low = np.divmod(n.astype(np.int32), 10000)
+    lead, mid = np.divmod(lead_mid, 10000)
+    trailing = _GROUP_ZEROS[low] + (low == 0) * _GROUP_ZEROS[mid]
+    key = (_CLASS_KEYS[exponent] - trailing + 2 * (v < 0)).reshape(block.shape) + ends_row
 
-    slots = np.take(_TEMPLATES, key, axis=0)
+    slots = np.take(_TEMPLATES, key.reshape(-1), axis=0)
     words = slots.view(np.uint64)
-    words[:, 1] &= _GROUPS.take(high, mode="clip")
-    words[:, 2] &= _GROUPS[mid]
-    words[:, 3] &= _GROUPS[low]
-    words[:, 4] &= _EXPONENTS[exponent]
+    words[:, 0] &= _LEADS.take(lead, mode="clip")
+    words[:, 1] &= _GROUPS[mid]
+    words[:, 2] &= _GROUPS[low]
+    words[:, 3] &= _EXPONENTS[exponent]
     fallback = slow.nonzero()[0]
     if fallback.size:
         padded = b"".join((b"%.9g" % x).ljust(_SEPARATOR, b"\0") for x in v[fallback].tolist())
         slots[fallback, :_SEPARATOR] = np.frombuffer(padded, dtype=np.uint8).reshape(-1, _SEPARATOR)
-    return slots.tobytes().translate(None, b"\0")
+    return slots
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """The CSV bytes of a (rows, columns) float block, each value as "%.9g" % v: its _slots without their 0 bytes."""
+    ends_row = np.arange(block.shape[1]) == block.shape[1] - 1
+    return _slots(block, ends_row).tobytes().translate(None, b"\0")
 
 
 def _format_rows(block: np.ndarray) -> bytes:
@@ -347,23 +366,48 @@ def _write_csv(path: str, table: dict) -> int:
 
     The columns broadcast against each other, so an (m, f) grid passes its
     edges as m[:, None] and f[None, :]; rows come out in C order. Rows are
-    formatted _WRITE_BLOCK at a time by _format_block, so a grid column is
-    never expanded to its full length; a block of fewer than
-    _KERNEL_MIN_VALUES values goes through _format_rows, with the same bytes.
+    formatted _WRITE_BLOCK at a time, so a grid column is never expanded to
+    its full length. A table of fewer than _KERNEL_MIN_VALUES values goes
+    through _format_rows and any other through the kernel, with the same
+    bytes. There, a column smaller than the table is formatted once, over
+    its own values, and each block gathers its slots; only the full-length
+    columns of a block run through _slots.
     """
     values = [np.asarray(c, dtype=float) for c in table.values()]
     shape = np.broadcast(*values).shape or (1,)
     columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in values]
+    ends_row = np.arange(len(columns)) == len(columns) - 1
+    kernel = math.prod(shape) * len(columns) >= _KERNEL_MIN_VALUES
+    full = [j for j, c in enumerate(columns) if c.shape == shape]
+    cached = {}
+    if kernel and len(full) < len(columns):
+        # one kernel call formats the values of every smaller column
+        edges = [j for j in range(len(columns)) if j not in full]
+        sizes = [columns[j].size for j in edges]
+        own = _slots(np.concatenate([columns[j].reshape(-1) for j in edges]), np.repeat(ends_row[edges], sizes))
+        parts = np.split(own, np.cumsum(sizes)[:-1])
+        cached = {j: part.reshape(columns[j].shape + (_SLOTS,)) for j, part in zip(edges, parts)}
     step = max(1, _WRITE_BLOCK // math.prod(shape[1:]))
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(table) + "\n").encode("ascii"))
             for start in range(0, shape[0], step):
-                block = np.empty((min(step, shape[0] - start),) + shape[1:] + (len(columns),))
-                for j, c in enumerate(columns):
-                    block[..., j] = c if c.shape[0] == 1 else c[start : start + step]
-                block = block.reshape(-1, len(columns))
-                fh.write((_format_block if block.size >= _KERNEL_MIN_VALUES else _format_rows)(block))
+                rows = (min(step, shape[0] - start),) + shape[1:]
+                if cached:
+                    slots = np.empty(rows + (len(columns), _SLOTS), dtype=np.uint8)
+                    for j, c in cached.items():
+                        slots[..., j, :] = c if c.shape[0] == 1 else c[start : start + step]
+                    if full:
+                        block = np.stack([columns[j][start : start + step] for j in full], axis=-1)
+                        own = _slots(block.reshape(-1, len(full)), ends_row[full])
+                        slots[..., full, :] = own.reshape(rows + (len(full), _SLOTS))
+                    fh.write(slots.tobytes().translate(None, b"\0"))
+                else:
+                    block = np.empty(rows + (len(columns),))
+                    for j, c in enumerate(columns):
+                        block[..., j] = c if c.shape[0] == 1 else c[start : start + step]
+                    block = block.reshape(-1, len(columns))
+                    fh.write((_format_block if kernel else _format_rows)(block))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
     return math.prod(shape)
@@ -378,16 +422,13 @@ def _time_grid(values: dict) -> TimeGrid:
 def _propagated(gen: np.ndarray, r0: np.ndarray, grid: TimeGrid, *names: str) -> dict:
     """t and the named observables of propagate_expm from r0 over the grid.
 
-    gen is one generator or a stack of them, whose rows follow one another
-    generator by generator. The observables gate every sampled state (see
-    quantum._CONCURRENCE_GATES).
+    gen is one generator or a stack of k of them. For a stack each
+    observable is (k, samples), one row per generator, and t, the grid's
+    times, broadcasts against it in the CSV writer. The observables gate
+    every sampled state (see quantum._CONCURRENCE_GATES).
     """
     traj = propagate_expm(gen, r0, grid)
-    shape = traj.observables[names[0]].shape
-    return {
-        "t": np.broadcast_to(traj.times, shape).reshape(-1),
-        **{name: traj.observables[name].reshape(-1) for name in names},
-    }
+    return {"t": traj.times, **{name: traj.observables[name] for name in names}}
 
 
 def _run_fig1(values: dict) -> dict:
@@ -411,7 +452,7 @@ def _run_fig_nogo(values: dict) -> dict:
     # one propagation for every y: the generators share the grid and the start
     gens = np.array([wm_subspace_generator(params) for params in runs])
     return {
-        "y": np.repeat([params.y for params in runs], grid.n_samples),
+        "y": np.array([[params.y] for params in runs]),
         **_propagated(gens, _BELL_23, grid, "concurrence", "bloch_norm"),
     }
 

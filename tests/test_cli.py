@@ -392,6 +392,39 @@ class TestCsvWriter:
             cli._write_csv(str(tmp_path / "small.csv"), table)
         assert kernel_shapes == [(40, 3), (16, 12)]
 
+    @pytest.mark.parametrize("block", [2, 24, 2048])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            # a smaller column in last place: its cached slots end the row
+            {"z": np.linspace(-3.0, 7.0, 143).reshape(13, 11), "m": np.logspace(-1, 3, 13)[:, None]},
+            # no full-length column, so every block is gathered from cached slots
+            {"m": np.logspace(-1, 3, 13)[:, None], "f": -np.logspace(-5, 5, 11)[None, :]},
+            # an edge of the values "%" formats
+            {
+                "e": np.array([0.1, 0.0, -0.0, np.nan, np.inf, -np.inf, 1e-300])[:, None],
+                "f": np.logspace(-1, 2, 11)[None, :],
+                "z": np.arange(77.0).reshape(7, 11) / 3,
+            },
+            # a (1, 1) column in a table one column wide
+            {"t": np.arange(61.0)[:, None] / 7, "y": np.array([[2.5]]), "c": np.cos(np.arange(61.0))[:, None]},
+        ],
+        ids=["edge-last", "edges-only", "fallback-edge", "scalar-edge"],
+    )
+    def test_cached_columns_match_reference_writer(self, tmp_path, monkeypatch, layout, block):
+        # a block of 24 values holds two rows of 11, so 13 and 7 rows end in a
+        # partial block, as 61 rows do for blocks of 2 and 24
+        monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+        out = tmp_path / "edges.csv"
+        assert cli._write_csv(str(out), layout) == np.broadcast(*layout.values()).size
+        assert out.read_bytes() == reference_csv(layout)
+
+    def test_digit_tables_match_their_definitions(self):
+        groups = [b"%04d" % k for k in range(10000)]
+        assert cli._GROUPS.tobytes() == b"".join(b"%c.%c.%c.%c." % tuple(g) for g in groups)
+        assert cli._LEADS.tobytes() == b"".join(b"\xff" * 6 + b"%d." % d for d in range(10))
+        assert cli._GROUP_ZEROS.tolist() == [4 * (4 - len(g.rstrip(b"0"))) for g in groups]
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -399,6 +432,8 @@ class TestCsvWriter:
             1e-4, 1e-5, 100.5, -0.0, 5e-324, np.finfo(float).max,
             0.0, 1.0, 0.1, 1e8, 1e9, 1e16, 1e22, 1e23, 1e-290, 1e290,
             np.nextafter(1e-290, 0), np.nextafter(1e290, np.inf), -123456789.5, 2.5e-300,
+            # digits that end at the edges of the lead digit and the 4-digit groups
+            100010000.0, 123400000.0, 1.0000001, 999990000.0, 1.23456789e-100, -1.2e-5,
         ],
     )
     def test_named_values(self, value):

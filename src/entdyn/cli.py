@@ -253,13 +253,14 @@ def parse_config(argv: list[str]) -> ScenarioConfig:
 #      followed by its dot slot
 #   1  digits 2-5, the group mid, each followed by its dot slot
 #   2  digits 6-9, the group low, likewise
-#   3  "e", the exponent sign, three exponent digits and the separator
+#   3  "e", the exponent sign, three exponent digits and the "," after them
 # A 0 byte is no byte. A value's layout depends on its exponent class (e =
 # 0..8, e = -1..-4, scientific with 2 or 3 exponent digits), its count of
-# significant digits, its sign and whether it ends a row, combined into
-# key = ((class * 9 + digits - 1) * 2 + negative) * 2 + ends_row. The row of
-# _TEMPLATES for that key holds the layout's constant bytes and 0xFF where
-# the value's digits, dots and exponent go.
+# significant digits and its sign, combined into key = (class * 9 + digits
+# - 1) * 2 + negative. The row of _TEMPLATES for that key holds the
+# layout's constant bytes and 0xFF where the value's digits, dots and
+# exponent go. Every layout ends in ","; the writer puts "\n" on the last
+# value of a row.
 _SLOTS = 32
 _SEPARATOR = 29
 _SCALES = np.array([float(f"1e{8 - j}") for j in range(-300, 301)])
@@ -275,24 +276,21 @@ def _digit_words(digits: np.ndarray, words: np.ndarray) -> np.ndarray:
 _GROUPS = _digit_words(np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10, np.zeros((10000, 8), np.uint8))
 # the leading digit keeps the sign and the "0.000" prefix of word 0
 _LEADS = _digit_words(np.arange(10)[:, None], np.full((10, 8), 0xFF, np.uint8))
-# 4 * the trailing zeros of "%04d" % k: each trailing zero lowers the key by 4
-_GROUP_ZEROS = 4 * sum(np.arange(10000) % 10**p == 0 for p in range(1, 5))
+# 2 * the trailing zeros of "%04d" % k: each trailing zero lowers the key by 2
+_GROUP_ZEROS = 2 * sum(np.arange(10000) % 10**p == 0 for p in range(1, 5))
 _EXPONENTS = np.frombuffer(
     b"".join(b"e%c%03d\xff\0\0" % (b"+-"[j < 0], abs(j)) for j in range(-300, 301)), dtype=np.uint64
 )
-# key of exponent j with 9 significant digits, nonnegative, not ending a row
+# key of exponent j with 9 significant digits, nonnegative
 _CLASS_KEYS = np.array(
-    [(j if 0 <= j < 9 else 8 - j if -5 < j < 0 else 13 + (abs(j) >= 100)) * 36 + 32 for j in range(-300, 301)]
+    [(j if 0 <= j < 9 else 8 - j if -5 < j < 0 else 13 + (abs(j) >= 100)) * 18 + 16 for j in range(-300, 301)]
 )
 
 
 def _layout_templates() -> np.ndarray:
-    cls, sig, neg, last = (
-        axis.reshape(axis.shape + (1,))
-        for axis in np.ix_(np.arange(15), np.arange(1, 10), np.arange(2), np.arange(2))
-    )
+    cls, sig, neg = (axis.reshape(axis.shape + (1,)) for axis in np.ix_(np.arange(15), np.arange(1, 10), np.arange(2)))
     small, sci, fixed, places = (cls >= 9) & (cls <= 12), cls >= 13, cls <= 8, np.arange(9)
-    t = np.zeros((15, 9, 2, 2, _SLOTS), dtype=np.uint8)
+    t = np.zeros((15, 9, 2, _SLOTS), dtype=np.uint8)
     t[..., 0:1] = np.where(neg == 1, ord("-"), 0)
     t[..., 1:6] = np.where(small & (np.arange(5) < cls - 7), np.frombuffer(b"0.000", dtype=np.uint8), 0)
     digit = 6 + 2 * places
@@ -300,28 +298,27 @@ def _layout_templates() -> np.ndarray:
     dot_at = np.where(fixed, cls, np.where(sci, 0, -1))
     t[..., digit + 1] = np.where((places == dot_at) & (places < sig - 1), 0xFF, 0)
     t[..., 24:29] = np.where(sci & ((np.arange(5) != 2) | (cls == 14)), 0xFF, 0)
-    t[..., _SEPARATOR : _SEPARATOR + 1] = np.where(last == 1, ord("\n"), ord(","))
+    t[..., _SEPARATOR] = ord(",")
     return t.reshape(-1, _SLOTS)
 
 
 _TEMPLATES = _layout_templates()
 
 
-def _slots(block: np.ndarray, ends_row) -> np.ndarray:
-    """The (values, _SLOTS) slots of a float block, each value as "%.9g" % v.
+def _slots(block: np.ndarray) -> np.ndarray:
+    """The (values, _SLOTS) slots of a float block, each value as "%.9g," % v.
 
-    ends_row, broadcast against the block, marks the values that end a CSV
-    row. Every value is scaled to s = |v| 10^(8 - e), with e = floor(log10
-    |v|), and rounded to a 9-digit integer n. The power of ten and the
-    product are each rounded once, so s is off by at most about 2.3e-7.
-    Where s lies at least 1e-6 from a half and from the ends of [1e8, 1e9),
-    n and e are those of the exact value, which is what "%" prints. A log10
-    that rounds across a power of ten puts s next to an end, so that case is
-    among the others (near a half or an end, zeros, non-finite values and
-    |v| outside [1e-290, 1e290]), which "%" formats one at a time. The bytes
-    therefore match "%" for every double. Each value fills the _SLOTS bytes
-    of its _TEMPLATES row, and deleting every 0 byte of the slots gives the
-    CSV.
+    Every value is scaled to s = |v| 10^(8 - e), with e = floor(log10 |v|),
+    and rounded to a 9-digit integer n. The power of ten and the product are
+    each rounded once, so s is off by at most about 2.3e-7. Where s lies at
+    least 1e-6 from a half and from the ends of [1e8, 1e9), n and e are
+    those of the exact value, which is what "%" prints. A log10 that rounds
+    across a power of ten puts s next to an end, so that case is among the
+    others (near a half or an end, zeros, non-finite values and |v| outside
+    [1e-290, 1e290]), which "%" formats one at a time. The bytes therefore
+    match "%" for every double. Each value fills the _SLOTS bytes of its
+    _TEMPLATES row, and deleting every 0 byte of the slots gives the values
+    in block order, each followed by ",".
     """
     v = block.reshape(-1)
     a = np.abs(v)
@@ -335,9 +332,9 @@ def _slots(block: np.ndarray, ends_row) -> np.ndarray:
     lead_mid, low = np.divmod(n.astype(np.int32), 10000)
     lead, mid = np.divmod(lead_mid, 10000)
     trailing = _GROUP_ZEROS[low] + (low == 0) * _GROUP_ZEROS[mid]
-    key = (_CLASS_KEYS[exponent] - trailing + 2 * (v < 0)).reshape(block.shape) + ends_row
+    key = _CLASS_KEYS[exponent] - trailing + (v < 0)
 
-    slots = np.take(_TEMPLATES, key.reshape(-1), axis=0)
+    slots = np.take(_TEMPLATES, key, axis=0)
     words = slots.view(np.uint64)
     words[:, 0] &= _LEADS.take(lead, mode="clip")
     words[:, 1] &= _GROUPS[mid]
@@ -350,14 +347,8 @@ def _slots(block: np.ndarray, ends_row) -> np.ndarray:
     return slots
 
 
-def _format_block(block: np.ndarray) -> bytes:
-    """The CSV bytes of a (rows, columns) float block, each value as "%.9g" % v: its _slots without their 0 bytes."""
-    ends_row = np.arange(block.shape[1]) == block.shape[1] - 1
-    return _slots(block, ends_row).tobytes().translate(None, b"\0")
-
-
 def _format_rows(block: np.ndarray) -> bytes:
-    """The CSV bytes of a (rows, columns) float block by "%.9g" % v on every value: what _format_block matches."""
+    """The CSV bytes of a (rows, columns) float block by "%.9g" % v on every value: what the kernel path matches."""
     return b"".join(b",".join([b"%.9g" % v for v in row]) + b"\n" for row in block.tolist())
 
 
@@ -365,49 +356,44 @@ def _write_csv(path: str, table: dict) -> int:
     """Write {column name: array} as CSV rows and return the row count.
 
     The columns broadcast against each other, so an (m, f) grid passes its
-    edges as m[:, None] and f[None, :]; rows come out in C order. Rows are
-    formatted _WRITE_BLOCK at a time, so a grid column is never expanded to
-    its full length. A table of fewer than _KERNEL_MIN_VALUES values goes
-    through _format_rows and any other through the kernel, with the same
-    bytes. There, a column smaller than the table is formatted once, over
-    its own values, and each block gathers its slots; only the full-length
-    columns of a block run through _slots.
+    edges as m[:, None] and f[None, :]; rows come out in C order. A table
+    of fewer than _KERNEL_MIN_VALUES values goes through _format_rows in one
+    call. Any other goes through the kernel, with the same bytes, in blocks
+    of _WRITE_BLOCK rows, so a grid column is never expanded to its full
+    length. There, a column smaller than the table is formatted once, by
+    its own _slots call, and each block gathers its slots next to those of
+    the block's full-length columns, formatted by one _slots call. The last
+    value of each row gets "\n" in place of its ",".
     """
     values = [np.asarray(c, dtype=float) for c in table.values()]
     shape = np.broadcast(*values).shape or (1,)
     columns = [c.reshape((1,) * (len(shape) - c.ndim) + c.shape) for c in values]
-    ends_row = np.arange(len(columns)) == len(columns) - 1
-    kernel = math.prod(shape) * len(columns) >= _KERNEL_MIN_VALUES
-    full = [j for j, c in enumerate(columns) if c.shape == shape]
-    cached = {}
-    if kernel and len(full) < len(columns):
-        # one kernel call formats the values of every smaller column
-        edges = [j for j in range(len(columns)) if j not in full]
-        sizes = [columns[j].size for j in edges]
-        own = _slots(np.concatenate([columns[j].reshape(-1) for j in edges]), np.repeat(ends_row[edges], sizes))
-        parts = np.split(own, np.cumsum(sizes)[:-1])
-        cached = {j: part.reshape(columns[j].shape + (_SLOTS,)) for j, part in zip(edges, parts)}
-    step = max(1, _WRITE_BLOCK // math.prod(shape[1:]))
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(table) + "\n").encode("ascii"))
-            for start in range(0, shape[0], step):
-                rows = (min(step, shape[0] - start),) + shape[1:]
-                if cached:
-                    slots = np.empty(rows + (len(columns), _SLOTS), dtype=np.uint8)
-                    for j, c in cached.items():
-                        slots[..., j, :] = c if c.shape[0] == 1 else c[start : start + step]
+            if math.prod(shape) * len(columns) < _KERNEL_MIN_VALUES:
+                block = np.empty(shape + (len(columns),))
+                for j, c in enumerate(columns):
+                    block[..., j] = c
+                fh.write(_format_rows(block.reshape(-1, len(columns))))
+            else:
+                full = [j for j, c in enumerate(columns) if c.shape == shape]
+                edges = {j: _slots(c).reshape(c.shape + (_SLOTS,)) for j, c in enumerate(columns) if j not in full}
+                step = max(1, _WRITE_BLOCK // math.prod(shape[1:]))
+                for start in range(0, shape[0], step):
+                    rows = (min(step, shape[0] - start),) + shape[1:]
                     if full:
-                        block = np.stack([columns[j][start : start + step] for j in full], axis=-1)
-                        own = _slots(block.reshape(-1, len(full)), ends_row[full])
-                        slots[..., full, :] = own.reshape(rows + (len(full), _SLOTS))
+                        slots = _slots(np.stack([columns[j][start : start + step] for j in full], axis=-1))
+                    if edges:
+                        wide = np.empty(rows + (len(columns), _SLOTS), dtype=np.uint8)
+                        for j, c in edges.items():
+                            wide[..., j, :] = c if c.shape[0] == 1 else c[start : start + step]
+                        if full:
+                            wide[..., full, :] = slots.reshape(rows + (len(full), _SLOTS))
+                        slots = wide
+                    slots = slots.reshape(-1, len(columns), _SLOTS)
+                    slots[:, -1, _SEPARATOR] = ord("\n")
                     fh.write(slots.tobytes().translate(None, b"\0"))
-                else:
-                    block = np.empty(rows + (len(columns),))
-                    for j, c in enumerate(columns):
-                        block[..., j] = c if c.shape[0] == 1 else c[start : start + step]
-                    block = block.reshape(-1, len(columns))
-                    fh.write((_format_block if kernel else _format_rows)(block))
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}")
     return math.prod(shape)

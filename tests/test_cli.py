@@ -385,12 +385,30 @@ class TestCsvWriter:
 
     def test_small_tables_skip_the_kernel(self, tmp_path, monkeypatch):
         # the choice follows the number of values, not of rows
-        kernel_shapes = []
-        monkeypatch.setattr(cli, "_format_block", lambda block: kernel_shapes.append(block.shape) or b"")
+        kernel_sizes = []
+        slots = cli._slots
+        monkeypatch.setattr(cli, "_slots", lambda block: kernel_sizes.append(block.size) or slots(block))
         for rows, columns in ((21, 2), (1, 12), (40, 3), (16, 12)):
             table = {f"c{k}": np.arange(rows) for k in range(columns)}
             cli._write_csv(str(tmp_path / "small.csv"), table)
-        assert kernel_shapes == [(40, 3), (16, 12)]
+        assert kernel_sizes == [40 * 3, 16 * 12]
+
+    def test_smaller_columns_are_formatted_once(self, tmp_path, monkeypatch):
+        # two rows of 11 per block of 24, so 13 rows make 7 blocks; the edges
+        # m and f take one call each, the full-length z one call per block
+        kernel_sizes = []
+        slots = cli._slots
+        monkeypatch.setattr(cli, "_slots", lambda block: kernel_sizes.append(block.size) or slots(block))
+        monkeypatch.setattr(cli, "_WRITE_BLOCK", 24)
+        table = {
+            "m": np.logspace(-1, 3, 13)[:, None],
+            "f": np.logspace(-1, 2, 11)[None, :],
+            "z": np.linspace(-3.0, 7.0, 143).reshape(13, 11),
+        }
+        out = tmp_path / "edges.csv"
+        assert cli._write_csv(str(out), table) == 143
+        assert kernel_sizes == [13, 11] + [22] * 6 + [11]
+        assert out.read_bytes() == reference_csv(table)
 
     @pytest.mark.parametrize("block", [2, 24, 2048])
     @pytest.mark.parametrize(
@@ -423,7 +441,7 @@ class TestCsvWriter:
         groups = [b"%04d" % k for k in range(10000)]
         assert cli._GROUPS.tobytes() == b"".join(b"%c.%c.%c.%c." % tuple(g) for g in groups)
         assert cli._LEADS.tobytes() == b"".join(b"\xff" * 6 + b"%d." % d for d in range(10))
-        assert cli._GROUP_ZEROS.tolist() == [4 * (4 - len(g.rstrip(b"0"))) for g in groups]
+        assert cli._GROUP_ZEROS.tolist() == [2 * (4 - len(g.rstrip(b"0"))) for g in groups]
 
     @pytest.mark.parametrize(
         "value",
@@ -438,7 +456,7 @@ class TestCsvWriter:
     )
     def test_named_values(self, value):
         for v in (value, -value):
-            assert cli._format_block(np.array([[v]])) == b"%.9g\n" % v
+            assert cli._slots(np.array([v])).tobytes().translate(None, b"\0") == b"%.9g," % v
 
     def test_seeded_doubles_match_percent(self, tmp_path):
         # mantissas in [1, 10) at every decimal exponent a double reaches,

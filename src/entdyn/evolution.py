@@ -5,10 +5,11 @@ Two independent propagation routes are provided on purpose: propagate_expm
 exponentiates the generator, restricted to the invariant sectors that the
 initial state touches, once for the uniform sample step and fills the
 samples with powers of that propagator, while propagate_ode integrates the
-same flow with an adaptive embedded Dormand-Prince 4(5) pair, each step
-evaluated as the pair's stability polynomials in hL on a Krylov block of
-scaled generator powers. They share no numerical machinery, so agreement
-between them is a real cross-check.
+same flow with an adaptive embedded Dormand-Prince 4(5) pair in runs of
+equal steps, each step evaluated as the pair's stability polynomials in hL:
+a run's first step on a Krylov block of scaled generator powers, the
+others by the step matrix those polynomials give. They share no numerical
+machinery, so agreement between them is a real cross-check.
 propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
 stacked exponential, one doubling and one call per observable serve them
@@ -427,6 +428,8 @@ _DOUBLE_MAX = np.finfo(float).max
 _MAX_EXPONENT = int(np.finfo(float).maxexp) - 1
 
 _MAX_STEP_ATTEMPTS = 1_000_000
+#: the most equal steps propagate_ode takes from one step matrix
+_RUN = 64
 #: local error tolerance of propagate_ode, per component: _ATOL + _RTOL * |r|
 _RTOL = 1e-10
 _ATOL = 1e-12
@@ -460,14 +463,51 @@ def _krylov_block(powers: np.ndarray, r: np.ndarray) -> np.ndarray:
     return (powers @ r).view(float).reshape(_DP_DEGREES.size, -1)
 
 
-def _dp_polynomial_step(block: np.ndarray, z: float) -> np.ndarray:
-    """Increment and error estimate of one step with z = h s, from the Krylov block of r.
+def _dp_coefficients(z: float) -> np.ndarray:
+    """The pair's (2, 7) polynomial coefficients times z¹ … z⁷, for z = h s.
 
     The powers of z saturate at the largest double instead of overflowing,
-    so a row of the block that is exactly zero, as every row is when
+    so a row of the Krylov block that is exactly zero, as every row is when
     L r = 0, adds zero however large z is.
     """
-    return ((_DP_POLY * np.minimum(z**_DP_DEGREES, _DOUBLE_MAX)) @ block).view(complex)
+    return _DP_POLY * np.minimum(z**_DP_DEGREES, _DOUBLE_MAX)
+
+
+def _dp_polynomial_step(block: np.ndarray, z: float) -> np.ndarray:
+    """Increment and error estimate of one step with z = h s, from the Krylov block of r."""
+    return (_dp_coefficients(z) @ block).view(complex)
+
+
+def _dp_run(powers: np.ndarray, block: np.ndarray, y: np.ndarray, z: float, steps: int):
+    """Rows r_0 = y, r_1 … r_steps of `steps` equal steps with z = h s, and the error estimate of each step.
+
+    The first step comes from the Krylov block of y (_dp_polynomial_step).
+    The others apply the step matrix M = I + Σ c_k z^k (L/s)^k, r_(j+1) =
+    M r_j, and the estimate of step j is E r_j with E = Σ e_k z^k (L/s)^k;
+    one contraction of the power stack with the pair's coefficients gives
+    M and E. A non-finite M or E gives the one step from the block, so a
+    state with L r = 0 stays put at any rate. Gives the (steps + 1, n²)
+    rows and the (steps, n²) estimates, steps being 1 in that case.
+    """
+    increment, err = _dp_polynomial_step(block, z)
+    size = y.size
+    if steps > 1:
+        stack = powers.view(float).reshape(_DP_DEGREES.size, -1)
+        matrices = (_dp_coefficients(z) @ stack).view(complex).reshape(2, size, size)
+        if not np.isfinite(matrices).all():
+            steps = 1
+    rows = np.empty((steps + 1, size), dtype=complex)
+    errs = np.empty((steps, size), dtype=complex)
+    rows[0] = y
+    rows[1] = y + increment
+    errs[0] = err
+    if steps > 1:
+        step, error = matrices
+        step.flat[:: size + 1] += 1.0
+        for row, following in zip(rows[1:-1], rows[2:]):
+            np.dot(step, row, out=following)
+        np.matmul(rows[1:-1], error.T, out=errs[1:])
+    return rows, errs
 
 
 def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
@@ -476,20 +516,27 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     An embedded Dormand-Prince 4(5) pair controls the local error against
     _ATOL + _RTOL * |r| per component. For a constant L each step is a
     polynomial in z = hL applied to r, with coefficients derived from the
-    tableau, so an accepted step computes the Krylov block
-    [(L/s)¹ r … (L/s)⁷ r] in one product and every attempt from r takes
-    increment and error from that block: a rejected attempt makes no
-    product with L. A non-finite error estimate rejects the step. Raises
+    tableau. The route advances in runs of up to _RUN equal steps
+    (_dp_run): the first step of a run takes increment and error from the
+    Krylov block [(L/s)¹ r … (L/s)⁷ r] of its start, one product, and the
+    others apply the run's step matrix. A run that reaches the next sample
+    in at most _RUN steps of h takes steps of (target - t)/steps and lands
+    on it. Every step of a run is judged by the per-step error test at
+    once: the run keeps its steps up to the first that fails or has a
+    non-finite estimate, which counts as one rejected attempt and shrinks
+    h; the steps after it are dropped and not counted. After a run with
+    no failure h grows by at most 5x. Rows are never projected. Raises
     StepUnderflowError if the controller needs a step below 1e-14 of the
-    grid span. diagnostics records the route, the accepted and rejected
-    attempts and the smallest accepted step h_min.
+    grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS attempts.
+    diagnostics records the route, the accepted and rejected attempts,
+    the runs and the smallest accepted step h_min.
     """
     gen, y, n = _check_generator_and_state(l, r0)
     times = grid.times
     floor = 1e-14 * grid.span
     vectors = [y.copy()]
     t = float(times[0])
-    attempts = accepted = 0
+    attempts = accepted = runs = 0
     h_min = grid.span
     # overflow inside a step shows as a non-finite error estimate and rejects
     # it; a rate |L r| beyond the largest double gives the smallest first step
@@ -499,38 +546,44 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
         rate = np.linalg.norm(block[0]) * scale
         h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
         h = min(max(h, floor), grid.span)
-        tol = _ATOL + _RTOL * np.abs(y)
         for target in times[1:].tolist():
             while target - t > floor:
-                h_try = min(h, target - t)
-                if h_try < floor:
-                    raise StepUnderflowError(
-                        f"step {h_try:.3e} below floor {floor:.3e} at t = {t:.6g}"
-                    )
-                attempts += 1
-                if attempts > _MAX_STEP_ATTEMPTS:
-                    raise NoConvergenceError(
-                        f"integrator exceeded {_MAX_STEP_ATTEMPTS} step attempts"
-                    )
-                increment, err = _dp_polynomial_step(block, h_try * scale)
-                y_new = y + increment
-                tol_new = _ATOL + _RTOL * np.abs(y_new)
-                ratio = np.abs(err) / np.maximum(tol, tol_new)
-                err_norm = math.sqrt(float(ratio @ ratio) / ratio.size)
-                if err_norm <= 1.0:
-                    accepted += 1
-                    h_min = min(h_min, h_try)
-                    t = t + h_try
-                    y = y_new
-                    block = _krylov_block(powers, y)
-                    tol = tol_new
-                    factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
-                    h = max(h_try * factor, floor)
+                if h < floor:
+                    raise StepUnderflowError(f"step {h:.3e} below floor {floor:.3e} at t = {t:.6g}")
+                remaining = target - t
+                steps = math.ceil(remaining / h)
+                if steps <= _RUN:
+                    # no landing step below the floor
+                    steps = min(steps, int(remaining / floor))
+                    h_run = remaining / steps
                 else:
+                    steps, h_run = _RUN, h
+                rows, errs = _dp_run(powers, block, y, h_run * scale, steps)
+                tol = _ATOL + _RTOL * np.abs(rows)
+                ratio = np.abs(errs) / np.maximum(tol[:-1], tol[1:])
+                err_norms = np.sqrt(np.einsum("ij,ij->i", ratio, ratio) / y.size)
+                passed = err_norms <= 1.0
+                kept = len(passed) if passed.all() else int(np.argmin(passed))
+                runs += 1
+                attempts += kept + (kept < len(passed))
+                if attempts > _MAX_STEP_ATTEMPTS:
+                    raise NoConvergenceError(f"integrator exceeded {_MAX_STEP_ATTEMPTS} step attempts")
+                if kept:
+                    accepted += kept
+                    h_min = min(h_min, h_run)
+                    t = t + kept * h_run
+                    y = rows[kept]
+                    block = _krylov_block(powers, y)
+                if kept == len(passed):
+                    # the run's last step is the latest measure of the error at h_run
+                    err_norm = float(err_norms[-1])
+                    factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
+                else:
+                    err_norm = float(err_norms[kept])
                     factor = max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2
-                    h = max(h_try * factor, floor)
-                    if h >= h_try:
-                        h = 0.5 * h_try
+                h = max(h_run * factor, floor)
+                if kept < len(passed) and h >= h_run:
+                    h = 0.5 * h_run
             t = target
             vectors.append(y.copy())
     trajectory = _density_trajectory(times, vectors, n)
@@ -538,6 +591,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
         "route": "ode",
         "accepted": accepted,
         "rejected": attempts - accepted,
+        "runs": runs,
         "h_min": float(h_min),
     }
     return trajectory

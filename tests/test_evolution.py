@@ -558,6 +558,17 @@ class TestPropagateOde:
         traj = propagate_ode(central_dephasing_generator(1e100), r0, TimeGrid(0.0, 1.0, 3))
         assert np.array_equal(traj.states[-1], traj.states[0])
 
+    def test_state_in_kernel_of_overflowing_step_matrix_is_constant(self):
+        # z = h s beyond 5e307 makes the step matrix's sum overflow, so each run is one step from the block
+        gen = np.zeros((4, 4))
+        gen[0, 0] = 0.99 * 2.0**1000
+        r0 = vectorize(np.diag([0.0, 1.0]).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate_ode(gen, r0, TimeGrid(0.0, 1e9, 3))
+        assert np.array_equal(traj.states, np.broadcast_to(traj.states[0], traj.states.shape))
+        assert traj.diagnostics["runs"] == traj.diagnostics["accepted"]
+
     def test_stiff_feedback_completes(self):
         params = FeedbackParams(m=100.0, f=100.0, gamma=1.0)
         gen = wm_subspace_generator(params)
@@ -574,17 +585,20 @@ class TestPropagateOde:
             propagate_ode(gen, r0, TimeGrid(0.0, 1.0, 3))
 
     def test_makes_no_exponential(self, monkeypatch):
-        # the ODE route is the independent check of the expm route
-        calls = []
+        # the ODE route is the independent check of the expm route: it neither
+        # exponentiates nor fills nor projects, so a drift of the trace or of
+        # Hermiticity reaches its states
+        def refuse(*args):
+            raise AssertionError("propagate_ode ran the expm route's machinery")
 
-        def counting_expm(m):
-            calls.append(m)
-            return expm(m)
-
-        monkeypatch.setattr(entdyn.evolution, "expm", counting_expm)
+        for name in ("expm", "_filled_by_doubling", "_trace_preserving", "_hermiticity_preserving"):
+            monkeypatch.setattr(entdyn.evolution, name, refuse)
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, mu=0.5, gamma=1.0, y=0.3))
         propagate_ode(gen, bell_vector(), TimeGrid(0.0, 2.0, 3))
-        assert calls == []
+        # L - δI loses the trace as e^(-δt); L + iδI turns it, and ρ, off Hermitian
+        for shift in (-1e-9, 1e-9j):
+            traj = propagate_ode(gen + shift * np.eye(16), bell_vector(), TimeGrid(0.0, 2.0, 3))
+            assert abs(np.trace(traj.states[-1]) - np.exp(2.0 * shift)) <= 1e-13, shift
 
     def test_matches_expm_on_random_feedback_loops(self):
         rng = np.random.default_rng(2026)
@@ -703,6 +717,49 @@ class TestOdeDiagnostics:
         with pytest.raises(NoConvergenceError):
             propagate_ode(gen, r0, self.grid)
 
+    def test_runs_are_far_fewer_than_attempts(self):
+        _, _, traj = self.stiff_run()
+        diag = traj.diagnostics
+        assert 0 < diag["runs"] < (diag["accepted"] + diag["rejected"]) / 10
+
+    def test_runs_replay_to_the_step_control(self, monkeypatch):
+        """Kept steps pass the error test; a run stops at its first failure, lands on samples, grows h at most 5x."""
+        evolution = entdyn.evolution
+        runs = []
+
+        def recording_run(powers, block, y, z, steps):
+            rows, errs = dp_run(powers, block, y, z, steps)
+            runs.append((z, rows, errs))
+            return rows, errs
+
+        dp_run = evolution._dp_run
+        monkeypatch.setattr(evolution, "_dp_run", recording_run)
+        gen, r0, traj = self.stiff_run()
+        _, scale = evolution._scaled_powers(gen)
+        samples = iter(self.grid.times[1:])
+        target = next(samples)
+        t = 0.0
+        kept_total = failed = 0
+        previous = None
+        for z, rows, errs in runs:
+            h = z / scale
+            tol = evolution._ATOL + evolution._RTOL * np.abs(rows)
+            ratio = np.abs(errs) / np.maximum(tol[:-1], tol[1:])
+            norms = np.sqrt(np.mean(ratio**2, axis=1))
+            passed = norms <= 1.0
+            kept = len(passed) if passed.all() else int(np.argmin(passed))
+            assert t + len(errs) * h <= target + 1e-12, t
+            if previous is not None:
+                assert h <= previous * (1.0 + 1e-12), t
+            previous = (5.0 if kept == len(passed) else 1.0) * h
+            kept_total += kept
+            failed += kept < len(passed)
+            t += kept * h
+            if abs(t - target) <= 1e-12:
+                t, target = target, next(samples, np.inf)
+        assert target == np.inf
+        assert (kept_total, failed, len(runs)) == tuple(traj.diagnostics[k] for k in ("accepted", "rejected", "runs"))
+
     def test_expm_route_records_its_sectors(self):
         traj = propagate_expm(central_dephasing_generator(), bell_vector(), self.grid)
         assert traj.diagnostics == {"route": "expm", "sectors": [[5], [6], [9], [10]]}
@@ -761,6 +818,33 @@ class TestDormandPrincePolynomials:
                 y_ref, err_ref = dp_step(gen, y, h)
                 assert np.max(np.abs(y + increment - y_ref)) <= 1e-13 * np.max(np.abs(y_ref)), (trial, z)
                 assert np.max(np.abs(err - err_ref)) <= 1e-13 * np.max(np.abs(y)), (trial, z)
+
+    def test_run_matches_sequential_polynomial_steps(self):
+        evolution = entdyn.evolution
+        rng = np.random.default_rng(24)
+        for trial in range(12):
+            n = (2, 3, 4)[trial % 3]
+            rates = 10.0 ** rng.uniform(-2, 2, size=3)
+            jumps = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+            gen = assemble_liouvillian(
+                rates[0] * random_hermitian(rng, n),
+                [lindblad_dissipator_superop(rate * v) for rate, v in zip(rates[1:], jumps)],
+            )
+            y = vectorize(random_density(rng, n))
+            powers, scale = evolution._scaled_powers(gen)
+            block = evolution._krylov_block(powers, y)
+            for z in np.geomspace(1e-6, 3.3, 12):
+                h = z / np.linalg.norm(gen, 2)
+                rows, errs = evolution._dp_run(powers, block, y, h * scale, 8)
+                assert rows.shape == (9, n * n) and errs.shape == (8, n * n)
+                assert np.array_equal(rows[0], y)
+                for j in range(8):
+                    increment, err = evolution._dp_polynomial_step(
+                        evolution._krylov_block(powers, rows[j]), h * scale
+                    )
+                    scale_j = np.max(np.abs(rows[j]))
+                    assert np.max(np.abs(rows[j + 1] - rows[j] - increment)) <= 1e-13 * scale_j, (trial, z, j)
+                    assert np.max(np.abs(errs[j] - err)) <= 1e-13 * scale_j, (trial, z, j)
 
     def test_powers_are_scaled_by_a_power_of_two(self):
         gen = 1e150 * wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))

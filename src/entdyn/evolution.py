@@ -6,10 +6,9 @@ exponentiates the generator, restricted to the invariant sectors that the
 initial state touches, once for the uniform sample step and fills the
 samples with powers of that propagator, while propagate_ode integrates the
 same flow with an adaptive embedded Dormand-Prince 4(5) pair in runs of
-equal steps, each step evaluated as the pair's stability polynomials in hL:
-a run's first step on a Krylov block of scaled generator powers, the
-others by the step matrix those polynomials give. They share no numerical
-machinery, so agreement between them is a real cross-check.
+equal steps, every step of a run from the one step matrix that the pair's
+stability polynomials in hL give. They share no numerical machinery, so
+agreement between them is a real cross-check.
 propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
 stacked exponential, one doubling and one call per observable serve them
@@ -423,8 +422,11 @@ def _stability_polynomials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 _DP_POLY = _stability_polynomials(_DP_A, _DP_B)
 _DP_DEGREES = np.arange(1.0, _DP_POLY.shape[1] + 1)
-_DOUBLE_MAX = np.finfo(float).max
-#: exponent of the largest power of two below _DOUBLE_MAX
+#: cap on z^k in _dp_coefficients: ‖L/s‖_F < 2 makes every entry of (L/s)^k
+#: below 2^7, and the pair's coefficients sum to less than 2, so every entry
+#: of the step and error matrices stays below 2^1023 at any z
+_Z_POWER_CAP = 2.0**1015
+#: exponent of the largest power of two below the largest double
 _MAX_EXPONENT = int(np.finfo(float).maxexp) - 1
 
 _MAX_STEP_ATTEMPTS = 1_000_000
@@ -458,56 +460,40 @@ def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
     return powers.reshape(-1, gen.shape[1]), math.ldexp(1.0, exponent)
 
 
-def _krylov_block(powers: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """[(L/s)¹ r … (L/s)⁷ r] from one product, each row as real and imaginary pairs."""
-    return (powers @ r).view(float).reshape(_DP_DEGREES.size, -1)
-
-
 def _dp_coefficients(z: float) -> np.ndarray:
     """The pair's (2, 7) polynomial coefficients times z¹ … z⁷, for z = h s.
 
-    The powers of z saturate at the largest double instead of overflowing,
-    so a row of the Krylov block that is exactly zero, as every row is when
-    L r = 0, adds zero however large z is.
+    The powers of z saturate at _Z_POWER_CAP instead of overflowing, so the
+    step and error matrices are finite at any z, and a zero column of L
+    stays a zero column of both.
     """
-    return _DP_POLY * np.minimum(z**_DP_DEGREES, _DOUBLE_MAX)
+    return _DP_POLY * np.minimum(z**_DP_DEGREES, _Z_POWER_CAP)
 
 
-def _dp_polynomial_step(block: np.ndarray, z: float) -> np.ndarray:
-    """Increment and error estimate of one step with z = h s, from the Krylov block of r."""
-    return (_dp_coefficients(z) @ block).view(complex)
-
-
-def _dp_run(powers: np.ndarray, block: np.ndarray, y: np.ndarray, z: float, steps: int):
+def _dp_run(powers: np.ndarray, y: np.ndarray, z: float, steps: int):
     """Rows r_0 = y, r_1 … r_steps of `steps` equal steps with z = h s, and the error estimate of each step.
 
-    The first step comes from the Krylov block of y (_dp_polynomial_step).
-    The others apply the step matrix M = I + Σ c_k z^k (L/s)^k, r_(j+1) =
-    M r_j, and the estimate of step j is E r_j with E = Σ e_k z^k (L/s)^k;
-    one contraction of the power stack with the pair's coefficients gives
-    M and E. A non-finite M or E gives the one step from the block, so a
-    state with L r = 0 stays put at any rate. Gives the (steps + 1, n²)
-    rows and the (steps, n²) estimates, steps being 1 in that case.
+    One contraction of the power stack with the pair's coefficients gives
+    X = M - I = Σ c_k z^k (L/s)^k and E = Σ e_k z^k (L/s)^k. The increments
+    are d_0 = X y and d_(j+1) = M d_j, the rows are y plus their running
+    sum, and the estimate of step j is E r_j. No row is multiplied by M,
+    whose diagonal 1 + X_ii drops the 1 where |X_ii| is far beyond 2^53,
+    so every row equals y bit for bit wherever X y is zero, as it is for
+    a state on zero columns of L or one whose L r cancels exactly. Gives
+    the (steps + 1, n²) rows and the (steps, n²) estimates.
     """
-    increment, err = _dp_polynomial_step(block, z)
     size = y.size
-    if steps > 1:
-        stack = powers.view(float).reshape(_DP_DEGREES.size, -1)
-        matrices = (_dp_coefficients(z) @ stack).view(complex).reshape(2, size, size)
-        if not np.isfinite(matrices).all():
-            steps = 1
+    stack = powers.view(float).reshape(_DP_DEGREES.size, -1)
+    step, error = (_dp_coefficients(z) @ stack).view(complex).reshape(2, size, size)
     rows = np.empty((steps + 1, size), dtype=complex)
-    errs = np.empty((steps, size), dtype=complex)
     rows[0] = y
-    rows[1] = y + increment
-    errs[0] = err
-    if steps > 1:
-        step, error = matrices
-        step.flat[:: size + 1] += 1.0
-        for row, following in zip(rows[1:-1], rows[2:]):
-            np.dot(step, row, out=following)
-        np.matmul(rows[1:-1], error.T, out=errs[1:])
-    return rows, errs
+    np.dot(step, y, out=rows[1])
+    # step is X up to here and M from here on
+    step.flat[:: size + 1] += 1.0
+    for increment, following in zip(rows[1:-1], rows[2:]):
+        np.dot(step, increment, out=following)
+    rows = np.cumsum(rows, axis=0)
+    return rows, rows[:-1] @ error.T
 
 
 def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
@@ -516,18 +502,18 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     An embedded Dormand-Prince 4(5) pair controls the local error against
     _ATOL + _RTOL * |r| per component. For a constant L each step is a
     polynomial in z = hL applied to r, with coefficients derived from the
-    tableau. The route advances in runs of up to _RUN equal steps
-    (_dp_run): the first step of a run takes increment and error from the
-    Krylov block [(L/s)¹ r … (L/s)⁷ r] of its start, one product, and the
-    others apply the run's step matrix. A run that reaches the next sample
-    in at most _RUN steps of h takes steps of (target - t)/steps and lands
-    on it. Every step of a run is judged by the per-step error test at
-    once: the run keeps its steps up to the first that fails or has a
-    non-finite estimate, which counts as one rejected attempt and shrinks
-    h; the steps after it are dropped and not counted. After a run with
-    no failure h grows by at most 5x. Rows are never projected. Raises
-    StepUnderflowError if the controller needs a step below 1e-14 of the
-    grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS attempts.
+    tableau; the powers (L/s)¹ … (L/s)⁷ are formed once per call. The
+    route advances in runs of up to _RUN equal steps (_dp_run), every step
+    of a run from the run's step matrix. A run that reaches the next
+    sample in at most _RUN steps of h takes steps of (target - t)/steps
+    and lands on it. Every step of a run is judged by the per-step error
+    test at once: the run keeps its steps up to the first that fails or
+    has a non-finite estimate, which counts as one rejected attempt and
+    shrinks h; the steps after it are dropped and not counted. After a
+    run with no failure h grows by at most 5x. Rows are never projected.
+    Raises StepUnderflowError if the controller needs a step below 1e-14
+    of the grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS
+    attempts.
     diagnostics records the route, the accepted and rejected attempts,
     the runs and the smallest accepted step h_min.
     """
@@ -542,8 +528,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     # it; a rate |L r| beyond the largest double gives the smallest first step
     with np.errstate(over="ignore", invalid="ignore"):
         powers, scale = _scaled_powers(gen)
-        block = _krylov_block(powers, y)
-        rate = np.linalg.norm(block[0]) * scale
+        rate = np.linalg.norm(powers[: y.size] @ y) * scale
         h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
         h = min(max(h, floor), grid.span)
         for target in times[1:].tolist():
@@ -558,7 +543,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                     h_run = remaining / steps
                 else:
                     steps, h_run = _RUN, h
-                rows, errs = _dp_run(powers, block, y, h_run * scale, steps)
+                rows, errs = _dp_run(powers, y, h_run * scale, steps)
                 tol = _ATOL + _RTOL * np.abs(rows)
                 ratio = np.abs(errs) / np.maximum(tol[:-1], tol[1:])
                 err_norms = np.sqrt(np.einsum("ij,ij->i", ratio, ratio) / y.size)
@@ -573,7 +558,6 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                     h_min = min(h_min, h_run)
                     t = t + kept * h_run
                     y = rows[kept]
-                    block = _krylov_block(powers, y)
                 if kept == len(passed):
                     # the run's last step is the latest measure of the error at h_run
                     err_norm = float(err_norms[-1])

@@ -83,7 +83,7 @@ def dp_step(gen, y, h):
     """One Dormand-Prince 4(5) step on a (7, n²) stage array: (y_new, error estimate).
 
     The stage recursion propagate_ode used before its polynomial form;
-    the tests hold one polynomial step to it.
+    the tests hold every row and estimate of a run of the step matrix to it.
     """
     a = h * _DP_A
     k = np.empty((7, y.size), dtype=complex)

@@ -559,7 +559,7 @@ class TestPropagateOde:
         assert np.array_equal(traj.states[-1], traj.states[0])
 
     def test_state_in_kernel_of_overflowing_step_matrix_is_constant(self):
-        # z = h s beyond 5e307 makes the step matrix's sum overflow, so each run is one step from the block
+        # z = h s far beyond 5e307, where uncapped powers of z would overflow the step matrix
         gen = np.zeros((4, 4))
         gen[0, 0] = 0.99 * 2.0**1000
         r0 = vectorize(np.diag([0.0, 1.0]).astype(complex))
@@ -567,7 +567,27 @@ class TestPropagateOde:
             warnings.simplefilter("error")
             traj = propagate_ode(gen, r0, TimeGrid(0.0, 1e9, 3))
         assert np.array_equal(traj.states, np.broadcast_to(traj.states[0], traj.states.shape))
-        assert traj.diagnostics["runs"] == traj.diagnostics["accepted"]
+        assert traj.diagnostics["runs"] < traj.diagnostics["accepted"]
+
+    @pytest.mark.parametrize("rate", [1e10, 1e100, 1e300])
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_state_in_kernel_of_large_step_matrix_is_constant(self, levels, rate):
+        # L r = 0 by cancellation, not by zero columns: with |hL| far beyond
+        # 2^53, fl(1 + X_ii) = X_ii, so a row M r with M = I + X would lose r
+        if levels == 2:
+            gen = np.zeros((4, 4))
+            gen[0, 0] = gen[3, 3] = -rate
+            gen[0, 3] = gen[3, 0] = rate
+            r0 = vectorize(np.diag([0.5, 0.5]).astype(complex))
+        else:
+            relaxation = np.zeros((3, 3))
+            relaxation[0, 1] = relaxation[1, 0] = rate
+            gen = phenomenological_superop(np.zeros((3, 3)), relaxation)
+            r0 = vectorize(np.diag([0.25, 0.25, 0.5]).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = propagate_ode(gen, r0, TimeGrid(0.0, 1.0, 3))
+        assert np.array_equal(traj.states, np.broadcast_to(traj.states[0], traj.states.shape))
 
     def test_stiff_feedback_completes(self):
         params = FeedbackParams(m=100.0, f=100.0, gamma=1.0)
@@ -727,8 +747,8 @@ class TestOdeDiagnostics:
         evolution = entdyn.evolution
         runs = []
 
-        def recording_run(powers, block, y, z, steps):
-            rows, errs = dp_run(powers, block, y, z, steps)
+        def recording_run(powers, y, z, steps):
+            rows, errs = dp_run(powers, y, z, steps)
             runs.append((z, rows, errs))
             return rows, errs
 
@@ -811,13 +831,13 @@ class TestDormandPrincePolynomials:
             )
             y = vectorize(random_density(rng, n))
             powers, scale = evolution._scaled_powers(gen)
-            block = evolution._krylov_block(powers, y)
             for z in np.geomspace(1e-6, 3.3, 12):
                 h = z / np.linalg.norm(gen, 2)
-                increment, err = evolution._dp_polynomial_step(block, h * scale)
+                rows, errs = evolution._dp_run(powers, y, h * scale, 1)
+                assert rows.shape == (2, n * n) and errs.shape == (1, n * n)
                 y_ref, err_ref = dp_step(gen, y, h)
-                assert np.max(np.abs(y + increment - y_ref)) <= 1e-13 * np.max(np.abs(y_ref)), (trial, z)
-                assert np.max(np.abs(err - err_ref)) <= 1e-13 * np.max(np.abs(y)), (trial, z)
+                assert np.max(np.abs(rows[1] - y_ref)) <= 1e-13 * np.max(np.abs(y_ref)), (trial, z)
+                assert np.max(np.abs(errs[0] - err_ref)) <= 1e-13 * np.max(np.abs(y)), (trial, z)
 
     def test_run_matches_sequential_polynomial_steps(self):
         evolution = entdyn.evolution
@@ -832,19 +852,41 @@ class TestDormandPrincePolynomials:
             )
             y = vectorize(random_density(rng, n))
             powers, scale = evolution._scaled_powers(gen)
-            block = evolution._krylov_block(powers, y)
             for z in np.geomspace(1e-6, 3.3, 12):
                 h = z / np.linalg.norm(gen, 2)
-                rows, errs = evolution._dp_run(powers, block, y, h * scale, 8)
+                rows, errs = evolution._dp_run(powers, y, h * scale, 8)
                 assert rows.shape == (9, n * n) and errs.shape == (8, n * n)
                 assert np.array_equal(rows[0], y)
                 for j in range(8):
-                    increment, err = evolution._dp_polynomial_step(
-                        evolution._krylov_block(powers, rows[j]), h * scale
-                    )
+                    y_ref, err_ref = dp_step(gen, rows[j], h)
                     scale_j = np.max(np.abs(rows[j]))
-                    assert np.max(np.abs(rows[j + 1] - rows[j] - increment)) <= 1e-13 * scale_j, (trial, z, j)
-                    assert np.max(np.abs(errs[j] - err)) <= 1e-13 * scale_j, (trial, z, j)
+                    assert np.max(np.abs(rows[j + 1] - y_ref)) <= 1e-13 * scale_j, (trial, z, j)
+                    assert np.max(np.abs(errs[j] - err_ref)) <= 1e-13 * scale_j, (trial, z, j)
+
+    def test_capped_powers_of_z_keep_the_step_matrix_finite(self):
+        # at the clamped scale s = 2^1023 an uncapped z^k, or one capped at
+        # the largest double, makes the step matrix overflow, and 0 * inf
+        # turns a state on zero columns of L into NaN
+        evolution = entdyn.evolution
+        lower = np.array([[0, 1], [0, 0]], dtype=complex)
+        gen = lindblad_dissipator_superop(np.sqrt(5e307) * PAULI_Z) + lindblad_dissipator_superop(1e150 * lower)
+        assert np.max(np.abs(gen)) >= 2.0**1023
+        powers, scale = evolution._scaled_powers(gen)
+        assert scale == 2.0**1023
+        # |0><0| lies on a zero column of L
+        kernel = vectorize(np.diag([1.0, 0.0]).astype(complex))
+        generic = vectorize(random_density(np.random.default_rng(25), 2))
+        for z in (1.0, 1e50, 1e300, np.inf):
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows, errs = evolution._dp_run(powers, kernel, z, 4)
+                generic_rows, generic_errs = evolution._dp_run(powers, generic, z, 4)
+                tol = evolution._ATOL + evolution._RTOL * np.abs(generic_rows)
+                ratio = np.abs(generic_errs) / np.maximum(tol[:-1], tol[1:])
+                norms = np.sqrt(np.mean(ratio**2, axis=1))
+            assert np.array_equal(rows, np.broadcast_to(kernel, rows.shape)), z
+            assert not np.any(errs), z
+            if z >= 1e50:
+                assert not np.any(norms <= 1.0), z
 
     def test_powers_are_scaled_by_a_power_of_two(self):
         gen = 1e150 * wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))

@@ -7,8 +7,9 @@ initial state touches, once for the uniform sample step and fills the
 samples with powers of that propagator, while propagate_ode integrates the
 same flow with an adaptive embedded Dormand-Prince 4(5) pair in runs of
 equal steps, every step of a run from the one step matrix that the pair's
-stability polynomials in hL give. They share no numerical machinery, so
-agreement between them is a real cross-check.
+stability polynomials in hL give, their coefficients written as the
+exact rationals of the Dormand-Prince tableau. They share no numerical
+machinery, so agreement between them is a real cross-check.
 propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
 stacked exponential, one doubling and one call per observable serve them
@@ -112,11 +113,7 @@ def _density_observables(states: np.ndarray) -> dict[str, np.ndarray]:
         obs["concurrence"] = quantum.concurrence(states)
     elif n == 2:
         obs["concurrence"] = quantum.concurrence_2x2_embedded(states)
-        bloch = quantum.bloch_from_density(states)
-        obs["bloch_x"] = bloch[:, 0]
-        obs["bloch_y"] = bloch[:, 1]
-        obs["bloch_z"] = bloch[:, 2]
-        obs["bloch_norm"] = np.linalg.norm(bloch, axis=1)
+        obs["bloch_norm"] = np.linalg.norm(quantum.bloch_from_density(states), axis=1)
     obs["purity"] = quantum.purity(states)
     return obs
 
@@ -384,43 +381,18 @@ def _hermiticity_preserving(p: np.ndarray, flip: np.ndarray) -> np.ndarray:
     return 0.5 * (p + p[..., flip[:, None], flip].conj())
 
 
-# Dormand-Prince 4(5) tableau. Row i of _DP_A weights stages 0..i-1 in the
-# argument of stage i; row 0 of _DP_B holds the 5th-order solution weights
-# and row 1 the embedded error weights (difference to the 4th-order solution).
-_DP_A = np.array(
+#: the Dormand-Prince 4(5) pair as polynomials in z = hL, coefficients of
+#: z¹ … z⁷: row 0 is the increment of the 5th-order solution, the Taylor
+#: series of e^z - 1 to z⁵ and z⁶/600; row 1 is the error estimate, its
+#: difference to the embedded 4th-order solution, which starts at z⁵.
+#: Exact rationals of the tableau (Dormand and Prince 1980); the tests
+#: derive both rows from the tableau by the stage recursion.
+_DP_POLY = np.array(
     [
-        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
-        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
-        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
-        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
-        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+        [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0],
+        [0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000],
     ]
 )
-_DP_B = np.array(
-    [
-        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
-    ]
-)
-
-
-def _stability_polynomials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coefficients of z¹ … z⁷ in the increment and error polynomials of the tableau.
-
-    For dr/dt = L r the argument of stage i is p_i(z) r with z = hL and
-    p_i = 1 + z Σ_j a_ij p_j, so a step adds z Σ_i b_i p_i(z) r. Row k of
-    the stage table holds the coefficients of z⁰ … z⁶ in p_k.
-    """
-    stages = np.zeros((a.shape[0], a.shape[0]))
-    for i in range(a.shape[0]):
-        stages[i, 0] = 1.0
-        stages[i, 1:] = a[i, :i] @ stages[:i, :-1]
-    return b @ stages
-
-
-_DP_POLY = _stability_polynomials(_DP_A, _DP_B)
 _DP_DEGREES = np.arange(1.0, _DP_POLY.shape[1] + 1)
 #: cap on z^k in _dp_coefficients: ‖L/s‖_F < 2 makes every entry of (L/s)^k
 #: below 2^7, and the pair's coefficients sum to less than 2, so every entry
@@ -501,16 +473,20 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
 
     An embedded Dormand-Prince 4(5) pair controls the local error against
     _ATOL + _RTOL * |r| per component. For a constant L each step is a
-    polynomial in z = hL applied to r, with coefficients derived from the
-    tableau; the powers (L/s)¹ … (L/s)⁷ are formed once per call. The
-    route advances in runs of up to _RUN equal steps (_dp_run), every step
-    of a run from the run's step matrix. A run that reaches the next
-    sample in at most _RUN steps of h takes steps of (target - t)/steps
-    and lands on it. Every step of a run is judged by the per-step error
-    test at once: the run keeps its steps up to the first that fails or
-    has a non-finite estimate, which counts as one rejected attempt and
-    shrinks h; the steps after it are dropped and not counted. After a
-    run with no failure h grows by at most 5x. Rows are never projected.
+    polynomial in z = hL applied to r, with the pair's exact rational
+    coefficients (_DP_POLY); the powers (L/s)¹ … (L/s)⁷ are formed once
+    per call. The route advances in runs of up to _RUN equal steps
+    (_dp_run), every step of a run from the run's step matrix. A run that
+    reaches the next sample in at most _RUN steps of h takes steps of
+    (target - t)/steps and lands on it. Every step of a run is judged by
+    the per-step error test at once: the run keeps its steps up to the
+    first that fails or has a non-finite estimate, which counts as one
+    rejected attempt; the steps after it are dropped and not counted. One
+    rule sizes the next step: h_run times min(5, max(0.2, 0.9 err^-0.2))
+    for the error norm err of the first failing step, or of the run's
+    last step if none fails, so a zero error gives 5x and an inf or NaN
+    one 0.2x; a failing run whose next step the floor would hold at h_run
+    or above halves h_run instead. Rows are never projected.
     Raises StepUnderflowError if the controller needs a step below 1e-14
     of the grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS
     attempts.
@@ -525,8 +501,9 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     attempts = accepted = runs = 0
     h_min = grid.span
     # overflow inside a step shows as a non-finite error estimate and rejects
-    # it; a rate |L r| beyond the largest double gives the smallest first step
-    with np.errstate(over="ignore", invalid="ignore"):
+    # it; a rate |L r| beyond the largest double gives the smallest first step;
+    # a zero error norm raised to -0.2 is inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers, scale = _scaled_powers(gen)
         rate = np.linalg.norm(powers[: y.size] @ y) * scale
         h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
@@ -548,9 +525,9 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                 ratio = np.abs(errs) / np.maximum(tol[:-1], tol[1:])
                 err_norms = np.sqrt(np.einsum("ij,ij->i", ratio, ratio) / y.size)
                 passed = err_norms <= 1.0
-                kept = len(passed) if passed.all() else int(np.argmin(passed))
+                kept = steps if passed.all() else int(np.argmin(passed))
                 runs += 1
-                attempts += kept + (kept < len(passed))
+                attempts += kept + (kept < steps)
                 if attempts > _MAX_STEP_ATTEMPTS:
                     raise NoConvergenceError(f"integrator exceeded {_MAX_STEP_ATTEMPTS} step attempts")
                 if kept:
@@ -558,15 +535,11 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                     h_min = min(h_min, h_run)
                     t = t + kept * h_run
                     y = rows[kept]
-                if kept == len(passed):
-                    # the run's last step is the latest measure of the error at h_run
-                    err_norm = float(err_norms[-1])
-                    factor = 5.0 if err_norm == 0 else min(5.0, 0.9 * err_norm ** -0.2)
-                else:
-                    err_norm = float(err_norms[kept])
-                    factor = max(0.2, 0.9 * err_norm ** -0.2) if math.isfinite(err_norm) else 0.2
+                # the first failing step, or else the run's last, is the latest
+                # measure of the error at h_run: a zero error gives 5x, inf or NaN 0.2x
+                factor = min(5.0, max(0.2, 0.9 * err_norms[min(kept, steps - 1)] ** -0.2))
                 h = max(h_run * factor, floor)
-                if kept < len(passed) and h >= h_run:
+                if kept < steps and h >= h_run:
                     h = 0.5 * h_run
             t = target
             vectors.append(y.copy())

@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NoConvergenceError, NonFiniteError
+from .errors import DimensionMismatchError, NonFiniteError
 from .linalg import _as_square, _check_hermitian
 from .quantum import _matrix_side
 
@@ -209,16 +209,9 @@ def check_dephasing_constraints(rates) -> ConstraintCheck:
     sums = (mat[0, 1] + mat[2, 3], mat[0, 3] + mat[1, 2], mat[0, 2] + mat[1, 3])
     if max(sums) - min(sums) > tol:
         return ConstraintCheck(False, None)
-    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    system = np.zeros((len(pairs), 4))
-    target = np.zeros(len(pairs))
-    for row, (i, j) in enumerate(pairs):
-        system[row, i] = system[row, j] = 1.0
-        target[row] = 2.0 * mat[i, j]
-    try:
-        x, *_ = np.linalg.lstsq(system, target, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(f"least-squares solver failed: {exc}") from exc
+    # the least-squares solution of the six (x_i + x_j)/2 = rates[i, j]: their
+    # normal matrix is 2I + J, with inverse (I - J/6)/2, and the diagonal is zero
+    x = mat.sum(axis=1) - mat.sum() / 6
     if np.min(x) < -max(tol, _CONSTRAINT_RTOL):
         return ConstraintCheck(False, None)
     return ConstraintCheck(True, np.clip(x, 0.0, None))

@@ -2,7 +2,28 @@
 import numpy as np
 
 from entdyn.errors import DimensionMismatchError
-from entdyn.evolution import _DP_A, _DP_B
+
+# Dormand-Prince 4(5) tableau (Dormand and Prince 1980). Row i of DP_A weights
+# stages 0..i-1 in the argument of stage i; row 0 of DP_B holds the 5th-order
+# solution weights and row 1 the embedded error weights (difference to the
+# 4th-order solution). entdyn.evolution holds only the pair's polynomials.
+DP_A = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+        [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+        [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+        [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+    ]
+)
+DP_B = np.array(
+    [
+        [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+        [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40],
+    ]
+)
 
 
 def random_hermitian(rng, n):
@@ -82,13 +103,14 @@ def reference_csv(table) -> bytes:
 def dp_step(gen, y, h):
     """One Dormand-Prince 4(5) step on a (7, n²) stage array: (y_new, error estimate).
 
-    The stage recursion propagate_ode used before its polynomial form;
-    the tests hold every row and estimate of a run of the step matrix to it.
+    The stage recursion propagate_ode used before its polynomial form, on
+    the tableau above, a source apart from entdyn's polynomials; the tests
+    hold every row and estimate of a run of the step matrix to it.
     """
-    a = h * _DP_A
+    a = h * DP_A
     k = np.empty((7, y.size), dtype=complex)
     k[0] = gen @ y
     for i in range(1, 7):
         k[i] = gen @ (y + a[i, :i] @ k[:i])
-    increment, err = (h * _DP_B) @ k
+    increment, err = (h * DP_B) @ k
     return y + increment, err

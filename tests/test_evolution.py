@@ -37,7 +37,7 @@ from entdyn.generators import (
 )
 from entdyn.linalg import expm, hermitian_eig
 from entdyn.quantum import PAULI_Z, bell_state, density_from_pure, restrict_23, vectorize
-from helpers import dp_step, random_density, random_hermitian, random_pure
+from helpers import DP_A, DP_B, dp_step, random_density, random_hermitian, random_pure
 
 
 def central_dephasing_generator(rate=1.0):
@@ -792,17 +792,17 @@ class TestDormandPrinceTableau:
     nodes = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 
     def test_stage_rows_sum_to_nodes(self):
-        assert entdyn.evolution._DP_A.shape == (7, 6)
-        assert np.all(np.triu(entdyn.evolution._DP_A) == 0.0)
-        assert np.max(np.abs(entdyn.evolution._DP_A.sum(axis=1) - self.nodes)) <= 1e-15
+        assert DP_A.shape == (7, 6)
+        assert np.all(np.triu(DP_A) == 0.0)
+        assert np.max(np.abs(DP_A.sum(axis=1) - self.nodes)) <= 1e-15
 
     def test_fifth_order_weights(self):
-        weights = entdyn.evolution._DP_B[0]
+        weights = DP_B[0]
         for q in range(5):
             assert abs(weights @ self.nodes**q - 1.0 / (q + 1)) <= 1e-15, q
 
     def test_embedded_fourth_order_weights(self):
-        weights, error = entdyn.evolution._DP_B
+        weights, error = DP_B
         assert abs(error.sum()) <= 1e-15
         for q in range(4):
             assert abs((weights - error) @ self.nodes**q - 1.0 / (q + 1)) <= 1e-15, q
@@ -811,12 +811,21 @@ class TestDormandPrinceTableau:
 class TestDormandPrincePolynomials:
     def test_solution_row_is_the_taylor_series_to_fifth_order(self):
         expected = [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0]
-        assert np.max(np.abs(entdyn.evolution._DP_POLY[0] - expected)) <= 1e-15
+        assert np.array_equal(entdyn.evolution._DP_POLY[0], expected)
 
     def test_error_row_starts_at_fifth_order(self):
         error = entdyn.evolution._DP_POLY[1]
-        assert np.max(np.abs(error[:4])) <= 1e-16
-        assert np.max(np.abs(error[4:] - [-97 / 120000, 13 / 40000, -1 / 24000])) <= 1e-18
+        assert np.array_equal(error, [0.0, 0.0, 0.0, 0.0, -97 / 120000, 13 / 40000, -1 / 24000])
+
+    def test_polynomials_derive_from_the_tableau(self):
+        # for dr/dt = L r the argument of stage i is p_i(z) r with z = hL and
+        # p_i = 1 + z Σ_j a_ij p_j, so a step adds z Σ_i b_i p_i(z) r; row i
+        # of stages holds the coefficients of z⁰ … z⁶ in p_i
+        stages = np.zeros((7, 7))
+        for i in range(7):
+            stages[i, 0] = 1.0
+            stages[i, 1:] = DP_A[i, :i] @ stages[:i, :-1]
+        assert np.max(np.abs(DP_B @ stages - entdyn.evolution._DP_POLY)) <= 3e-16
 
     def test_polynomial_step_matches_stage_recursion(self):
         evolution = entdyn.evolution

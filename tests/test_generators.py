@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entdyn.errors import DimensionMismatchError, NoConvergenceError, NonFiniteError, NotHermitianError
+from entdyn.errors import DimensionMismatchError, NonFiniteError, NotHermitianError
 from entdyn.generators import (
     HamiltonianParams,
     _two_sided,
@@ -351,15 +351,24 @@ class TestConstraintCheck:
         with pytest.raises(DimensionMismatchError):
             check_dephasing_constraints(np.zeros((3, 3)))
 
-    def test_solver_failure_is_no_convergence(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
-
-        monkeypatch.setattr(np.linalg, "lstsq", fail)
-        rates = np.full((4, 4), 1.3)
-        np.fill_diagonal(rates, 0.0)
-        with pytest.raises(NoConvergenceError, match="^least-squares solver failed: SVD did not converge"):
-            check_dephasing_constraints(rates)
+    def test_witness_is_the_least_squares_solution(self):
+        # rates off (x_i + x_j)/2 by less than the tolerance: the witness is
+        # the least-squares solution of the six equations, here from lstsq
+        rng = np.random.default_rng(49)
+        pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        system = np.zeros((6, 4))
+        for row, (i, j) in enumerate(pairs):
+            system[row, [i, j]] = 0.5
+        for _ in range(100):
+            x = 10.0 ** rng.uniform(-3, 3) * rng.uniform(0.5, 3.0, size=4)
+            rates = 0.5 * (x[:, None] + x[None, :])
+            np.fill_diagonal(rates, 0.0)
+            noise = rng.uniform(-1e-10, 1e-10, size=(4, 4)) * rates.max()
+            rates += np.triu(noise, 1) + np.triu(noise, 1).T
+            check = check_dephasing_constraints(rates)
+            assert check.physical
+            reference, *_ = np.linalg.lstsq(system, [rates[i, j] for i, j in pairs], rcond=None)
+            assert np.max(np.abs(check.witness - reference)) <= 1e-14 * np.max(np.abs(reference))
 
 
 class TestAssembleLiouvillian:

@@ -8,8 +8,9 @@ samples with powers of that propagator, while propagate_ode integrates the
 same flow with an adaptive embedded Dormand-Prince 4(5) pair in runs of
 equal steps, every step of a run from the one step matrix that the pair's
 stability polynomials in hL give, their coefficients written as the
-exact rationals of the Dormand-Prince tableau. They share no numerical
-machinery, so agreement between them is a real cross-check.
+exact rationals of the Dormand-Prince tableau, and the increments of a
+run filled by doubling. They share no numerical machinery, so agreement
+between them is a real cross-check.
 propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
 stacked exponential, one doubling and one call per observable serve them
@@ -238,7 +239,8 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     transpose = _transposition(n)
     mirrored = _checked_mirror(stack, n, trace=True)
     labels = _sector_labels(((stack != 0) | (mirrored != 0)).any(axis=0))
-    touched = np.unique(labels[(r != 0) | (r[transpose] != 0)])
+    # the sorted labels r or S r touches; np.unique would load numpy.ma
+    touched = np.flatnonzero(np.bincount(labels[(r != 0) | (r[transpose] != 0)], minlength=labels.size))
     idx = np.flatnonzero(np.isin(labels, touched))
     block = gen[..., idx[:, None], idx]
     identity = identity[idx]
@@ -403,7 +405,7 @@ _MAX_EXPONENT = int(np.finfo(float).maxexp) - 1
 
 _MAX_STEP_ATTEMPTS = 1_000_000
 #: the most equal steps propagate_ode takes from one step matrix
-_RUN = 64
+_RUN = 128
 #: local error tolerance of propagate_ode, per component: _ATOL + _RTOL * |r|
 _RTOL = 1e-10
 _ATOL = 1e-12
@@ -442,17 +444,38 @@ def _dp_coefficients(z: float) -> np.ndarray:
     return _DP_POLY * np.minimum(z**_DP_DEGREES, _Z_POWER_CAP)
 
 
+def _first_step(powers: np.ndarray, y: np.ndarray, scale: float) -> float:
+    """The step whose error estimate from y is about 0.8⁵ of the tolerance, by the pair's leading error term.
+
+    e_1 … e_4 are zero, so at small z = h s the estimate of one step from y
+    is about |e_5| z⁵ (L/s)⁵ y, and its error norm |e_5| z⁵ w, w being the
+    RMS of (L/s)⁵ y against _ATOL + _RTOL |y|. The step is 0.8 z*/s for
+    the z* where that norm is 1. It is inf for w = 0 and 0 or NaN where w
+    overflows or is NaN, and the caller falls back to another rule there.
+    """
+    size = y.size
+    ratio = (powers[4 * size : 5 * size] @ y) / (_ATOL + _RTOL * np.abs(y))
+    weight = np.sqrt(np.vdot(ratio, ratio).real / size)
+    return float(0.8 * (abs(_DP_POLY[1, 4]) * weight) ** -0.2 / scale)
+
+
 def _dp_run(powers: np.ndarray, y: np.ndarray, z: float, steps: int):
     """Rows r_0 = y, r_1 … r_steps of `steps` equal steps with z = h s, and the error estimate of each step.
 
     One contraction of the power stack with the pair's coefficients gives
     X = M - I = Σ c_k z^k (L/s)^k and E = Σ e_k z^k (L/s)^k. The increments
-    are d_0 = X y and d_(j+1) = M d_j, the rows are y plus their running
-    sum, and the estimate of step j is E r_j. No row is multiplied by M,
-    whose diagonal 1 + X_ii drops the 1 where |X_ii| is far beyond 2^53,
-    so every row equals y bit for bit wherever X y is zero, as it is for
-    a state on zero columns of L or one whose L r cancels exactly. Gives
-    the (steps + 1, n²) rows and the (steps, n²) estimates.
+    are d_0 = X y and d_(j+1) = M d_j, filled by doubling: once the first
+    `filled` are known, the next block is those times (M^block)ᵀ, and M^block
+    is then squared while at least four blocks remain to fill, so a run
+    takes about log2(steps) products, and a short run is filled step by
+    step. A square that is not finite is not taken: the blocks go on at the
+    last finite power, so a zero entry of an increment never meets an inf
+    of a power. The rows are y plus the running sum of the increments, and
+    the estimate of step j is E r_j. No row is multiplied by M, whose
+    diagonal 1 + X_ii drops the 1 where |X_ii| is far beyond 2^53, so every
+    row equals y bit for bit wherever X y is zero, as it is for a state on
+    zero columns of L or one whose L r cancels exactly. Gives the
+    (steps + 1, n²) rows and the (steps, n²) estimates.
     """
     size = y.size
     stack = powers.view(float).reshape(_DP_DEGREES.size, -1)
@@ -462,8 +485,17 @@ def _dp_run(powers: np.ndarray, y: np.ndarray, z: float, steps: int):
     np.dot(step, y, out=rows[1])
     # step is X up to here and M from here on
     step.flat[:: size + 1] += 1.0
-    for increment, following in zip(rows[1:-1], rows[2:]):
-        np.dot(step, increment, out=following)
+    increments = rows[1:]
+    power, block, filled = step.T, 1, 1
+    while filled < steps:
+        take = min(block, steps - filled)
+        np.dot(increments[filled - block : filled - block + take], power, out=increments[filled : filled + take])
+        filled += take
+        # a square pays for itself only where it saves several products
+        if filled == 2 * block and steps - filled >= 4 * block:
+            square = power @ power
+            if np.isfinite(square).all():
+                power, block = square, 2 * block
     rows = np.cumsum(rows, axis=0)
     return rows, rows[:-1] @ error.T
 
@@ -475,8 +507,12 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     _ATOL + _RTOL * |r| per component. For a constant L each step is a
     polynomial in z = hL applied to r, with the pair's exact rational
     coefficients (_DP_POLY); the powers (L/s)¹ … (L/s)⁷ are formed once
-    per call. The route advances in runs of up to _RUN equal steps
-    (_dp_run), every step of a run from the run's step matrix. A run that
+    per call. The first step comes from the pair's leading error term
+    (_first_step): the h whose first error norm is about 0.8⁵, or where
+    that estimate is zero or not finite, 0.01 |r0| / |L r0| (the span/100
+    for L r0 = 0). The route advances in runs of up to _RUN = 128 equal
+    steps (_dp_run), every step of a run from the run's step matrix and
+    its squares, so a run costs about log2(steps) products. A run that
     reaches the next sample in at most _RUN steps of h takes steps of
     (target - t)/steps and lands on it. Every step of a run is judged by
     the per-step error test at once: the run keeps its steps up to the
@@ -501,12 +537,15 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     attempts = accepted = runs = 0
     h_min = grid.span
     # overflow inside a step shows as a non-finite error estimate and rejects
-    # it; a rate |L r| beyond the largest double gives the smallest first step;
-    # a zero error norm raised to -0.2 is inf
+    # it; a zero error norm raised to -0.2 is inf, so a zero (L/s)⁵ y takes
+    # the fallback first step, where a rate |L r| beyond the largest double
+    # gives the smallest one
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers, scale = _scaled_powers(gen)
-        rate = np.linalg.norm(powers[: y.size] @ y) * scale
-        h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
+        h = _first_step(powers, y, scale)
+        if not 0.0 < h < math.inf:
+            rate = np.linalg.norm(powers[: y.size] @ y) * scale
+            h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
         h = min(max(h, floor), grid.span)
         for target in times[1:].tolist():
             while target - t > floor:

@@ -7,6 +7,7 @@ rho B is _two_sided(I, B).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -199,22 +200,27 @@ def check_dephasing_constraints(rates) -> ConstraintCheck:
     are the pair-sum equalities G12+G34 = G14+G23 = G13+G24; these are
     checked to 1e-9 * max(rates), then the strengths are solved for and
     must come out nonnegative (the equalities alone do not guarantee
-    that). On success the witness x is returned, clipped at zero.
+    that). On success the witness x is returned, clipped at zero. Rates
+    of 1 or more are first divided by the power of two 2^e just above the
+    largest, which is exact, so the pair sums and strengths stay finite up
+    to the largest double; the witness is scaled back by 2^e.
     """
     mat = validate_dephasing_rates(rates)
     if mat.shape != (4, 4):
         raise DimensionMismatchError(f"expected 4x4 rates, got {mat.shape}")
-    scale = float(np.max(mat))
-    tol = _CONSTRAINT_RTOL * scale
+    exponent = max(math.frexp(float(np.max(mat)))[1], 0)
+    mat = np.ldexp(mat, -exponent)
+    tol = _CONSTRAINT_RTOL * float(np.max(mat))
     sums = (mat[0, 1] + mat[2, 3], mat[0, 3] + mat[1, 2], mat[0, 2] + mat[1, 3])
     if max(sums) - min(sums) > tol:
         return ConstraintCheck(False, None)
     # the least-squares solution of the six (x_i + x_j)/2 = rates[i, j]: their
     # normal matrix is 2I + J, with inverse (I - J/6)/2, and the diagonal is zero
     x = mat.sum(axis=1) - mat.sum() / 6
-    if np.min(x) < -max(tol, _CONSTRAINT_RTOL):
+    # the absolute floor _CONSTRAINT_RTOL is on the rates' own scale
+    if np.min(x) < -max(tol, math.ldexp(_CONSTRAINT_RTOL, -exponent)):
         return ConstraintCheck(False, None)
-    return ConstraintCheck(True, np.clip(x, 0.0, None))
+    return ConstraintCheck(True, np.ldexp(np.clip(x, 0.0, None), exponent))
 
 
 def assemble_liouvillian(h, dissipators: Sequence[np.ndarray] = ()) -> np.ndarray:

@@ -765,6 +765,7 @@ class TestEntryPoint:
             f"for argv in {runs!r}:\n"
             "    assert main(argv) == 0, argv\n"
             "assert 'scipy' not in sys.modules\n"
+            "assert 'numpy.ma' not in sys.modules\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", script],

@@ -780,6 +780,27 @@ class TestOdeDiagnostics:
         assert target == np.inf
         assert (kept_total, failed, len(runs)) == tuple(traj.diagnostics[k] for k in ("accepted", "rejected", "runs"))
 
+    def test_start_on_crosscheck_like_sets(self):
+        # on this set, 64-step runs from the first step 0.01 |y| / |L y| took
+        # a median of 7 runs and 333 attempts; 128-step runs from the pair's
+        # error term take 4 runs, and more attempts, since the two opening
+        # runs spend 256 steps at the small first h
+        rng = np.random.default_rng(27)
+        grid = TimeGrid(0.0, 2.0, 3)
+        r0 = bell_vector()
+        runs, attempts = [], []
+        for _ in range(50):
+            m, f, gamma = 10.0 ** rng.uniform(-1.0, 2.0, size=3)
+            mu, y = rng.uniform(-5.0, 5.0, size=2)
+            gen = wm_full_generator(FeedbackParams(m=m, f=f, mu=mu, gamma=gamma, y=y))
+            traj = propagate_ode(gen, r0, grid)
+            gap = np.max(np.abs(propagate_expm(gen, r0, grid).states - traj.states))
+            assert gap <= 1e-8, (m, f, mu, gamma, y)
+            runs.append(traj.diagnostics["runs"])
+            attempts.append(traj.diagnostics["accepted"] + traj.diagnostics["rejected"])
+        assert np.median(runs) <= 4
+        assert np.median(attempts) <= 370
+
     def test_expm_route_records_its_sectors(self):
         traj = propagate_expm(central_dephasing_generator(), bell_vector(), self.grid)
         assert traj.diagnostics == {"route": "expm", "sectors": [[5], [6], [9], [10]]}
@@ -809,6 +830,18 @@ class TestDormandPrinceTableau:
 
 
 class TestDormandPrincePolynomials:
+    @staticmethod
+    def random_generator_and_state(rng, trial):
+        """A random 2-, 3- or 4-level Liouvillian by trial, with a random density vector."""
+        n = (2, 3, 4)[trial % 3]
+        rates = 10.0 ** rng.uniform(-2, 2, size=3)
+        jumps = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
+        gen = assemble_liouvillian(
+            rates[0] * random_hermitian(rng, n),
+            [lindblad_dissipator_superop(rate * v) for rate, v in zip(rates[1:], jumps)],
+        )
+        return n, gen, vectorize(random_density(rng, n))
+
     def test_solution_row_is_the_taylor_series_to_fifth_order(self):
         expected = [1.0, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 600, 0.0]
         assert np.array_equal(entdyn.evolution._DP_POLY[0], expected)
@@ -831,14 +864,7 @@ class TestDormandPrincePolynomials:
         evolution = entdyn.evolution
         rng = np.random.default_rng(9)
         for trial in range(12):
-            n = (2, 3, 4)[trial % 3]
-            rates = 10.0 ** rng.uniform(-2, 2, size=3)
-            jumps = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
-            gen = assemble_liouvillian(
-                rates[0] * random_hermitian(rng, n),
-                [lindblad_dissipator_superop(rate * v) for rate, v in zip(rates[1:], jumps)],
-            )
-            y = vectorize(random_density(rng, n))
+            n, gen, y = self.random_generator_and_state(rng, trial)
             powers, scale = evolution._scaled_powers(gen)
             for z in np.geomspace(1e-6, 3.3, 12):
                 h = z / np.linalg.norm(gen, 2)
@@ -849,24 +875,21 @@ class TestDormandPrincePolynomials:
                 assert np.max(np.abs(errs[0] - err_ref)) <= 1e-13 * np.max(np.abs(y)), (trial, z)
 
     def test_run_matches_sequential_polynomial_steps(self):
+        # the increments of a run come by doubling: in a full run of _RUN
+        # steps the rows beyond 64 come from squares of the step matrix
         evolution = entdyn.evolution
+        assert evolution._RUN > 64
         rng = np.random.default_rng(24)
         for trial in range(12):
-            n = (2, 3, 4)[trial % 3]
-            rates = 10.0 ** rng.uniform(-2, 2, size=3)
-            jumps = rng.normal(size=(2, n, n)) + 1j * rng.normal(size=(2, n, n))
-            gen = assemble_liouvillian(
-                rates[0] * random_hermitian(rng, n),
-                [lindblad_dissipator_superop(rate * v) for rate, v in zip(rates[1:], jumps)],
-            )
-            y = vectorize(random_density(rng, n))
+            n, gen, y = self.random_generator_and_state(rng, trial)
             powers, scale = evolution._scaled_powers(gen)
+            steps = (8, evolution._RUN)[trial % 2]
             for z in np.geomspace(1e-6, 3.3, 12):
                 h = z / np.linalg.norm(gen, 2)
-                rows, errs = evolution._dp_run(powers, y, h * scale, 8)
-                assert rows.shape == (9, n * n) and errs.shape == (8, n * n)
+                rows, errs = evolution._dp_run(powers, y, h * scale, steps)
+                assert rows.shape == (steps + 1, n * n) and errs.shape == (steps, n * n)
                 assert np.array_equal(rows[0], y)
-                for j in range(8):
+                for j in range(steps):
                     y_ref, err_ref = dp_step(gen, rows[j], h)
                     scale_j = np.max(np.abs(rows[j]))
                     assert np.max(np.abs(rows[j + 1] - y_ref)) <= 1e-13 * scale_j, (trial, z, j)

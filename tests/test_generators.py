@@ -370,6 +370,30 @@ class TestConstraintCheck:
             reference, *_ = np.linalg.lstsq(system, [rates[i, j] for i, j in pairs], rcond=None)
             assert np.max(np.abs(check.witness - reference)) <= 1e-14 * np.max(np.abs(reference))
 
+    @pytest.mark.parametrize("peak", [1e308, np.finfo(float).max])
+    def test_rates_near_the_largest_double_give_a_finite_witness(self, peak):
+        # the pair sums and strengths of these rates overflow on their own
+        # scale; an overflow warning fails the test
+        rates = np.full((4, 4), peak)
+        np.fill_diagonal(rates, 0.0)
+        check = check_dephasing_constraints(rates)
+        assert check.physical
+        assert np.all(np.isfinite(check.witness))
+        assert np.max(np.abs(check.witness / peak - 1.0)) <= 1e-15
+        x = peak * np.array([0.25, 0.5, 0.75, 1.0])
+        rates = 0.5 * x[:, None] + 0.5 * x[None, :]
+        np.fill_diagonal(rates, 0.0)
+        check = check_dephasing_constraints(rates)
+        assert check.physical
+        assert np.max(np.abs(check.witness / x - 1.0)) <= 1e-15
+
+    def test_subnormal_rates_keep_their_witness(self):
+        rates = np.full((4, 4), 5e-324)
+        np.fill_diagonal(rates, 0.0)
+        check = check_dephasing_constraints(rates)
+        assert check.physical
+        assert np.array_equal(check.witness, np.full(4, 5e-324))
+
 
 class TestAssembleLiouvillian:
     def test_requires_at_least_one_part(self):

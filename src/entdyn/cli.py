@@ -331,14 +331,15 @@ def _slots(block: np.ndarray) -> np.ndarray:
     # n = lead 10^8 + mid 10^4 + low, and lead >= 1 wherever the kernel's bytes are kept
     lead_mid, low = np.divmod(n.astype(np.int32), 10000)
     lead, mid = np.divmod(lead_mid, 10000)
-    trailing = _GROUP_ZEROS[low] + (low == 0) * _GROUP_ZEROS[mid]
+    # take gathers by the int32 groups as they are, where an index would first convert them to intp
+    trailing = _GROUP_ZEROS.take(low) + (low == 0) * _GROUP_ZEROS.take(mid)
     key = _CLASS_KEYS[exponent] - trailing + (v < 0)
 
     slots = np.take(_TEMPLATES, key, axis=0)
     words = slots.view(np.uint64)
     words[:, 0] &= _LEADS.take(lead, mode="clip")
-    words[:, 1] &= _GROUPS[mid]
-    words[:, 2] &= _GROUPS[low]
+    words[:, 1] &= _GROUPS.take(mid)
+    words[:, 2] &= _GROUPS.take(low)
     words[:, 3] &= _EXPONENTS[exponent]
     fallback = slow.nonzero()[0]
     if fallback.size:

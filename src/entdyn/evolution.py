@@ -9,8 +9,10 @@ same flow with an adaptive embedded Dormand-Prince 4(5) pair in runs of
 equal steps, every step of a run from the one step matrix that the pair's
 stability polynomials in hL give, their coefficients written as the
 exact rationals of the Dormand-Prince tableau, and the increments of a
-run filled by doubling. They share no numerical machinery, so agreement
-between them is a real cross-check.
+run filled by doubling, on the entries that the initial state reaches
+under the generator's nonzero pattern alone. They share no numerical
+machinery, and each finds the entries it propagates by its own analysis
+of the generator, so agreement between them is a real cross-check.
 propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
 stacked exponential, one doubling and one call per observable serve them
@@ -239,9 +241,10 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     transpose = _transposition(n)
     mirrored = _checked_mirror(stack, n, trace=True)
     labels = _sector_labels(((stack != 0) | (mirrored != 0)).any(axis=0))
-    # the sorted labels r or S r touches; np.unique would load numpy.ma
-    touched = np.flatnonzero(np.bincount(labels[(r != 0) | (r[transpose] != 0)], minlength=labels.size))
-    idx = np.flatnonzero(np.isin(labels, touched))
+    # how many entries r or S r has in each sector; np.unique would load numpy.ma
+    counts = np.bincount(labels[(r != 0) | (r[transpose] != 0)], minlength=labels.size)
+    touched = np.flatnonzero(counts)
+    idx = np.flatnonzero(counts[labels])
     block = gen[..., idx[:, None], idx]
     identity = identity[idx]
     # S on the propagated indices: position k holds the position of idx[k]'s transpose
@@ -411,15 +414,37 @@ _RTOL = 1e-10
 _ATOL = 1e-12
 
 
-def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
-    """The stack [(L/s)¹ … (L/s)⁷] as one (7n², n²) matrix, with s.
+def _reached(gen: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The sorted Liouville indices that r reaches under gen's nonzero pattern.
 
-    s is a power of two near the Frobenius norm of L, so dividing by it is
-    exact and the powers stay near unit size at any rate scale. The norm is
-    taken of _peak_normed(L), as in steady_state, so it is finite for any
-    finite L. s is the smallest power of two above the norm, or 2¹⁰²³ for a
-    norm at or above 2¹⁰²³; a norm beyond the largest double raises
-    NonFiniteError.
+    They are r's nonzero entries, closed under "i joins when gen_ij != 0
+    for some j already in": the only entries dr/dt = gen r can make
+    nonzero. Each pass adds what one product with the pattern reaches,
+    until a pass adds nothing. Directed, unlike the sectors of
+    _sector_labels, and found apart from them, so the two routes split the
+    generator by independent analyses.
+    """
+    reached = r != 0
+    count, previous = np.count_nonzero(reached), 0
+    if count < reached.size:
+        nonzero = gen != 0
+        while count > previous:
+            reached |= nonzero @ reached
+            count, previous = np.count_nonzero(reached), count
+    return np.flatnonzero(reached)
+
+
+def _scaled_powers(gen: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, float]:
+    """The stack [(B/s)¹ … (B/s)⁷] of L's block B on the support as one (7m, m) matrix, with s.
+
+    support is m sorted Liouville indices closed under L's nonzero pattern
+    (see _reached), so B^k is the block of L^k. s is a power of two near
+    the Frobenius norm of the whole L, so dividing by it is exact, the
+    powers stay near unit size at any rate scale, and every block scales
+    as the whole L would. The norm is taken of _peak_normed(L), as in
+    steady_state, so it is finite for any finite L. s is the smallest power
+    of two above the norm, or 2¹⁰²³ for a norm at or above 2¹⁰²³; a norm
+    beyond the largest double raises NonFiniteError.
     """
     normed, exponent = _peak_normed(gen)
     # a zero L has exponent -1 and frexp(0) gives 0, so s = 1/2 scales only zero powers
@@ -427,11 +452,13 @@ def _scaled_powers(gen: np.ndarray) -> tuple[np.ndarray, float]:
     if exponent > _MAX_EXPONENT + 1:
         raise NonFiniteError("generator norm exceeds the largest double")
     exponent = min(exponent, _MAX_EXPONENT)
-    powers = np.empty((_DP_DEGREES.size,) + gen.shape, dtype=complex)
-    powers[0] = _ldexp(gen, -exponent)
+    size = support.size
+    block = gen if size == gen.shape[0] else gen[support[:, None], support]
+    powers = np.empty((_DP_DEGREES.size, size, size), dtype=complex)
+    powers[0] = _ldexp(block, -exponent)
     for k in range(1, _DP_DEGREES.size):
         powers[k] = powers[0] @ powers[k - 1]
-    return powers.reshape(-1, gen.shape[1]), math.ldexp(1.0, exponent)
+    return powers.reshape(_DP_DEGREES.size * size, size), math.ldexp(1.0, exponent)
 
 
 def _dp_coefficients(z: float) -> np.ndarray:
@@ -444,18 +471,36 @@ def _dp_coefficients(z: float) -> np.ndarray:
     return _DP_POLY * np.minimum(z**_DP_DEGREES, _Z_POWER_CAP)
 
 
-def _first_step(powers: np.ndarray, y: np.ndarray, scale: float) -> float:
-    """The step whose error estimate from y is about 0.8⁵ of the tolerance, by the pair's leading error term.
+def _in_state(values: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
+    """(..., m) values on the support laid out as (..., size) entries of the whole state, exact zeros elsewhere.
 
-    e_1 … e_4 are zero, so at small z = h s the estimate of one step from y
-    is about |e_5| z⁵ (L/s)⁵ y, and its error norm |e_5| z⁵ w, w being the
-    RMS of (L/s)⁵ y against _ATOL + _RTOL |y|. The step is 0.8 z*/s for
-    the z* where that norm is 1. It is inf for w = 0 and 0 or NaN where w
+    values itself when the support holds every index. A sum over the laid
+    out entries adds the same terms in the same order as one over the
+    whole state's entries, so an error norm of the support is the whole
+    state's bit for bit.
+    """
+    if support.size == size:
+        return values
+    whole = np.zeros(values.shape[:-1] + (size,), dtype=values.dtype)
+    whole[..., support] = values
+    return whole
+
+
+def _first_step(powers: np.ndarray, r: np.ndarray, support: np.ndarray, scale: float) -> float:
+    """The step whose error estimate from r is about 0.8⁵ of the tolerance, by the pair's leading error term.
+
+    e_1 … e_4 are zero, so at small z = h s the estimate of one step from r
+    is about |e_5| z⁵ (L/s)⁵ r, and its error norm |e_5| z⁵ w, w being the
+    RMS of (L/s)⁵ r against _ATOL + _RTOL |r| over every entry of r. The
+    powers are those of L's block on the support, which holds every
+    nonzero entry of r and of (L/s)⁵ r. The step is 0.8 z*/s for the z*
+    where that norm is 1. It is inf for w = 0 and 0 or NaN where w
     overflows or is NaN, and the caller falls back to another rule there.
     """
-    size = y.size
-    ratio = (powers[4 * size : 5 * size] @ y) / (_ATOL + _RTOL * np.abs(y))
-    weight = np.sqrt(np.vdot(ratio, ratio).real / size)
+    y = r[support]
+    ratio = (powers[4 * y.size : 5 * y.size] @ y) / (_ATOL + _RTOL * np.abs(y))
+    ratio = _in_state(ratio, support, r.size)
+    weight = np.sqrt(np.vdot(ratio, ratio).real / r.size)
     return float(0.8 * (abs(_DP_POLY[1, 4]) * weight) ** -0.2 / scale)
 
 
@@ -474,11 +519,12 @@ def _dp_run(powers: np.ndarray, y: np.ndarray, z: float, steps: int):
     the estimate of step j is E r_j. No row is multiplied by M, whose
     diagonal 1 + X_ii drops the 1 where |X_ii| is far beyond 2^53, so every
     row equals y bit for bit wherever X y is zero, as it is for a state on
-    zero columns of L or one whose L r cancels exactly. Gives the
-    (steps + 1, n²) rows and the (steps, n²) estimates.
+    zero columns of L or one whose L r cancels exactly. For powers of
+    L's block on m support entries and y of those entries, gives the
+    (steps + 1, m) rows and the (steps, m) estimates.
     """
     size = y.size
-    stack = powers.view(float).reshape(_DP_DEGREES.size, -1)
+    stack = powers.view(float).reshape(_DP_DEGREES.size, 2 * size * size)
     step, error = (_dp_coefficients(z) @ stack).view(complex).reshape(2, size, size)
     rows = np.empty((steps + 1, size), dtype=complex)
     rows[0] = y
@@ -503,16 +549,24 @@ def _dp_run(powers: np.ndarray, y: np.ndarray, z: float, steps: int):
 def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     """Propagate by adaptive Runge-Kutta integration of dr/dt = L r, r0 being r(t_start).
 
+    Only the support is integrated: r0's nonzero entries closed under
+    L's nonzero pattern (_reached), which no step can leave. Every other
+    entry of every sample is an exact zero, as it is when the whole state
+    is integrated, so the support changes no decision: s comes from the
+    whole L, and every error norm is the RMS over all n² entries, summed
+    in the whole state's layout (_in_state). From the Bell state under
+    the feedback model the support is 4 of the 16 Liouville indices.
     An embedded Dormand-Prince 4(5) pair controls the local error against
     _ATOL + _RTOL * |r| per component. For a constant L each step is a
     polynomial in z = hL applied to r, with the pair's exact rational
-    coefficients (_DP_POLY); the powers (L/s)¹ … (L/s)⁷ are formed once
-    per call. The first step comes from the pair's leading error term
-    (_first_step): the h whose first error norm is about 0.8⁵, or where
-    that estimate is zero or not finite, 0.01 |r0| / |L r0| (the span/100
-    for L r0 = 0). The route advances in runs of up to _RUN = 128 equal
-    steps (_dp_run), every step of a run from the run's step matrix and
-    its squares, so a run costs about log2(steps) products. A run that
+    coefficients (_DP_POLY); the powers (B/s)¹ … (B/s)⁷ of L's block B on
+    the support are formed once per call. The first step comes from the
+    pair's leading error term (_first_step): the h whose first error norm
+    is about 0.8⁵, or where that estimate is zero or not finite,
+    0.01 |r0| / |L r0| (the span/100 for L r0 = 0). The route advances
+    in runs of up to _RUN = 128 equal steps (_dp_run), every step of a
+    run from the run's step matrix and its squares, so a run costs about
+    log2(steps) products. A run that
     reaches the next sample in at most _RUN steps of h takes steps of
     (target - t)/steps and lands on it. Every step of a run is judged by
     the per-step error test at once: the run keeps its steps up to the
@@ -527,9 +581,13 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     of the grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS
     attempts.
     diagnostics records the route, the accepted and rejected attempts,
-    the runs and the smallest accepted step h_min.
+    the runs, the smallest accepted step h_min and the support as its
+    sorted Liouville indices.
     """
-    gen, y, n = _check_generator_and_state(l, r0)
+    gen, r, n = _check_generator_and_state(l, r0)
+    size = r.size
+    support = _reached(gen, r)
+    y = r[support]
     times = grid.times
     floor = 1e-14 * grid.span
     vectors = [y.copy()]
@@ -541,11 +599,11 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     # the fallback first step, where a rate |L r| beyond the largest double
     # gives the smallest one
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        powers, scale = _scaled_powers(gen)
-        h = _first_step(powers, y, scale)
+        powers, scale = _scaled_powers(gen, support)
+        h = _first_step(powers, r, support, scale)
         if not 0.0 < h < math.inf:
-            rate = np.linalg.norm(powers[: y.size] @ y) * scale
-            h = 0.01 * np.linalg.norm(y) / rate if rate > 0 else grid.span / 100
+            rate = np.linalg.norm(_in_state(powers[: y.size] @ y, support, size)) * scale
+            h = 0.01 * np.linalg.norm(r) / rate if rate > 0 else grid.span / 100
         h = min(max(h, floor), grid.span)
         for target in times[1:].tolist():
             while target - t > floor:
@@ -561,8 +619,8 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                     steps, h_run = _RUN, h
                 rows, errs = _dp_run(powers, y, h_run * scale, steps)
                 tol = _ATOL + _RTOL * np.abs(rows)
-                ratio = np.abs(errs) / np.maximum(tol[:-1], tol[1:])
-                err_norms = np.sqrt(np.einsum("ij,ij->i", ratio, ratio) / y.size)
+                ratio = _in_state(np.abs(errs) / np.maximum(tol[:-1], tol[1:]), support, size)
+                err_norms = np.sqrt(np.einsum("ij,ij->i", ratio, ratio) / size)
                 passed = err_norms <= 1.0
                 kept = steps if passed.all() else int(np.argmin(passed))
                 runs += 1
@@ -582,13 +640,14 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                     h = 0.5 * h_run
             t = target
             vectors.append(y.copy())
-    trajectory = _density_trajectory(times, vectors, n)
+    trajectory = _density_trajectory(times, _in_state(np.array(vectors), support, size), n)
     trajectory.diagnostics = {
         "route": "ode",
         "accepted": accepted,
         "rejected": attempts - accepted,
         "runs": runs,
         "h_min": float(h_min),
+        "support": support.tolist(),
     }
     return trajectory
 

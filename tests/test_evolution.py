@@ -606,12 +606,12 @@ class TestPropagateOde:
 
     def test_makes_no_exponential(self, monkeypatch):
         # the ODE route is the independent check of the expm route: it neither
-        # exponentiates nor fills nor projects, so a drift of the trace or of
-        # Hermiticity reaches its states
+        # splits the generator into sectors nor exponentiates nor fills nor
+        # projects, so a drift of the trace or of Hermiticity reaches its states
         def refuse(*args):
             raise AssertionError("propagate_ode ran the expm route's machinery")
 
-        for name in ("expm", "_filled_by_doubling", "_trace_preserving", "_hermiticity_preserving"):
+        for name in ("_sector_labels", "expm", "_filled_by_doubling", "_trace_preserving", "_hermiticity_preserving"):
             monkeypatch.setattr(entdyn.evolution, name, refuse)
         gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, mu=0.5, gamma=1.0, y=0.3))
         propagate_ode(gen, bell_vector(), TimeGrid(0.0, 2.0, 3))
@@ -678,6 +678,64 @@ class TestPropagateOde:
             warnings.simplefilter("error")
             traj = propagate_ode(gen, r0, TimeGrid(0.0, 1.0, 3))
         assert np.max(np.abs(traj.states - r0.reshape(2, 2))) <= 1e-300
+
+
+class TestOdeSupport:
+    """propagate_ode integrates only the entries r0 reaches under L's nonzero pattern."""
+
+    grid = TimeGrid(0.0, 2.0, 5)
+
+    def test_bell_state_reaches_the_expm_routes_sector(self):
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, mu=0.5, gamma=1.0, y=0.3))
+        traj = propagate_ode(gen, bell_vector(), self.grid)
+        support = traj.diagnostics["support"]
+        assert support == [5, 6, 9, 10]
+        assert [support] == propagate_expm(gen, bell_vector(), self.grid).diagnostics["sectors"]
+        outside = np.setdiff1d(np.arange(16), support)
+        assert not np.any(traj.states.reshape(-1, 16)[:, outside])
+
+    def test_one_way_coupling_reaches_only_downhill(self):
+        # |1><1| decays into |0><0|, which the dissipator of |0><1| leaves alone
+        gen = lindblad_dissipator_superop(np.array([[0, 1], [0, 0]], dtype=complex))
+        r0 = vectorize(np.diag([0.0, 1.0]).astype(complex))
+        traj = propagate_ode(gen, r0, self.grid)
+        assert traj.diagnostics["support"] == [0, 3]
+        assert np.max(np.abs(traj.states - propagate_expm(gen, r0, self.grid).states)) <= 1e-8
+        assert abs(traj.states[-1, 1, 1] - np.exp(-2.0)) <= 1e-8
+        # the link runs one way: nothing leaves |0><0|, which the expm route's sector joins to |1><1|
+        ground = propagate_ode(gen, vectorize(np.diag([1.0, 0.0]).astype(complex)), self.grid)
+        assert ground.diagnostics["support"] == [0]
+        assert np.array_equal(ground.states, np.broadcast_to(ground.states[0], ground.states.shape))
+
+    def test_start_on_every_entry_reaches_all_of_them(self):
+        plus = vectorize(density_from_pure(np.full(4, 0.5, dtype=complex)))
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, mu=0.5, gamma=1.0, y=0.3))
+        traj = propagate_ode(gen, plus, self.grid)
+        assert traj.diagnostics["support"] == list(range(16))
+        assert np.max(np.abs(traj.states - propagate_expm(gen, plus, self.grid).states)) <= 1e-8
+
+    def test_zero_state_is_refused(self):
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        with pytest.raises(InvalidStateError):
+            propagate_ode(gen, np.zeros(16), self.grid)
+
+    def test_support_makes_the_whole_routes_decisions(self, monkeypatch):
+        # the entries outside the support are exact zeros of the whole route,
+        # so its error norms, and with them every step it takes, are the same
+        rng = np.random.default_rng(28)
+        sets = []
+        for _ in range(10):
+            m, f, gamma = 10.0 ** rng.uniform(-1.0, 0.5, size=3)
+            mu, y = rng.uniform(-5.0, 5.0, size=2)
+            sets.append(wm_full_generator(FeedbackParams(m=m, f=f, mu=mu, gamma=gamma, y=y)))
+        reduced = [propagate_ode(gen, bell_vector(), self.grid) for gen in sets]
+        monkeypatch.setattr(entdyn.evolution, "_reached", lambda gen, r: np.arange(r.size))
+        for gen, part in zip(sets, reduced):
+            whole = propagate_ode(gen, bell_vector(), self.grid)
+            assert whole.diagnostics["support"] == list(range(16))
+            for key in ("accepted", "rejected", "runs", "h_min"):
+                assert part.diagnostics[key] == whole.diagnostics[key], key
+            assert np.max(np.abs(part.states - whole.states)) <= 1e-15
 
 
 class TestTimeOrigin:
@@ -755,7 +813,7 @@ class TestOdeDiagnostics:
         dp_run = evolution._dp_run
         monkeypatch.setattr(evolution, "_dp_run", recording_run)
         gen, r0, traj = self.stiff_run()
-        _, scale = evolution._scaled_powers(gen)
+        _, scale = evolution._scaled_powers(gen, evolution._reached(gen, r0))
         samples = iter(self.grid.times[1:])
         target = next(samples)
         t = 0.0
@@ -865,7 +923,7 @@ class TestDormandPrincePolynomials:
         rng = np.random.default_rng(9)
         for trial in range(12):
             n, gen, y = self.random_generator_and_state(rng, trial)
-            powers, scale = evolution._scaled_powers(gen)
+            powers, scale = evolution._scaled_powers(gen, np.arange(gen.shape[0]))
             for z in np.geomspace(1e-6, 3.3, 12):
                 h = z / np.linalg.norm(gen, 2)
                 rows, errs = evolution._dp_run(powers, y, h * scale, 1)
@@ -882,7 +940,7 @@ class TestDormandPrincePolynomials:
         rng = np.random.default_rng(24)
         for trial in range(12):
             n, gen, y = self.random_generator_and_state(rng, trial)
-            powers, scale = evolution._scaled_powers(gen)
+            powers, scale = evolution._scaled_powers(gen, np.arange(gen.shape[0]))
             steps = (8, evolution._RUN)[trial % 2]
             for z in np.geomspace(1e-6, 3.3, 12):
                 h = z / np.linalg.norm(gen, 2)
@@ -903,7 +961,7 @@ class TestDormandPrincePolynomials:
         lower = np.array([[0, 1], [0, 0]], dtype=complex)
         gen = lindblad_dissipator_superop(np.sqrt(5e307) * PAULI_Z) + lindblad_dissipator_superop(1e150 * lower)
         assert np.max(np.abs(gen)) >= 2.0**1023
-        powers, scale = evolution._scaled_powers(gen)
+        powers, scale = evolution._scaled_powers(gen, np.arange(gen.shape[0]))
         assert scale == 2.0**1023
         # |0><0| lies on a zero column of L
         kernel = vectorize(np.diag([1.0, 0.0]).astype(complex))
@@ -922,12 +980,17 @@ class TestDormandPrincePolynomials:
 
     def test_powers_are_scaled_by_a_power_of_two(self):
         gen = 1e150 * wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
-        powers, scale = entdyn.evolution._scaled_powers(gen)
+        powers, scale = entdyn.evolution._scaled_powers(gen, np.arange(gen.shape[0]))
         mantissa, _ = np.frexp(scale)
         assert mantissa == 0.5
         assert 0.5 <= np.linalg.norm(gen) / scale <= 1.0
         assert np.array_equal(powers[: gen.shape[0]], gen / scale)
         assert np.all(np.isfinite(powers))
+        # a block is scaled by the whole generator's s, so its steps are the whole route's
+        support = np.array([5, 6, 9, 10])
+        block_powers, block_scale = entdyn.evolution._scaled_powers(gen, support)
+        assert block_scale == scale
+        assert np.array_equal(block_powers[:4], gen[np.ix_(support, support)] / scale)
 
 
 class TestSteadyState:

@@ -425,12 +425,11 @@ def _reached(gen: np.ndarray, r: np.ndarray) -> np.ndarray:
     generator by independent analyses.
     """
     reached = r != 0
+    nonzero = gen != 0
     count, previous = np.count_nonzero(reached), 0
-    if count < reached.size:
-        nonzero = gen != 0
-        while count > previous:
-            reached |= nonzero @ reached
-            count, previous = np.count_nonzero(reached), count
+    while count > previous:
+        reached |= nonzero @ reached
+        count, previous = np.count_nonzero(reached), count
     return np.flatnonzero(reached)
 
 
@@ -453,9 +452,8 @@ def _scaled_powers(gen: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, fl
         raise NonFiniteError("generator norm exceeds the largest double")
     exponent = min(exponent, _MAX_EXPONENT)
     size = support.size
-    block = gen if size == gen.shape[0] else gen[support[:, None], support]
     powers = np.empty((_DP_DEGREES.size, size, size), dtype=complex)
-    powers[0] = _ldexp(block, -exponent)
+    powers[0] = _ldexp(gen[support[:, None], support], -exponent)
     for k in range(1, _DP_DEGREES.size):
         powers[k] = powers[0] @ powers[k - 1]
     return powers.reshape(_DP_DEGREES.size * size, size), math.ldexp(1.0, exponent)
@@ -474,33 +472,33 @@ def _dp_coefficients(z: float) -> np.ndarray:
 def _in_state(values: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
     """(..., m) values on the support laid out as (..., size) entries of the whole state, exact zeros elsewhere.
 
-    values itself when the support holds every index. A sum over the laid
-    out entries adds the same terms in the same order as one over the
-    whole state's entries, so an error norm of the support is the whole
-    state's bit for bit.
+    The samples are returned this way, and the first step and its
+    fallback take their norms this way: a BLAS dot may group its terms by
+    the vector's length, so one over the m values alone may round
+    otherwise than the whole-state route's. The order, not the result, is
+    what matches: the block's powers are m×m products, whose round-off may
+    differ from the whole L's.
     """
-    if support.size == size:
-        return values
     whole = np.zeros(values.shape[:-1] + (size,), dtype=values.dtype)
     whole[..., support] = values
     return whole
 
 
-def _first_step(powers: np.ndarray, r: np.ndarray, support: np.ndarray, scale: float) -> float:
+def _first_step(powers: np.ndarray, y: np.ndarray, support: np.ndarray, size: int, scale: float) -> float:
     """The step whose error estimate from r is about 0.8⁵ of the tolerance, by the pair's leading error term.
 
     e_1 … e_4 are zero, so at small z = h s the estimate of one step from r
     is about |e_5| z⁵ (L/s)⁵ r, and its error norm |e_5| z⁵ w, w being the
-    RMS of (L/s)⁵ r against _ATOL + _RTOL |r| over every entry of r. The
-    powers are those of L's block on the support, which holds every
-    nonzero entry of r and of (L/s)⁵ r. The step is 0.8 z*/s for the z*
-    where that norm is 1. It is inf for w = 0 and 0 or NaN where w
-    overflows or is NaN, and the caller falls back to another rule there.
+    RMS of (L/s)⁵ r against _ATOL + _RTOL |r| over all `size` entries of r.
+    y is r on the support, which holds every nonzero entry of r and of
+    (L/s)⁵ r, and the powers are those of L's block there. The step is
+    0.8 z*/s for the z* where that norm is 1. It is inf for w = 0 and 0 or
+    NaN where w overflows or is NaN, and the caller falls back to another
+    rule there.
     """
-    y = r[support]
     ratio = (powers[4 * y.size : 5 * y.size] @ y) / (_ATOL + _RTOL * np.abs(y))
-    ratio = _in_state(ratio, support, r.size)
-    weight = np.sqrt(np.vdot(ratio, ratio).real / r.size)
+    ratio = _in_state(ratio, support, size)
+    weight = np.sqrt(np.vdot(ratio, ratio).real / size)
     return float(0.8 * (abs(_DP_POLY[1, 4]) * weight) ** -0.2 / scale)
 
 
@@ -552,10 +550,13 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     Only the support is integrated: r0's nonzero entries closed under
     L's nonzero pattern (_reached), which no step can leave. Every other
     entry of every sample is an exact zero, as it is when the whole state
-    is integrated, so the support changes no decision: s comes from the
-    whole L, and every error norm is the RMS over all n² entries, summed
-    in the whole state's layout (_in_state). From the Bell state under
-    the feedback model the support is 4 of the 16 Liouville indices.
+    is integrated, and every decision follows the whole state's rule: s
+    comes from the whole L, and every error norm is the RMS over all n²
+    entries, the first step's summed in the whole state's layout
+    (_in_state). The block's powers may round otherwise than the whole
+    L's, so a step near the tolerance may still be judged otherwise.
+    From the Bell state under the feedback model the support is 4 of the
+    16 Liouville indices.
     An embedded Dormand-Prince 4(5) pair controls the local error against
     _ATOL + _RTOL * |r| per component. For a constant L each step is a
     polynomial in z = hL applied to r, with the pair's exact rational
@@ -600,7 +601,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     # gives the smallest one
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers, scale = _scaled_powers(gen, support)
-        h = _first_step(powers, r, support, scale)
+        h = _first_step(powers, y, support, size, scale)
         if not 0.0 < h < math.inf:
             rate = np.linalg.norm(_in_state(powers[: y.size] @ y, support, size)) * scale
             h = 0.01 * np.linalg.norm(r) / rate if rate > 0 else grid.span / 100
@@ -619,7 +620,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                     steps, h_run = _RUN, h
                 rows, errs = _dp_run(powers, y, h_run * scale, steps)
                 tol = _ATOL + _RTOL * np.abs(rows)
-                ratio = _in_state(np.abs(errs) / np.maximum(tol[:-1], tol[1:]), support, size)
+                ratio = np.abs(errs) / np.maximum(tol[:-1], tol[1:])
                 err_norms = np.sqrt(np.einsum("ij,ij->i", ratio, ratio) / size)
                 passed = err_norms <= 1.0
                 kept = steps if passed.all() else int(np.argmin(passed))

@@ -737,6 +737,25 @@ class TestOdeSupport:
                 assert part.diagnostics[key] == whole.diagnostics[key], key
             assert np.max(np.abs(part.states - whole.states)) <= 1e-15
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(m=13.960311758032486, f=4.438328913544598, mu=3.5253488309088237, gamma=73.84022125147632, y=-3.5231565209555926),
+            dict(m=72.23234832074239, f=3.246898789968077, mu=-3.2428584801351548, gamma=7.834735726275429, y=4.913327710946659),
+            dict(m=3.1676111934612403, f=1.9106765535002197, mu=4.312463078559572, gamma=58.88888554204996, y=0.0),
+        ],
+    )
+    def test_first_step_norm_sums_in_the_whole_state_layout(self, params, monkeypatch):
+        # on these sets a first-step norm over the 4 support entries alone
+        # rounds otherwise than over all 16 and changes the step counts
+        gen = wm_full_generator(FeedbackParams(**params))
+        grid = TimeGrid(0.0, 2.0, 3)
+        part = propagate_ode(gen, bell_vector(), grid).diagnostics
+        monkeypatch.setattr(entdyn.evolution, "_reached", lambda gen, r: np.arange(r.size))
+        whole = propagate_ode(gen, bell_vector(), grid).diagnostics
+        for key in ("accepted", "rejected", "runs", "h_min"):
+            assert part[key] == whole[key], key
+
 
 class TestTimeOrigin:
     """Every propagator takes r0 as the state at grid.t_start, so the routes agree on any grid."""

@@ -469,36 +469,22 @@ def _dp_coefficients(z: float) -> np.ndarray:
     return _DP_POLY * np.minimum(z**_DP_DEGREES, _Z_POWER_CAP)
 
 
-def _in_state(values: np.ndarray, support: np.ndarray, size: int) -> np.ndarray:
-    """(..., m) values on the support laid out as (..., size) entries of the whole state, exact zeros elsewhere.
-
-    The samples are returned this way, and the first step and its
-    fallback take their norms this way: a BLAS dot may group its terms by
-    the vector's length, so one over the m values alone may round
-    otherwise than the whole-state route's. The order, not the result, is
-    what matches: the block's powers are m×m products, whose round-off may
-    differ from the whole L's.
-    """
-    whole = np.zeros(values.shape[:-1] + (size,), dtype=values.dtype)
-    whole[..., support] = values
-    return whole
-
-
-def _first_step(powers: np.ndarray, y: np.ndarray, support: np.ndarray, size: int, scale: float) -> float:
+def _first_step(powers: np.ndarray, y: np.ndarray, size: int, scale: float) -> float:
     """The step whose error estimate from r is about 0.8⁵ of the tolerance, by the pair's leading error term.
 
     e_1 … e_4 are zero, so at small z = h s the estimate of one step from r
     is about |e_5| z⁵ (L/s)⁵ r, and its error norm |e_5| z⁵ w, w being the
     RMS of (L/s)⁵ r against _ATOL + _RTOL |r| over all `size` entries of r.
     y is r on the support, which holds every nonzero entry of r and of
-    (L/s)⁵ r, and the powers are those of L's block there. The step is
-    0.8 z*/s for the z* where that norm is 1. It is inf for w = 0 and 0 or
-    NaN where w overflows or is NaN, and the caller falls back to another
-    rule there.
+    (L/s)⁵ r, and the powers are those of L's block there. Python's sum
+    adds the squared real and imaginary parts in index order, and an exact
+    zero changes no partial sum, so w is the whole state's by construction
+    (a BLAS dot may group its terms by the vector's length). The step is
+    0.8 z*/s for the z* where that norm is 1: inf for w = 0, 0 where w
+    overflows, NaN for a NaN w.
     """
     ratio = (powers[4 * y.size : 5 * y.size] @ y) / (_ATOL + _RTOL * np.abs(y))
-    ratio = _in_state(ratio, support, size)
-    weight = np.sqrt(np.vdot(ratio, ratio).real / size)
+    weight = np.sqrt(sum((ratio.view(float) ** 2).tolist()) / size)
     return float(0.8 * (abs(_DP_POLY[1, 4]) * weight) ** -0.2 / scale)
 
 
@@ -547,37 +533,35 @@ def _dp_run(powers: np.ndarray, y: np.ndarray, z: float, steps: int):
 def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     """Propagate by adaptive Runge-Kutta integration of dr/dt = L r, r0 being r(t_start).
 
-    Only the support is integrated: r0's nonzero entries closed under
-    L's nonzero pattern (_reached), which no step can leave. Every other
-    entry of every sample is an exact zero, as it is when the whole state
-    is integrated, and every decision follows the whole state's rule: s
-    comes from the whole L, and every error norm is the RMS over all n²
-    entries, the first step's summed in the whole state's layout
-    (_in_state). The block's powers may round otherwise than the whole
-    L's, so a step near the tolerance may still be judged otherwise.
-    From the Bell state under the feedback model the support is 4 of the
-    16 Liouville indices.
+    Only the support is integrated: r0's nonzero entries closed under L's
+    nonzero pattern (_reached), which no step can leave. Every other entry
+    of every sample is an exact zero, as it is when the whole state is
+    integrated, and every decision follows the whole state's rule: s comes
+    from the whole L, and every error norm is the RMS over all n² entries.
+    The block's powers may round otherwise than the whole L's, so a step
+    near the tolerance may still be judged otherwise. From the Bell state
+    under the feedback model the support is 4 of the 16 Liouville indices.
     An embedded Dormand-Prince 4(5) pair controls the local error against
     _ATOL + _RTOL * |r| per component. For a constant L each step is a
     polynomial in z = hL applied to r, with the pair's exact rational
     coefficients (_DP_POLY); the powers (B/s)¹ … (B/s)⁷ of L's block B on
     the support are formed once per call. The first step comes from the
-    pair's leading error term (_first_step): the h whose first error norm
-    is about 0.8⁵, or where that estimate is zero or not finite,
-    0.01 |r0| / |L r0| (the span/100 for L r0 = 0). The route advances
-    in runs of up to _RUN = 128 equal steps (_dp_run), every step of a
-    run from the run's step matrix and its squares, so a run costs about
-    log2(steps) products. A run that
-    reaches the next sample in at most _RUN steps of h takes steps of
-    (target - t)/steps and lands on it. Every step of a run is judged by
-    the per-step error test at once: the run keeps its steps up to the
-    first that fails or has a non-finite estimate, which counts as one
+    pair's leading error term (_first_step): the h whose first error norm is
+    about 0.8⁵, at least the floor and at most the span. A zero (L/s)⁵ r0
+    gives the span: every later estimate is then zero too, and the pair's
+    polynomial is the exact Taylor series. The route advances in runs of up
+    to _RUN = 128 equal steps (_dp_run), every step of a run from the run's
+    step matrix and its squares, so a run costs about log2(steps) products.
+    A run that reaches the next sample in at most _RUN steps of h takes
+    steps of (target - t)/steps and lands on it. Every step of a run is
+    judged by the per-step error test at once: the run keeps its steps up to
+    the first that fails or has a non-finite estimate, which counts as one
     rejected attempt; the steps after it are dropped and not counted. One
-    rule sizes the next step: h_run times min(5, max(0.2, 0.9 err^-0.2))
-    for the error norm err of the first failing step, or of the run's
-    last step if none fails, so a zero error gives 5x and an inf or NaN
-    one 0.2x; a failing run whose next step the floor would hold at h_run
-    or above halves h_run instead. Rows are never projected.
+    rule sizes the next step: h_run times min(5, max(0.2, 0.9 err^-0.2)) for
+    the error norm err of the first failing step, or of the run's last step
+    if none fails, so a zero error gives 5x and an inf or NaN one 0.2x; a
+    failing run whose next step the floor would hold at h_run or above
+    halves h_run instead. Rows are never projected.
     Raises StepUnderflowError if the controller needs a step below 1e-14
     of the grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS
     attempts.
@@ -591,22 +575,19 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     y = r[support]
     times = grid.times
     floor = 1e-14 * grid.span
-    vectors = [y.copy()]
+    states = np.zeros((times.size, size), dtype=complex)
+    states[0, support] = y
     t = float(times[0])
     attempts = accepted = runs = 0
     h_min = grid.span
     # overflow inside a step shows as a non-finite error estimate and rejects
-    # it; a zero error norm raised to -0.2 is inf, so a zero (L/s)⁵ y takes
-    # the fallback first step, where a rate |L r| beyond the largest double
-    # gives the smallest one
+    # it; a zero first error norm raised to -0.2 is inf and gives the span,
+    # an overflowing one gives 0 and a NaN one NaN, and Python's
+    # max(floor, nan) returns floor
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         powers, scale = _scaled_powers(gen, support)
-        h = _first_step(powers, y, support, size, scale)
-        if not 0.0 < h < math.inf:
-            rate = np.linalg.norm(_in_state(powers[: y.size] @ y, support, size)) * scale
-            h = 0.01 * np.linalg.norm(r) / rate if rate > 0 else grid.span / 100
-        h = min(max(h, floor), grid.span)
-        for target in times[1:].tolist():
+        h = min(max(floor, _first_step(powers, y, size, scale)), grid.span)
+        for sample, target in enumerate(times[1:].tolist(), 1):
             while target - t > floor:
                 if h < floor:
                     raise StepUnderflowError(f"step {h:.3e} below floor {floor:.3e} at t = {t:.6g}")
@@ -640,8 +621,8 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                 if kept < steps and h >= h_run:
                     h = 0.5 * h_run
             t = target
-            vectors.append(y.copy())
-    trajectory = _density_trajectory(times, _in_state(np.array(vectors), support, size), n)
+            states[sample, support] = y
+    trajectory = _density_trajectory(times, states, n)
     trajectory.diagnostics = {
         "route": "ode",
         "accepted": accepted,

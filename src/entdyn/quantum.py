@@ -2,9 +2,10 @@
 
 Density matrices and state vectors are plain complex ndarrays; invariants
 are enforced by the validate_* helpers rather than wrapper classes. The
-density-matrix functions that trajectories sample (validate_density,
-purity, bloch_from_density, embed_23 and both concurrences) take one
-matrix or an (N, n, n) stack of them, with the same checks per matrix.
+density-matrix functions that trajectories sample (purity,
+bloch_from_density and both concurrences) take one matrix or an
+(N, n, n) stack of them, with the same checks per matrix, and so do
+validate_density and embed_23.
 
 bloch_from_density takes the Pauli traces in closed form from the entries.
 validate_density and both concurrences gate a stack before computing from

@@ -567,7 +567,26 @@ class TestPropagateOde:
             warnings.simplefilter("error")
             traj = propagate_ode(gen, r0, TimeGrid(0.0, 1e9, 3))
         assert np.array_equal(traj.states, np.broadcast_to(traj.states[0], traj.states.shape))
-        assert traj.diagnostics["runs"] < traj.diagnostics["accepted"]
+        # (L/s)⁵ r0 = 0 makes the first step the span, and every step is exact
+        assert traj.diagnostics["accepted"] == traj.diagnostics["runs"] == 2
+
+    def test_nilpotent_start_takes_exact_steps(self):
+        # L³ = 0 on the support of e_8, so r(t) = e_8 + 3t e_4 + 3t² e_0 is
+        # the pair's own Taylor polynomial: every error estimate is zero, and
+        # one step spans each sample interval
+        gen = np.zeros((9, 9))
+        gen[0, 4] = 2.0
+        gen[4, 8] = 3.0
+        r0 = np.zeros(9)
+        r0[8] = 1.0
+        grid = TimeGrid(0.0, 2.0, 5)
+        traj = propagate_ode(gen, r0, grid)
+        t = grid.times
+        expected = np.zeros((t.size, 9))
+        expected[:, 0], expected[:, 4], expected[:, 8] = 3.0 * t**2, 3.0 * t, 1.0
+        assert np.array_equal(traj.states.reshape(-1, 9), expected)
+        assert traj.diagnostics["accepted"] == 4
+        assert traj.diagnostics["support"] == [0, 4, 8]
 
     @pytest.mark.parametrize("rate", [1e10, 1e100, 1e300])
     @pytest.mark.parametrize("levels", [2, 3])
@@ -745,9 +764,9 @@ class TestOdeSupport:
             dict(m=3.1676111934612403, f=1.9106765535002197, mu=4.312463078559572, gamma=58.88888554204996, y=0.0),
         ],
     )
-    def test_first_step_norm_sums_in_the_whole_state_layout(self, params, monkeypatch):
-        # on these sets a first-step norm over the 4 support entries alone
-        # rounds otherwise than over all 16 and changes the step counts
+    def test_first_step_norm_does_not_depend_on_where_the_zeros_lie(self, params, monkeypatch):
+        # on these sets a BLAS dot over the 4 support entries alone rounds
+        # otherwise than one over all 16, and changes the step counts
         gen = wm_full_generator(FeedbackParams(**params))
         grid = TimeGrid(0.0, 2.0, 3)
         part = propagate_ode(gen, bell_vector(), grid).diagnostics
@@ -996,6 +1015,21 @@ class TestDormandPrincePolynomials:
             assert not np.any(errs), z
             if z >= 1e50:
                 assert not np.any(norms <= 1.0), z
+        # a full run squares the step matrix, whose square overflows at these
+        # z: it must not be taken, or 0 * inf turns the rows into NaN. The
+        # two-level exchange state is in L's kernel by cancellation; both
+        # generators are complex, as _ldexp reads them as float pairs
+        exchange = np.zeros((4, 4), dtype=complex)
+        exchange[0, 0] = exchange[3, 3] = -1e300
+        exchange[0, 3] = exchange[3, 0] = 1e300
+        exchange_powers, _ = evolution._scaled_powers(exchange, np.arange(4))
+        balanced = vectorize(np.diag([0.5, 0.5]).astype(complex))
+        for stack, start in ((powers, kernel), (exchange_powers, balanced)):
+            for z in (1e50, 1e300, np.inf):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rows, errs = evolution._dp_run(stack, start, z, evolution._RUN)
+                assert np.array_equal(rows, np.broadcast_to(start, rows.shape)), z
+                assert not np.any(errs), z
 
     def test_powers_are_scaled_by_a_power_of_two(self):
         gen = 1e150 * wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))

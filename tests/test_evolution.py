@@ -764,9 +764,11 @@ class TestOdeSupport:
             dict(m=3.1676111934612403, f=1.9106765535002197, mu=4.312463078559572, gamma=58.88888554204996, y=0.0),
         ],
     )
-    def test_first_step_norm_does_not_depend_on_where_the_zeros_lie(self, params, monkeypatch):
-        # on these sets a BLAS dot over the 4 support entries alone rounds
-        # otherwise than one over all 16, and changes the step counts
+    def test_first_step_norm_sums_in_the_whole_state_layout(self, params, monkeypatch):
+        # the norm sums as in the whole state, where the exact zeros outside the
+        # support add nothing; on these sets a BLAS dot over the 4 support
+        # entries alone rounds otherwise than one over all 16, and changes the
+        # step counts
         gen = wm_full_generator(FeedbackParams(**params))
         grid = TimeGrid(0.0, 2.0, 3)
         part = propagate_ode(gen, bell_vector(), grid).diagnostics

@@ -15,14 +15,16 @@ machinery, and each finds the entries it propagates by its own analysis
 of the generator, so agreement between them is a real cross-check.
 propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
-stacked exponential, one doubling and one call per observable serve them
-all. Observables are computed on the whole stack of sampled states at once.
-The concurrence of a 2- or 4-level trajectory gates its stack before any
-other measure is taken, so a sample more than 1e-8 from Hermitian or from
-unit trace, or with an eigenvalue below -1e-9, raises (see
-quantum._CONCURRENCE_GATES). propagate_expm refuses a step exponential
-that misses the trace by more than that 1e-8 before projecting it. A
-TimeGrid whose step is below the smallest normal double is refused.
+stacked exponential, one doubling and one pass over the observables serve
+them all. Each route checks the entries it computed for finiteness once,
+and then the whole stack of sampled states takes one pass
+(quantum._measures): one split into 2x2 blocks and one gate before any
+measure is taken, so a sample more than 1e-8 from Hermitian or from unit
+trace, or with an eigenvalue below -1e-9, raises (see
+quantum._CONCURRENCE_GATES), and then every observable from the same
+blocks. propagate_expm refuses a step exponential that misses the trace by
+more than that 1e-8 before projecting it. A TimeGrid whose step is below
+the smallest normal double is refused.
 """
 from __future__ import annotations
 
@@ -108,34 +110,27 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _density_observables(states: np.ndarray) -> dict[str, np.ndarray]:
-    n = states.shape[1]
-    obs: dict[str, np.ndarray] = {}
-    # the concurrence gates the stack, so a failing state raises before a measure can overflow on it
-    if n == 4:
-        obs["concurrence"] = quantum.concurrence(states)
-    elif n == 2:
-        obs["concurrence"] = quantum.concurrence_2x2_embedded(states)
-        obs["bloch_norm"] = np.linalg.norm(quantum.bloch_from_density(states), axis=1)
-    obs["purity"] = quantum.purity(states)
-    return obs
-
-
 def _density_trajectory(times: np.ndarray, vectors, n: int) -> Trajectory:
-    """The trajectory of (..., N, n²) sampled vectors: the observables gate and measure all samples as one stack."""
+    """The trajectory of (..., N, n²) sampled vectors that the route has found finite.
+
+    All samples are gated and measured as one stack by one call to
+    quantum._measures, which checks no finiteness of its own.
+    """
     vectors = np.asarray(vectors)
     batch = vectors.shape[:-1]
     states = vectors.reshape(-1, n, n)
-    observables = {name: values.reshape(batch) for name, values in _density_observables(states).items()}
+    observables = {name: values.reshape(batch) for name, values in quantum._measures(states).items()}
     return Trajectory(times, states.reshape(batch + (n, n)), observables)
 
 
 def _require_finite(states: np.ndarray, times: np.ndarray):
     """Raise NonFiniteError for the first non-finite sample of (..., N, d) states, naming its time."""
+    # one pass over every entry; the samples are searched only once it fails
+    if np.isfinite(states).all():
+        return
     finite = np.isfinite(states).all(axis=-1).reshape(-1)
-    if not finite.all():
-        k = int(np.argmin(finite))
-        raise NonFiniteError(f"propagated state at t = {times[k % times.size]:.6g} is not finite")
+    k = int(np.argmin(finite))
+    raise NonFiniteError(f"propagated state at t = {times[k % times.size]:.6g} is not finite")
 
 
 def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
@@ -163,7 +158,8 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     _require_finite(states, times)
     obs = {"norm": np.linalg.norm(states, axis=1)}
     if v.size == 4:
-        obs["concurrence"] = quantum.concurrence(np.einsum("ki,kj->kij", states, states.conj()))
+        # the densities of finite unit vectors are finite: the concurrence only gates them
+        obs["concurrence"], _ = quantum._gated_concurrence(np.einsum("ki,kj->kij", states, states.conj()))
     return Trajectory(times, states, obs)
 
 
@@ -215,8 +211,11 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     over the samples. The projection is for round-off alone: a P that
     misses the trace, max |e - e P| for the trace row e, by more than the
     concurrence's trace gate 1e-8 (quantum._TRACE_DRIFT) raises
-    NonFiniteError, as a scaled generator block, P or a propagated state
-    that holds inf or NaN does. diagnostics records the route and the
+    NonFiniteError, as a scaled generator block or P that holds inf or NaN
+    does. The propagated rows are checked for finiteness once, before they
+    are written into the samples, whose other entries are exact zeros: a
+    non-finite row raises NonFiniteError naming its sample's time, and no
+    later check runs. diagnostics records the route and the
     propagated sectors, each as its sorted list of Liouville indices; for
     a non-Hermitian r0 they include the S images of the sectors it
     touches.
@@ -226,8 +225,8 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     names the error. The sectors come from the union of the members'
     patterns, a partition at least as coarse as each member's own, so
     still invariant for every member; the k step exponentials are one
-    stacked expm, the doubling runs on (k, N, m) rows, and the observables
-    gate and measure the (k N, n, n) stack with one call each. The states
+    stacked expm, the doubling runs on (k, N, m) rows, and one pass gates
+    and measures the (k N, n, n) stack. The states
     come out as (k, N, n, n) and every observable as (k, N); member j
     gets the bits of a call on l[j] alone wherever its own sectors select
     the same propagated indices. A 2-dimensional l gives (N, n, n) and
@@ -265,12 +264,14 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
             f"step exponential at dt = {dt:.6g} loses the trace: max |e - e P| ="
             f" {deficit[np.argmax(refused)]:.3e} exceeds {quantum._TRACE_DRIFT:.1e}"
         )
-    vectors = np.zeros(gen.shape[:-2] + (times.size, r.size), dtype=complex)
     # an overflowing power or state is reported by _require_finite
     with np.errstate(over="ignore", invalid="ignore"):
         step = _hermiticity_preserving(_trace_preserving(step, identity), flip)
-        vectors[..., idx] = _filled_by_doubling(r[idx], step, times.size, identity)
-    _require_finite(vectors, times)
+        rows = _filled_by_doubling(r[idx], step, times.size, identity)
+    # every other entry is an exact zero
+    _require_finite(rows, times)
+    vectors = np.zeros(gen.shape[:-2] + (times.size, r.size), dtype=complex)
+    vectors[..., idx] = rows
     trajectory = _density_trajectory(times, vectors, n)
     trajectory.diagnostics = {
         "route": "expm",
@@ -561,7 +562,11 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     the error norm err of the first failing step, or of the run's last step
     if none fails, so a zero error gives 5x and an inf or NaN one 0.2x; a
     failing run whose next step the floor would hold at h_run or above
-    halves h_run instead. Rows are never projected.
+    halves h_run instead. Rows are never projected. The samples' support
+    entries are checked for finiteness once, after the last sample and
+    before any measure: an inf in a run's last row makes that row's
+    tolerance inf, so the error test alone can accept it. A non-finite
+    sample raises NonFiniteError naming its time.
     Raises StepUnderflowError if the controller needs a step below 1e-14
     of the grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS
     attempts.
@@ -575,8 +580,8 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     y = r[support]
     times = grid.times
     floor = 1e-14 * grid.span
-    states = np.zeros((times.size, size), dtype=complex)
-    states[0, support] = y
+    samples = np.empty((times.size, support.size), dtype=complex)
+    samples[0] = y
     t = float(times[0])
     attempts = accepted = runs = 0
     h_min = grid.span
@@ -621,7 +626,11 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                 if kept < steps and h >= h_run:
                     h = 0.5 * h_run
             t = target
-            states[sample, support] = y
+            samples[sample] = y
+    # an accepted row may hold an inf whose error estimate still passes; every other entry is an exact zero
+    _require_finite(samples, times)
+    states = np.zeros((times.size, size), dtype=complex)
+    states[:, support] = samples
     trajectory = _density_trajectory(times, states, n)
     trajectory.diagnostics = {
         "route": "ode",

@@ -2,21 +2,25 @@
 
 Density matrices and state vectors are plain complex ndarrays; invariants
 are enforced by the validate_* helpers rather than wrapper classes. The
-density-matrix functions that trajectories sample (purity,
-bloch_from_density and both concurrences) take one matrix or an
-(N, n, n) stack of them, with the same checks per matrix, and so do
-validate_density and embed_23.
+density-matrix functions purity, bloch_from_density, embed_23,
+validate_density and both concurrences take one matrix or an (N, n, n)
+stack of them, with the same checks per matrix.
 
 bloch_from_density takes the Pauli traces in closed form from the entries.
 validate_density and both concurrences gate a stack before computing from
 it: each matrix's Hermiticity deviation, trace and lowest eigenvalue go to
-one helper that raises the first failing matrix's error. Stacks of qubit
-states or of X-states (zero off the diagonal and the anti-diagonal) take
-these margins and their values in closed form from 2x2 blocks; every other
-stack takes them from one eigh per _BLOCK matrices. The gates are fixed:
-_DENSITY_GATES for validate_density, _CONCURRENCE_GATES for both
-concurrences, which are the only check on the states a scenario of the
-command line prints, the unitary fig1 included.
+one helper that raises the first failing matrix's error. A stack of qubit
+states or of X-states (zero off the diagonal and the anti-diagonal) is
+split once into 2x2 blocks by _two_level_blocks, which gives these margins,
+the trace summed from the diagonal included, and then every value in
+closed form; every other stack takes them from one eigh per _BLOCK
+matrices. The gates are fixed: _DENSITY_GATES for validate_density,
+_CONCURRENCE_GATES for both concurrences, which are the only check on the
+states a scenario of the command line prints, the unitary fig1 included.
+A propagated stack takes one pass, _measures: one split and one gate, then
+the concurrence, the purity and, for qubit states, the Bloch norm from the
+same blocks. The pass checks no finiteness: each propagation checks the
+entries it computed, and each public function its own input.
 
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
@@ -85,53 +89,65 @@ _DENSITY_GATES = (1e-10, 1e-10, -_PSD_CLIP)
 #: of a long trajectory to a fixed size
 _BLOCK = 256
 
-#: the two blocks of an X-state, each as its pair of levels: |00>, |11>
-#: first, then |01>, |10>
-_X_LEVELS = np.array([[0, 3], [1, 2]])
-#: the 4x4 entries off the diagonal and the anti-diagonal, where an X-state is zero
-_OFF_X = (np.eye(4) + np.eye(4)[::-1]) == 0
+#: the flat indices of the 4x4 entries off the diagonal and the anti-diagonal, where an X-state is zero
+_OFF_X = np.flatnonzero((np.eye(4) + np.eye(4)[::-1]) == 0)
+#: the flat indices of an X-state's blocks: the diagonal, then the entries
+#: above it and below it of each block
+_X_COLUMNS = np.array([0, 5, 10, 15, 3, 6, 12, 9])
 
 
 def _two_level_blocks(stack: np.ndarray):
-    """The 2x2 blocks of a stack of qubit states or of X-states; None for any other stack.
+    """The 2x2 blocks of a stack of qubit states or of X-states, with their margins; None for any other stack.
 
     A 2x2 matrix is one block. A 4x4 matrix that is exactly zero outside the
-    X pattern is two, on the levels of _X_LEVELS. Returns (a, b, c,
-    deviation): the real diagonal pairs a and b and the coherence
-    c = (m_ij + conj(m_ji)) / 2 of the Hermitian part, each of shape
-    (N, blocks), and max|m - m†| of every matrix, as _check_hermitian
-    measures it.
+    X pattern is two, on the levels |00>, |11> and then |01>, |10>. The
+    stack is read as (N, n²) rows. A qubit stack's blocks are views of its
+    columns; an X-state stack's eight block columns are gathered once into
+    contiguous rows. Either way every operation below loops over the
+    matrices, and every per-matrix reduction runs across the blocks.
+    Returns (a, b, c, deviation, trace): the real diagonal pairs a and b
+    and the coherence c = (m_ij + conj(m_ji)) / 2 of the Hermitian part,
+    each of shape (blocks, N); max|m - m†| of every matrix, as
+    _check_hermitian measures it; and the complex trace of every matrix,
+    summed from the diagonal in np.trace's order, so bit for bit its value.
     """
     n = stack.shape[-1]
+    rows = stack.reshape(len(stack), n * n)
     if n == 2:
-        levels = np.array([[0, 1]])
-    elif n == 4 and not stack[:, _OFF_X].any():
-        levels = _X_LEVELS
+        # views of the 4 columns: the ops below loop over the matrices
+        columns = rows.T
+        a, b, upper, lower = columns[0:1], columns[3:4], columns[1:2], columns[2:3]
+        trace = columns[0] + columns[3]
+    elif n == 4 and not rows[:, _OFF_X].any():
+        # one gather: on (2, N) views of the rows, the ops would loop over the 2 blocks innermost
+        columns = rows.T[_X_COLUMNS]
+        # levels |00>, |11> take the diagonal's ends, levels |01>, |10> its middle
+        a, b, upper, lower = columns[0:2], columns[3:1:-1], columns[4:6], columns[6:8]
+        trace = (columns[0] + columns[1]) + (columns[2] + columns[3])
     else:
         return None
-    i, j = levels.T
-    a, b = stack[:, i, i], stack[:, j, j]
-    upper, lower = stack[:, i, j], stack[:, j, i].conj()
+    lower = lower.conj()
     diagonal = 2.0 * np.maximum(np.abs(a.imag), np.abs(b.imag))
-    deviation = np.maximum(np.abs(upper - lower), diagonal).max(axis=1)
-    return a.real, b.real, 0.5 * (upper + lower), deviation
+    deviation = np.maximum(np.abs(upper - lower), diagonal).max(axis=0)
+    return a.real, b.real, 0.5 * (upper + lower), deviation, trace
 
 
 def _lowest_eigenvalues(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each matrix from its blocks [[a, c], [conj(c), b]]."""
-    return ((0.5 * a + 0.5 * b) - np.hypot(0.5 * a - 0.5 * b, np.abs(c))).min(axis=1)
+    """Lowest eigenvalue of each matrix from its (blocks, N) blocks [[a, c], [conj(c), b]]."""
+    half_a, half_b = 0.5 * a, 0.5 * b
+    return ((half_a + half_b) - np.hypot(half_a - half_b, np.abs(c))).min(axis=0)
 
 
-def _raise_first_failure(stack: np.ndarray, gates, deviation: np.ndarray, lowest: np.ndarray) -> None:
+def _raise_first_failure(gates, deviation: np.ndarray, trace: np.ndarray, lowest: np.ndarray) -> None:
     """Raise the error of the first matrix outside gates = (Hermiticity, trace, eigenvalue), if any.
 
-    deviation and lowest hold max|m - m†| and the lowest eigenvalue of the
-    Hermitian part of every matrix of the stack. Each matrix is judged on
-    Hermiticity, trace, then eigenvalue.
+    deviation, trace and lowest hold max|m - m†|, the complex trace and the
+    lowest eigenvalue of the Hermitian part of every matrix of a stack.
+    Each matrix is judged on Hermiticity, trace, then eigenvalue.
     """
     skew_gate, trace_gate, eig_gate = gates
     non_hermitian = deviation > skew_gate
-    off_trace = np.abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0) > trace_gate
+    off_trace = np.abs(trace - 1.0) > trace_gate
     failing = non_hermitian | off_trace | (lowest < eig_gate)
     if not failing.any():
         return
@@ -139,9 +155,9 @@ def _raise_first_failure(stack: np.ndarray, gates, deviation: np.ndarray, lowest
     if non_hermitian[k]:
         raise NotHermitianError(f"max|rho - rho†| = {deviation[k]:.3e} exceeds {skew_gate:.1e}")
     if off_trace[k]:
-        trace = complex(np.trace(stack[k]))
-        imaginary = f" (imaginary part {trace.imag:.3e})" if trace.imag else ""
-        raise InvalidStateError(f"trace {trace.real:.12f}{imaginary} deviates from 1 beyond {trace_gate:.1e}")
+        value = complex(trace[k])
+        imaginary = f" (imaginary part {value.imag:.3e})" if value.imag else ""
+        raise InvalidStateError(f"trace {value.real:.12f}{imaginary} deviates from 1 beyond {trace_gate:.1e}")
     raise NotPSDError(f"eigenvalue {lowest[k]:.3e} below {eig_gate:.1e}")
 
 
@@ -150,8 +166,8 @@ def _gated_two_level_blocks(stack: np.ndarray, gates):
     blocks = _two_level_blocks(stack)
     if blocks is None:
         return None
-    a, b, c, deviation = blocks
-    _raise_first_failure(stack, gates, deviation, _lowest_eigenvalues(a, b, c))
+    a, b, c, deviation, trace = blocks
+    _raise_first_failure(gates, deviation, trace, _lowest_eigenvalues(a, b, c))
     return a, b, c
 
 
@@ -167,8 +183,81 @@ def _gated_eigenpairs(stack: np.ndarray, gates):
         adjoint = _dagger(block)
         values, vectors = linalg.hermitian_eig(0.5 * (block + adjoint))
         deviation = np.abs(block - adjoint).max(axis=(1, 2))
-        _raise_first_failure(block, gates, deviation, values[:, 0])
+        _raise_first_failure(gates, deviation, np.trace(block, axis1=-2, axis2=-1), values[:, 0])
         yield values, vectors
+
+
+def _gated_concurrence(stack: np.ndarray):
+    """The concurrence of every matrix of a finite (N, n, n) stack once it passes _CONCURRENCE_GATES, with its blocks.
+
+    n is 4, or 2 for qubit states in the one-excitation block. Returns the
+    values and the (a, b, c) of _two_level_blocks, or None for a stack it
+    does not split, which takes the eigh and Wootters route.
+    """
+    blocks = _gated_two_level_blocks(stack, _CONCURRENCE_GATES)
+    if blocks is None:
+        return _wootters(stack), None
+    a, b, c = blocks
+    if stack.shape[-1] == 2:
+        return 2.0 * np.abs(c[0]), blocks
+    geometric = np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
+    # each block's coherence against the other block's populations
+    excess = (np.abs(c) - geometric[::-1]).max(axis=0)
+    return 2.0 * np.maximum(excess, 0.0), blocks
+
+
+def _wootters(stack: np.ndarray) -> np.ndarray:
+    """Wootters' concurrence of every matrix of a finite (N, 4, 4) stack, each block of it gated first."""
+    parts = []
+    for eigenvalues, vectors in _gated_eigenpairs(stack, _CONCURRENCE_GATES):
+        # the principal square root, round-off negative eigenvalues clipped to zero
+        root = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]) @ _dagger(vectors)
+        root = 0.5 * (root + _dagger(root))
+        try:
+            lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
+        parts.append(np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0))
+    return np.concatenate(parts)
+
+
+def _purity(stack: np.ndarray) -> np.ndarray:
+    """tr(m²) of a matrix or of every matrix of a stack, by one einsum."""
+    return np.einsum("...ij,...ji->...", stack, stack).real
+
+
+def _measures(stack: np.ndarray) -> dict[str, np.ndarray]:
+    """The observables of a finite (N, n, n) stack of sampled states, gated once, from one split.
+
+    For n = 2 or 4 the stack is gated with _CONCURRENCE_GATES before any
+    measure is taken, so a failing state raises before a measure can
+    overflow on it. A stack that splits into 2x2 blocks gives everything
+    from them: the concurrence, as concurrence and concurrence_2x2_embedded
+    give it; for n = 2 the Bloch norm sqrt((x² + y²) + z²), with
+    x = 2 Re c = Re(m_01 + m_10), y = 2 Im c = Im(m_01 - m_10) (the Bloch
+    y up to its sign) and z = a - b, bit for bit np.linalg.norm of
+    bloch_from_density; and the purity
+    Σ a² + b² + 2|c|² of the Hermitian part, within a few ulp of
+    purity's einsum. A 4x4 stack that does not split takes the concurrence
+    of the eigh and Wootters route and the purity from einsum; any other n
+    only the purity, ungated. The stack is not checked for finiteness here:
+    each propagation checks the entries it computed.
+    """
+    n = stack.shape[-1]
+    measures, blocks = {}, None
+    if n in (2, 4):
+        measures["concurrence"], blocks = _gated_concurrence(stack)
+    if blocks is None:
+        measures["purity"] = _purity(stack)
+        return measures
+    a, b, c = blocks
+    x, y = 2.0 * c.real, 2.0 * c.imag
+    coherence = x * x + y * y
+    if n == 2:
+        z = a - b
+        measures["bloch_norm"] = np.sqrt(coherence + z * z)[0]
+    measures["purity"] = (a * a + b * b + 0.5 * coherence).sum(axis=0)
+    return measures
 
 
 def bell_state() -> np.ndarray:
@@ -286,7 +375,7 @@ def purity(rho) -> float | np.ndarray:
     A stack of N states gives an array of N purities.
     """
     mat = _as_square(rho, "rho", stacked=True)
-    values = np.einsum("...ij,...ji->...", mat, mat).real
+    values = _purity(mat)
     return float(values) if mat.ndim == 2 else values
 
 
@@ -315,26 +404,7 @@ def concurrence(rho) -> float | np.ndarray:
     -1e-9 raises NotPSDError. A stack of N states gives an array of N values.
     """
     mat = _as_square(rho, "rho", stacked=True, size=4)
-    stack = mat.reshape((-1, 4, 4))
-    blocks = _gated_two_level_blocks(stack, _CONCURRENCE_GATES)
-    if blocks is not None:
-        a, b, c = blocks
-        geometric = np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
-        # each block's coherence against the other block's populations
-        excess = (np.abs(c) - geometric[:, ::-1]).max(axis=1)
-        values = 2.0 * np.maximum(excess, 0.0)
-    else:
-        parts = []
-        for eigenvalues, vectors in _gated_eigenpairs(stack, _CONCURRENCE_GATES):
-            # the principal square root, round-off negative eigenvalues clipped to zero
-            root = (vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))[:, None, :]) @ _dagger(vectors)
-            root = 0.5 * (root + _dagger(root))
-            try:
-                lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
-            parts.append(np.maximum(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3], 0.0))
-        values = np.concatenate(parts)
+    values, _ = _gated_concurrence(mat.reshape((-1, 4, 4)))
     return float(values[0]) if mat.ndim == 2 else values
 
 
@@ -357,7 +427,5 @@ def concurrence_2x2_embedded(rho) -> float | np.ndarray:
     and its trace before its positivity.
     """
     mat = _as_square(rho, "rho", stacked=True, size=2)
-    # every 2x2 stack splits into one block
-    _, _, c = _gated_two_level_blocks(mat.reshape((-1, 2, 2)), _CONCURRENCE_GATES)
-    values = 2.0 * np.abs(c[:, 0])
+    values, _ = _gated_concurrence(mat.reshape((-1, 2, 2)))
     return float(values[0]) if mat.ndim == 2 else values

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import entdyn.evolution
+import entdyn.quantum
 from entdyn.errors import (
     DimensionMismatchError,
     InvalidStateError,
@@ -36,7 +37,16 @@ from entdyn.generators import (
     phenomenological_superop,
 )
 from entdyn.linalg import expm, hermitian_eig
-from entdyn.quantum import PAULI_Z, bell_state, density_from_pure, restrict_23, vectorize
+from entdyn.quantum import (
+    PAULI_Z,
+    bell_state,
+    bloch_from_density,
+    concurrence,
+    concurrence_2x2_embedded,
+    density_from_pure,
+    restrict_23,
+    vectorize,
+)
 from helpers import DP_A, DP_B, dp_step, random_density, random_hermitian, random_pure
 
 
@@ -808,6 +818,95 @@ class TestTimeOrigin:
         densities = np.einsum("ki,kj->kij", pure, pure.conj())
         mixed = propagate_expm(hamiltonian_superop(-sign * h), vectorize(density_from_pure(v0)), grid)
         assert np.max(np.abs(densities - mixed.states)) <= 1e-10
+
+
+class TestSampleFiniteness:
+    def test_non_finite_ode_sample_raises_before_any_measure(self, monkeypatch):
+        # an inf in a run's last row makes that row's tolerance inf, so the
+        # step's error test passes and the row is accepted as the sample
+        run = entdyn.evolution._dp_run
+
+        def overflowing(powers, y, z, steps):
+            rows, errs = run(powers, y, z, steps)
+            rows[-1, 0] = np.inf
+            return rows, errs
+
+        def unmeasured(stack):
+            raise AssertionError("a measure ran on a non-finite sample")
+
+        gen = wm_full_generator(FeedbackParams(m=1.0, f=1.0, gamma=1.0))
+        grid = TimeGrid(0.0, 0.5, 2)
+        # one run, all of its steps accepted, lands on the sample
+        assert propagate_ode(gen, bell_vector(), grid).diagnostics["runs"] == 1
+        monkeypatch.setattr(entdyn.evolution, "_dp_run", overflowing)
+        monkeypatch.setattr(entdyn.quantum, "_two_level_blocks", unmeasured)
+        with pytest.raises(NonFiniteError, match=r"^propagated state at t = 0\.5 is not finite$"):
+            propagate_ode(gen, bell_vector(), grid)
+
+
+def assert_pass_matches_public_functions(traj):
+    """The observables of a density trajectory, from one gated pass, against the public functions on its states."""
+    n = traj.states.shape[-1]
+    states = traj.states.reshape(-1, n, n)
+    observables = {name: values.reshape(-1) for name, values in traj.observables.items()}
+    if n == 2:
+        assert observables["concurrence"].tobytes() == concurrence_2x2_embedded(states).tobytes()
+        bloch_norm = np.linalg.norm(bloch_from_density(states), axis=1)
+        assert observables["bloch_norm"].tobytes() == bloch_norm.tobytes()
+    else:
+        assert observables["concurrence"].tobytes() == concurrence(states).tobytes()
+        assert "bloch_norm" not in observables
+    einsum = np.einsum("...ij,...ji->...", states, states).real
+    assert np.all(np.abs(observables["purity"] - einsum) <= 4 * np.spacing(einsum))
+
+
+class TestOneGatedPass:
+    """Each sampled stack is split and gated once, and every observable comes from that pass."""
+
+    def test_feedback_sets_on_both_routes(self):
+        rng = np.random.default_rng(91)
+        grid = TimeGrid(0.0, 2.0, 81)
+        for _ in range(6):
+            rates = 10.0 ** rng.uniform(-1.0, 2.0, size=3)
+            params = FeedbackParams(
+                m=rates[0], f=rates[1], gamma=rates[2], mu=rng.uniform(-5.0, 5.0), y=rng.uniform(-5.0, 5.0)
+            )
+            gen = wm_full_generator(params)
+            for route in (propagate_expm, propagate_ode):
+                assert_pass_matches_public_functions(route(gen, bell_vector(), grid))
+
+    def test_start_that_is_not_an_x_state(self):
+        # |++> reaches all 16 entries: the eigh route, and the purity from einsum
+        gen = wm_full_generator(FeedbackParams(m=2.0, f=3.0, gamma=1.0, mu=0.5, y=0.7))
+        r0 = vectorize(density_from_pure(np.full(4, 0.5, dtype=complex)))
+        for route in (propagate_expm, propagate_ode):
+            traj = route(gen, r0, TimeGrid(0.0, 2.0, 41))
+            assert entdyn.quantum._two_level_blocks(traj.states) is None
+            assert_pass_matches_public_functions(traj)
+            states = traj.states
+            assert traj.observables["purity"].tobytes() == np.einsum("...ij,...ji->...", states, states).real.tobytes()
+
+    def test_nogo_stacks(self):
+        rng = np.random.default_rng(92)
+        r0 = vectorize(restrict_23(density_from_pure(bell_state())))
+        for _ in range(4):
+            ys = rng.choice([-1.0, 1.0], size=3) * 10.0 ** rng.uniform(-1.0, 1.0, size=3)
+            gens = nogo_generators(ys, gamma=10.0 ** rng.uniform(-1.0, 0.3))
+            assert_pass_matches_public_functions(propagate_expm(gens, r0, TimeGrid(0.0, 20.0, 401)))
+            assert_pass_matches_public_functions(propagate_ode(gens[0], r0, TimeGrid(0.0, 5.0, 101)))
+
+    @pytest.mark.parametrize("start", ["block", "random"])
+    def test_unitary_run(self, start):
+        # from |01> the states stay X-states; a random start takes the eigh route
+        rng = np.random.default_rng(93)
+        if start == "block":
+            h, v0 = build_hamiltonian(HamiltonianParams(a=1.0, b=1.0, c=0.8)), np.array([0, 1, 0, 0], dtype=complex)
+        else:
+            h, v0 = random_hermitian(rng, 4), random_pure(rng, 4)
+        traj = unitary_evolve(h, v0, TimeGrid(0.0, np.pi, 201))
+        density = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
+        assert (entdyn.quantum._two_level_blocks(density) is None) == (start == "random")
+        assert traj.observables["concurrence"].tobytes() == concurrence(density).tobytes()
 
 
 class TestOdeDiagnostics:

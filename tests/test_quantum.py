@@ -423,7 +423,7 @@ class TestClosedForms:
 
     def test_x_state_lowest_eigenvalue_matches_eigh(self):
         states = x_state_family(np.random.default_rng(62))
-        a, b, c, _ = entdyn.quantum._two_level_blocks(states)
+        a, b, c, *_ = entdyn.quantum._two_level_blocks(states)
         lowest = np.linalg.eigvalsh(states)[:, 0]
         assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, c) - lowest)) <= 1e-14
 
@@ -432,7 +432,7 @@ class TestClosedForms:
         states = random_stack(rng, 300, 2)
         states[:100] = [density_from_pure(random_pure(rng, 2)) for _ in range(100)]
         states[100:120] = np.diag([-1e-12, 1.0 + 1e-12])
-        a, b, c, _ = entdyn.quantum._two_level_blocks(states)
+        a, b, c, *_ = entdyn.quantum._two_level_blocks(states)
         lowest = np.linalg.eigvalsh(states)[:, 0]
         assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, c) - lowest)) <= 1e-14
 
@@ -482,6 +482,46 @@ class TestClosedForms:
         concurrence(states)
         validate_density(states)
         assert len(calls) == 2 * -(-len(states) // entdyn.quantum._BLOCK)
+
+
+class TestTwoLevelSplit:
+    """The one split of a qubit or X-state stack: its trace, the gate on it, and the purity of stacks it does not split."""
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_trace_from_the_diagonal_is_np_trace(self, n):
+        rng = np.random.default_rng(70 + n)
+        count = 20000
+        states = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+        states *= 10.0 ** rng.integers(-8, 9, size=(count, 1, 1))
+        if n == 4:
+            states.reshape(count, 16)[:, entdyn.quantum._OFF_X] = 0.0
+        trace = entdyn.quantum._two_level_blocks(states)[4]
+        assert trace.tobytes() == np.trace(states, axis1=-2, axis2=-1).tobytes()
+        # a gate error reports the trace of the failing matrix alone
+        assert trace[:500].tobytes() == np.array([np.trace(rho) for rho in states[:500]]).tobytes()
+
+    def test_trace_off_only_in_its_imaginary_part_is_refused(self, general_route):
+        # every diagonal entry 0.25 + 5e-9 i: max|rho - rho†| = 1e-8 passes the
+        # Hermiticity gate, but the trace 1 + 2e-8 i is 2e-8 from 1
+        rho = (0.25 + 5e-9j) * np.eye(4)
+        states = x_state_family(np.random.default_rng(74))
+        states[7] = rho
+        message = r"^trace 1\.000000000000 \(imaginary part 2\.000e-08\) deviates from 1 beyond 1\.0e-08$"
+        for value in (rho, states):
+            with pytest.raises(InvalidStateError, match=message):
+                concurrence(value)
+            with pytest.raises(InvalidStateError, match=message):
+                general_route(concurrence, value)
+
+    def test_purity_of_one_matrix_and_of_an_unsplit_stack_is_one_einsum(self):
+        rng = np.random.default_rng(75)
+        states = random_stack(rng, 300, 4)
+        assert entdyn.quantum._two_level_blocks(states) is None
+        einsum = np.einsum("...ij,...ji->...", states, states).real
+        assert purity(states).tobytes() == einsum.tobytes()
+        assert entdyn.quantum._measures(states)["purity"].tobytes() == einsum.tobytes()
+        for rho in (states[0], random_density(rng, 2), density_from_pure(bell_state())):
+            assert purity(rho) == np.einsum("ij,ji->", rho, rho).real
 
 
 class TestStacks:

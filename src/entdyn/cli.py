@@ -25,6 +25,7 @@ from .errors import EntdynError
 from .evolution import TimeGrid, propagate_expm, steady_state, unitary_evolve
 from .feedback import (
     FeedbackParams,
+    _subspace_generators,
     concurrence_sweep,
     embedding_hamiltonian,
     steady_state_closed_form,
@@ -437,10 +438,9 @@ def _run_fig_nogo(values: dict) -> dict:
     # every parameter set is checked before the first propagation
     runs = [FeedbackParams(m=0.0, f=0.0, mu=0.0, gamma=values["gamma"], y=y) for y in values["y"]]
     # one propagation for every y: the generators share the grid and the start
-    gens = np.array([wm_subspace_generator(params) for params in runs])
     return {
         "y": np.array([[params.y] for params in runs]),
-        **_propagated(gens, _BELL_23, grid, "concurrence", "bloch_norm"),
+        **_propagated(_subspace_generators(runs), _BELL_23, grid, "concurrence", "bloch_norm"),
     }
 
 

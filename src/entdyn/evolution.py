@@ -542,15 +542,21 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     The block's powers may round otherwise than the whole L's, so a step
     near the tolerance may still be judged otherwise. From the Bell state
     under the feedback model the support is 4 of the 16 Liouville indices.
-    An embedded Dormand-Prince 4(5) pair controls the local error against
-    _ATOL + _RTOL * |r| per component. For a constant L each step is a
+    An embedded Dormand-Prince 4(5) pair holds each step's local error
+    estimate within _ATOL + _RTOL * |r| per component: the tolerances bound
+    each step, not the trajectory, whose error can grow to the sum of its
+    steps' errors. For a constant L each step is a
     polynomial in z = hL applied to r, with the pair's exact rational
     coefficients (_DP_POLY); the powers (B/s)¹ … (B/s)⁷ of L's block B on
     the support are formed once per call. The first step comes from the
     pair's leading error term (_first_step): the h whose first error norm is
     about 0.8⁵, at least the floor and at most the span. A zero (L/s)⁵ r0
-    gives the span: every later estimate is then zero too, and the pair's
-    polynomial is the exact Taylor series. The route advances in runs of up
+    gives the span, where for a nilpotent start the pair's polynomial is
+    the exact Taylor series. In floating point a zero does not prove a
+    nilpotent start: a state in a slow invariant subspace of a fast L gives
+    one too, its slow part lost below the rounding of the powers' fast
+    entries, and the span step is then accepted with a zero estimate and is
+    wrong. The route advances in runs of up
     to _RUN = 128 equal steps (_dp_run), every step of a run from the run's
     step matrix and its squares, so a run costs about log2(steps) products.
     A run that reaches the next sample in at most _RUN steps of h takes

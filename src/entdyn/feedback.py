@@ -9,11 +9,12 @@ closed-form steady-state purity and concurrence when y = 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonUniqueSteadyStateError, RequiresZeroYError
+from .errors import NonFiniteError, NonUniqueSteadyStateError, RequiresZeroYError
 from .evolution import _TINY
 from .generators import (
     HamiltonianParams,
@@ -95,19 +96,55 @@ def _wm_generator(params: FeedbackParams, h: np.ndarray, z: np.ndarray, x: np.nd
     )
 
 
-def wm_full_generator(params: FeedbackParams, hamiltonian: HamiltonianParams | None = None) -> np.ndarray:
-    """Full 16-dim generator of the feedback master equation.
+# D[sqrt(m) z - i sqrt(f) x] = m D[z] + f D[x] + sqrt(m f) (cross term) and the
+# correction (M†F + FM)/2 vanishes, so _wm_generator is linear in m, f,
+# sqrt(m f) and gamma, and in the Hamiltonian; the cross term is the m = f = 1
+# generator less its m and f terms. Every entry's real and imaginary parts
+# are exactly 0, ±1 or ±2.
+def _unit_rate_basis(hamiltonians, z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(terms, n², n²) unit-rate terms of _wm_generator: m, f, the sqrt(m f) cross term, gamma, then each Hamiltonian."""
+    m, f, both, gamma = (_wm_generator(FeedbackParams(*r), 0 * z, z, x) for r in ((1, 0), (0, 1), (1, 1), (0, 0, 0, 1)))
+    return np.array([m, f, both - m - f, gamma, *(_wm_generator(FeedbackParams(0, 0), h, z, x) for h in hamiltonians)])
 
-    Measurement and environment couple through Z x I, the feedback through
-    X x X (see _wm_generator). The correction (M†F + FM)/2 vanishes
-    identically because Z and X anticommute. All three operators preserve the one-excitation block, so
-    block-supported states stay block-supported. hamiltonian overrides the
-    coherent couplings; by default they are the embedding with
-    one-excitation block mu Z + y X.
+
+#: the unit-rate terms of wm_full_generator: measurement and environment
+#: couple through Z x I, the feedback through X x X; its couplings a, b and c last
+_FULL_BASIS = _unit_rate_basis([build_hamiltonian(HamiltonianParams(*unit)) for unit in np.eye(3)], _ZI, _XX)
+#: the unit-rate terms of wm_subspace_generator, its couplings mu and y last
+_SUBSPACE_BASIS = _unit_rate_basis([PAULI_Z, PAULI_X], PAULI_Z, PAULI_X)
+
+
+def _generators(runs, couplings, basis: np.ndarray) -> np.ndarray:
+    """Σ_k rates_k basis[k] for each params in runs with its couplings, one real product; NonFiniteError on overflow."""
+    rows = []
+    for params, coupling in zip(runs, couplings):
+        # sqrt(m f) from the mantissas and exponents: exactly 2^k times larger
+        # when m and f are, and finite wherever sqrt(m) sqrt(f) is, where
+        # sqrt(m * f) overflows once m f passes 1.8e308
+        (m, i), (f, j) = math.frexp(params.m), math.frexp(params.f)
+        root = math.ldexp(math.sqrt(math.ldexp(m * f, (i + j) % 2)), (i + j) // 2)
+        rows.append([params.m, params.f, root, params.gamma, *coupling])
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = np.array(rows) @ basis.view(float).reshape(len(basis), -1)
+    if not np.isfinite(flat).all():
+        raise NonFiniteError("feedback generator contains non-finite entries")
+    return flat.view(complex).reshape((len(rows),) + basis.shape[1:])
+
+
+def wm_full_generator(params: FeedbackParams, hamiltonian: HamiltonianParams | None = None) -> np.ndarray:
+    """Full 16-dim generator of the feedback master equation, one product with _FULL_BASIS.
+
+    hamiltonian overrides the coherent couplings; by default they are the
+    embedding with one-excitation block mu Z + y X.
     """
     if hamiltonian is None:
         hamiltonian = embedding_hamiltonian(params)
-    return _wm_generator(params, build_hamiltonian(hamiltonian), _ZI, _XX)
+    return _generators([params], [(hamiltonian.a, hamiltonian.b, hamiltonian.c)], _FULL_BASIS)[0]
+
+
+def _subspace_generators(runs) -> np.ndarray:
+    """The (k, 4, 4) stack of wm_subspace_generator over k parameter sets, from their (k, 6) rate rows."""
+    return _generators(runs, [(params.mu, params.y) for params in runs], _SUBSPACE_BASIS)
 
 
 def wm_subspace_generator(params: FeedbackParams) -> np.ndarray:
@@ -117,7 +154,7 @@ def wm_subspace_generator(params: FeedbackParams) -> np.ndarray:
     measurement-feedback operator sqrt(m) Z - i sqrt(f) X, and the
     environmental operator sqrt(gamma) Z (see _wm_generator).
     """
-    return _wm_generator(params, params.mu * PAULI_Z + params.y * PAULI_X, PAULI_Z, PAULI_X)
+    return _subspace_generators([params])[0]
 
 
 @dataclass(frozen=True)

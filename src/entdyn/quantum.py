@@ -132,10 +132,10 @@ def _two_level_blocks(stack: np.ndarray):
     return a.real, b.real, 0.5 * (upper + lower), deviation, trace
 
 
-def _lowest_eigenvalues(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of each matrix from its (blocks, N) blocks [[a, c], [conj(c), b]]."""
+def _lowest_eigenvalues(a: np.ndarray, b: np.ndarray, modulus: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of each matrix from its (blocks, N) blocks [[a, c], [conj(c), b]], given modulus = |c|."""
     half_a, half_b = 0.5 * a, 0.5 * b
-    return ((half_a + half_b) - np.hypot(half_a - half_b, np.abs(c))).min(axis=0)
+    return ((half_a + half_b) - np.hypot(half_a - half_b, modulus)).min(axis=0)
 
 
 def _raise_first_failure(gates, deviation: np.ndarray, trace: np.ndarray, lowest: np.ndarray) -> None:
@@ -162,13 +162,14 @@ def _raise_first_failure(gates, deviation: np.ndarray, trace: np.ndarray, lowest
 
 
 def _gated_two_level_blocks(stack: np.ndarray, gates):
-    """(a, b, c) of _two_level_blocks once the stack passes the gates; None for a stack it does not split."""
+    """(a, b, c) of _two_level_blocks and |c| once the stack passes the gates; None for a stack it does not split."""
     blocks = _two_level_blocks(stack)
     if blocks is None:
         return None
     a, b, c, deviation, trace = blocks
-    _raise_first_failure(gates, deviation, trace, _lowest_eigenvalues(a, b, c))
-    return a, b, c
+    modulus = np.abs(c)
+    _raise_first_failure(gates, deviation, trace, _lowest_eigenvalues(a, b, modulus))
+    return a, b, c, modulus
 
 
 def _gated_eigenpairs(stack: np.ndarray, gates):
@@ -191,18 +192,18 @@ def _gated_concurrence(stack: np.ndarray):
     """The concurrence of every matrix of a finite (N, n, n) stack once it passes _CONCURRENCE_GATES, with its blocks.
 
     n is 4, or 2 for qubit states in the one-excitation block. Returns the
-    values and the (a, b, c) of _two_level_blocks, or None for a stack it
-    does not split, which takes the eigh and Wootters route.
+    values and the (a, b, c, |c|) of _gated_two_level_blocks, or None for a
+    stack it does not split, which takes the eigh and Wootters route.
     """
     blocks = _gated_two_level_blocks(stack, _CONCURRENCE_GATES)
     if blocks is None:
         return _wootters(stack), None
-    a, b, c = blocks
+    a, b, _, modulus = blocks
     if stack.shape[-1] == 2:
-        return 2.0 * np.abs(c[0]), blocks
+        return 2.0 * modulus[0], blocks
     geometric = np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
     # each block's coherence against the other block's populations
-    excess = (np.abs(c) - geometric[::-1]).max(axis=0)
+    excess = (modulus - geometric[::-1]).max(axis=0)
     return 2.0 * np.maximum(excess, 0.0), blocks
 
 
@@ -250,7 +251,7 @@ def _measures(stack: np.ndarray) -> dict[str, np.ndarray]:
     if blocks is None:
         measures["purity"] = _purity(stack)
         return measures
-    a, b, c = blocks
+    a, b, c, _ = blocks
     x, y = 2.0 * c.real, 2.0 * c.imag
     coherence = x * x + y * y
     if n == 2:

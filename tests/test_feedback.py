@@ -4,11 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
+import entdyn.feedback
 from entdyn.errors import NonUniqueSteadyStateError, RequiresZeroYError
 from entdyn.evolution import TimeGrid, propagate_expm, steady_state
 from entdyn.feedback import (
     BlochSystem,
     FeedbackParams,
+    _wm_generator,
     bloch_eigenvalues,
     bloch_steady_state,
     bloch_system,
@@ -18,6 +20,7 @@ from entdyn.feedback import (
     wm_full_generator,
     wm_subspace_generator,
 )
+from entdyn.generators import build_hamiltonian
 from entdyn.quantum import (
     PAULI_X,
     PAULI_Z,
@@ -142,6 +145,90 @@ class TestGenerators:
 
         expected = lindblad_dissipator_superop(np.sqrt(0.5) * PAULI_Z)
         assert np.max(np.abs(gen - expected)) <= 1e-12
+
+
+PAULIS = (PAULI_X, np.array([[0, -1j], [1j, 0]]), PAULI_Z)
+
+
+def unit_rates(params, couplings):
+    """The rates of a unit-rate basis: m, f, sqrt(m f), gamma, then the couplings."""
+    return np.array([params.m, params.f, np.sqrt(params.m * params.f), params.gamma, *couplings])
+
+
+def scaled_params(params, k):
+    """params with every rate, mu and y multiplied by 2^k."""
+    return FeedbackParams(*(np.ldexp(getattr(params, name), k) for name in ("m", "f", "mu", "gamma", "y")))
+
+
+class TestUnitRateBasis:
+    """Each feedback generator is one product of its rates with a basis of its unit-rate terms."""
+
+    @pytest.mark.parametrize("name", ["_FULL_BASIS", "_SUBSPACE_BASIS"])
+    def test_entries_are_small_integers(self, name):
+        basis = getattr(entdyn.feedback, name)
+        for part in (basis.real, basis.imag):
+            assert set(np.unique(part)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
+
+    def test_builders_agree_with_the_kronecker_builder(self):
+        rng = np.random.default_rng(68)
+        runs = [random_params(rng, y=rng.uniform(-2.0, 2.0)) for _ in range(20)]
+        stack = entdyn.feedback._subspace_generators(runs)
+        for params, member in zip(runs, stack):
+            hamiltonian = build_hamiltonian(embedding_hamiltonian(params))
+            full = _wm_generator(params, hamiltonian, np.kron(PAULI_Z, np.eye(2)), np.kron(PAULI_X, PAULI_X))
+            sub = _wm_generator(params, params.mu * PAULI_Z + params.y * PAULI_X, PAULI_Z, PAULI_X)
+            for built, reference in ((wm_full_generator(params), full), (wm_subspace_generator(params), sub)):
+                assert np.max(np.abs(built - reference)) <= 1e-15 * np.max(np.abs(reference))
+            assert np.max(np.abs(member - sub)) <= 1e-15 * np.max(np.abs(sub))
+
+    def test_qubit_basis_projects_onto_the_bloch_system(self):
+        # A_ij = Tr σ_i L(σ_j) / 2 and c_i = Tr σ_i L(I) / 2 for each basis term
+        basis = entdyn.feedback._SUBSPACE_BASIS
+
+        def projected(operator):
+            images = [devectorize(term @ vectorize(operator)) for term in basis]
+            return np.array([[np.trace(p @ image).real / 2 for p in PAULIS] for image in images])
+
+        matrices = np.stack([projected(p) for p in PAULIS], axis=-1)
+        drives = projected(np.eye(2))
+        rng = np.random.default_rng(69)
+        for _ in range(20):
+            params = random_params(rng, y=rng.uniform(-2.0, 2.0))
+            rates = unit_rates(params, (params.mu, params.y))
+            system = bloch_system(params)
+            matrix = np.tensordot(rates, matrices, 1)
+            assert np.max(np.abs(matrix - system.matrix)) <= 1e-15 * np.max(np.abs(system.matrix))
+            drive = rates @ drives
+            assert np.max(np.abs(drive - system.drive)) <= 1e-15 * np.max(np.abs(system.drive))
+
+    def test_rates_scaled_by_a_power_of_two_scale_the_generators_exactly(self):
+        # sqrt(m f) scales by exactly 2^k with m and f, so each generator
+        # does, and propagate_expm over the grid scaled by 2^-k gives the
+        # same states bit for bit. Dormand-Prince is left out until its first
+        # step no longer takes the whole span on a state whose slow dynamics
+        # the fast generator's powers round away (ROADMAP item 1)
+        rng = np.random.default_rng(70)
+        r0 = vectorize(density_from_pure(bell_state()))
+        for _ in range(10):
+            params = random_params(rng, y=rng.uniform(-2.0, 2.0))
+            full, sub = wm_full_generator(params), wm_subspace_generator(params)
+            states = propagate_expm(full, r0, TimeGrid(0.0, 5.0, 11)).states
+            for k in (-2, -1, 1, 2, 3):
+                scaled = scaled_params(params, k)
+                assert np.array_equal(wm_full_generator(scaled), np.ldexp(1.0, k) * full)
+                assert np.array_equal(wm_subspace_generator(scaled), np.ldexp(1.0, k) * sub)
+                grid = TimeGrid(0.0, np.ldexp(5.0, -k), 11)
+                assert np.array_equal(propagate_expm(wm_full_generator(scaled), r0, grid).states, states)
+
+    @pytest.mark.parametrize("m, f", [(1e200, 3e200), (1e-200, 3e-200)], ids=["overflow", "underflow"])
+    def test_root_of_the_rate_product_is_taken_without_the_product(self, m, f):
+        # m f is inf or 0 as a double, and sqrt(m f) with it; the generator
+        # still agrees with the one built from sqrt(m) sqrt(f)
+        assert m * f in (0.0, np.inf)
+        params = FeedbackParams(m=m, f=f, gamma=m)
+        reference = _wm_generator(params, np.zeros((2, 2)), PAULI_Z, PAULI_X)
+        built = wm_subspace_generator(params)
+        assert np.max(np.abs(built - reference)) <= 1e-15 * np.max(np.abs(reference))
 
 
 class TestBlochSystem:

@@ -425,7 +425,7 @@ class TestClosedForms:
         states = x_state_family(np.random.default_rng(62))
         a, b, c, *_ = entdyn.quantum._two_level_blocks(states)
         lowest = np.linalg.eigvalsh(states)[:, 0]
-        assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, c) - lowest)) <= 1e-14
+        assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, np.abs(c)) - lowest)) <= 1e-14
 
     def test_qubit_lowest_eigenvalue_matches_eigh(self):
         rng = np.random.default_rng(63)
@@ -434,7 +434,7 @@ class TestClosedForms:
         states[100:120] = np.diag([-1e-12, 1.0 + 1e-12])
         a, b, c, *_ = entdyn.quantum._two_level_blocks(states)
         lowest = np.linalg.eigvalsh(states)[:, 0]
-        assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, c) - lowest)) <= 1e-14
+        assert np.max(np.abs(entdyn.quantum._lowest_eigenvalues(a, b, np.abs(c)) - lowest)) <= 1e-14
 
     def test_validation_matches_the_general_route(self, general_route):
         rng = np.random.default_rng(64)

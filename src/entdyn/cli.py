@@ -34,7 +34,6 @@ from .feedback import (
 )
 from .generators import (
     HamiltonianParams,
-    assemble_liouvillian,
     build_hamiltonian,
     phenomenological_superop,
 )
@@ -429,8 +428,7 @@ def _run_fig1(values: dict) -> dict:
 def _run_fig2(values: dict) -> dict:
     rates = np.zeros((4, 4))
     rates[1, 2] = rates[2, 1] = values["gamma"]
-    gen = assemble_liouvillian(None, [phenomenological_superop(rates)])
-    return _propagated(gen, _BELL, _time_grid(values), "concurrence")
+    return _propagated(phenomenological_superop(rates), _BELL, _time_grid(values), "concurrence")
 
 
 def _run_fig_nogo(values: dict) -> dict:

@@ -16,11 +16,18 @@ of the generator, so agreement between them is a real cross-check.
 propagate_expm also takes a stack of generators that share the initial
 state and the grid, such as one per coupling of a parameter scan: one
 stacked exponential, one doubling and one pass over the observables serve
-them all. Each route checks the entries it computed for finiteness once,
-and then the whole stack of sampled states takes one pass
-(quantum._measures): one split into 2x2 blocks and one gate before any
-measure is taken, so a sample more than 1e-8 from Hermitian or from unit
-trace, or with an eigenvalue below -1e-9, raises (see
+them all.
+
+Each solver checks its operands once (_operands): the generator, or a
+stack of them, as finite square matrices of size n², and r0 as a vector
+of that length. Each route ends in one _density_trajectory call with the
+rows it computed and the sorted Liouville entries they sit on. That finish
+checks the rows for finiteness once, a non-finite row raising
+NonFiniteError naming its sample's time (_require_finite); makes every
+other entry of every sample an exact zero; and takes the whole stack of
+samples through one pass (quantum._measures): one split into 2x2 blocks
+and one gate before any measure, so a sample more than 1e-8 from Hermitian
+or from unit trace, or with an eigenvalue below -1e-9, raises (see
 quantum._CONCURRENCE_GATES), and then every observable from the same
 blocks. propagate_expm refuses a step exponential that misses the trace by
 more than that 1e-8 before projecting it. A TimeGrid whose step is below
@@ -41,10 +48,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     StepUnderflowError,
 )
-from .linalg import _as_square, _dagger, expm, hermitian_eig
-
-#: the smallest positive normal double, the least time step a TimeGrid takes
-_TINY = float(np.finfo(float).tiny)
+from .linalg import _TINY, _as_square, _dagger, expm, hermitian_eig
 
 __all__ = [
     "TimeGrid",
@@ -110,17 +114,15 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _density_trajectory(times: np.ndarray, vectors, n: int) -> Trajectory:
-    """The trajectory of (..., N, n²) sampled vectors that the route has found finite.
-
-    All samples are gated and measured as one stack by one call to
-    quantum._measures, which checks no finiteness of its own.
-    """
-    vectors = np.asarray(vectors)
+def _density_trajectory(times: np.ndarray, rows: np.ndarray, entries: np.ndarray, n: int, diagnostics: dict) -> Trajectory:
+    """The trajectory of a route's (..., N, m) rows on m sorted Liouville entries, by the finish the module states."""
+    _require_finite(rows, times)
+    vectors = np.zeros(rows.shape[:-1] + (n * n,), dtype=complex)
+    vectors[..., entries] = rows
     batch = vectors.shape[:-1]
     states = vectors.reshape(-1, n, n)
     observables = {name: values.reshape(batch) for name, values in quantum._measures(states).items()}
-    return Trajectory(times, states.reshape(batch + (n, n)), observables)
+    return Trajectory(times, states.reshape(batch + (n, n)), observables, diagnostics)
 
 
 def _require_finite(states: np.ndarray, times: np.ndarray):
@@ -163,14 +165,12 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     return Trajectory(times, states, obs)
 
 
-def _check_generator(l, stacked: bool = False) -> tuple[np.ndarray, int]:
-    """The generator, or if stacked a stack of them, as finite square matrices of size n², with n."""
+def _operands(l, r0=None, stacked: bool = False) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """The generator, or if stacked a stack of them, as finite n² x n² matrices; r0, if given, as an n² vector; and n."""
     gen = _as_square(l, "generator", stacked=stacked)
-    return gen, quantum._matrix_side(gen.shape[-1], "generator")
-
-
-def _check_generator_and_state(l, r0, stacked: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
-    gen, n = _check_generator(l, stacked)
+    n = quantum._matrix_side(gen.shape[-1], "generator")
+    if r0 is None:
+        return gen, None, n
     r = np.asarray(r0, dtype=complex).reshape(-1)
     if r.size != gen.shape[-1]:
         raise DimensionMismatchError(
@@ -212,13 +212,9 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     misses the trace, max |e - e P| for the trace row e, by more than the
     concurrence's trace gate 1e-8 (quantum._TRACE_DRIFT) raises
     NonFiniteError, as a scaled generator block or P that holds inf or NaN
-    does. The propagated rows are checked for finiteness once, before they
-    are written into the samples, whose other entries are exact zeros: a
-    non-finite row raises NonFiniteError naming its sample's time, and no
-    later check runs. diagnostics records the route and the
-    propagated sectors, each as its sorted list of Liouville indices; for
-    a non-Hermitian r0 they include the S images of the sectors it
-    touches.
+    does. diagnostics records the route and the propagated sectors, each
+    as its sorted list of Liouville indices; for a non-Hermitian r0 they
+    include the S images of the sectors it touches.
 
     l may also be a (k, n², n²) stack of generators that share r0 and the
     grid. Each is checked for trace and Hermiticity, and the first to fail
@@ -234,7 +230,7 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     expm, the trace of P, finiteness, gates), the first failing member
     naming the error within a stage.
     """
-    gen, r, n = _check_generator_and_state(l, r0, stacked=True)
+    gen, r, n = _operands(l, r0, stacked=True)
     stack = gen[None] if gen.ndim == 2 else gen
     identity = _trace_row(n)
     transpose = _transposition(n)
@@ -268,16 +264,8 @@ def propagate_expm(l, r0, grid: TimeGrid) -> Trajectory:
     with np.errstate(over="ignore", invalid="ignore"):
         step = _hermiticity_preserving(_trace_preserving(step, identity), flip)
         rows = _filled_by_doubling(r[idx], step, times.size, identity)
-    # every other entry is an exact zero
-    _require_finite(rows, times)
-    vectors = np.zeros(gen.shape[:-2] + (times.size, r.size), dtype=complex)
-    vectors[..., idx] = rows
-    trajectory = _density_trajectory(times, vectors, n)
-    trajectory.diagnostics = {
-        "route": "expm",
-        "sectors": [np.flatnonzero(labels == label).tolist() for label in touched],
-    }
-    return trajectory
+    sectors = [np.flatnonzero(labels == label).tolist() for label in touched]
+    return _density_trajectory(times, rows, idx, n, {"route": "expm", "sectors": sectors})
 
 
 def _checked_mirror(stack: np.ndarray, n: int, trace: bool) -> np.ndarray:
@@ -568,11 +556,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     the error norm err of the first failing step, or of the run's last step
     if none fails, so a zero error gives 5x and an inf or NaN one 0.2x; a
     failing run whose next step the floor would hold at h_run or above
-    halves h_run instead. Rows are never projected. The samples' support
-    entries are checked for finiteness once, after the last sample and
-    before any measure: an inf in a run's last row makes that row's
-    tolerance inf, so the error test alone can accept it. A non-finite
-    sample raises NonFiniteError naming its time.
+    halves h_run instead. Rows are never projected.
     Raises StepUnderflowError if the controller needs a step below 1e-14
     of the grid span, and NoConvergenceError beyond _MAX_STEP_ATTEMPTS
     attempts.
@@ -580,7 +564,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
     the runs, the smallest accepted step h_min and the support as its
     sorted Liouville indices.
     """
-    gen, r, n = _check_generator_and_state(l, r0)
+    gen, r, n = _operands(l, r0)
     size = r.size
     support = _reached(gen, r)
     y = r[support]
@@ -633,12 +617,9 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
                     h = 0.5 * h_run
             t = target
             samples[sample] = y
-    # an accepted row may hold an inf whose error estimate still passes; every other entry is an exact zero
-    _require_finite(samples, times)
-    states = np.zeros((times.size, size), dtype=complex)
-    states[:, support] = samples
-    trajectory = _density_trajectory(times, states, n)
-    trajectory.diagnostics = {
+    # an inf in a run's last row makes its tolerance inf, so the error test
+    # alone can accept it: the finish checks every sample for finiteness
+    diagnostics = {
         "route": "ode",
         "accepted": accepted,
         "rejected": attempts - accepted,
@@ -646,7 +627,7 @@ def propagate_ode(l, r0, grid: TimeGrid) -> Trajectory:
         "h_min": float(h_min),
         "support": support.tolist(),
     }
-    return trajectory
+    return _density_trajectory(times, samples, support, n, diagnostics)
 
 
 def steady_state(l) -> np.ndarray:
@@ -666,7 +647,7 @@ def steady_state(l) -> np.ndarray:
     ρ ↦ ρ†, so the Hermitian part (ρ + ρ†)/2 of the solution, free of the
     SVD's round-off off Hermitian, is validated as a density matrix.
     """
-    gen, n = _check_generator(l)
+    gen, _, n = _operands(l)
     gen, _ = _peak_normed(gen)
     _checked_mirror(gen[None], n, trace=False)
     size = gen.shape[0]

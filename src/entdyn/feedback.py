@@ -15,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, NonUniqueSteadyStateError, RequiresZeroYError
-from .evolution import _TINY
 from .generators import (
     HamiltonianParams,
     build_hamiltonian,
     hamiltonian_superop,
     lindblad_dissipator_superop,
 )
-from .linalg import solve_linear
+from .linalg import _TINY, solve_linear
 from .quantum import PAULI_X, PAULI_Z
 
 __all__ = [
@@ -114,16 +113,21 @@ _FULL_BASIS = _unit_rate_basis([build_hamiltonian(HamiltonianParams(*unit)) for 
 _SUBSPACE_BASIS = _unit_rate_basis([PAULI_Z, PAULI_X], PAULI_Z, PAULI_X)
 
 
+def _root_of_product(p: float, q: float) -> float:
+    """sqrt(p q) for p, q >= 0 from their mantissas and exponents, never forming p q.
+
+    Exactly 2^k times larger when p and q are, and finite and nonzero wherever sqrt(p) sqrt(q) is.
+    """
+    (a, i), (b, j) = math.frexp(p), math.frexp(q)
+    return math.ldexp(math.sqrt(math.ldexp(a * b, (i + j) % 2)), (i + j) // 2)
+
+
 def _generators(runs, couplings, basis: np.ndarray) -> np.ndarray:
     """Σ_k rates_k basis[k] for each params in runs with its couplings, one real product; NonFiniteError on overflow."""
-    rows = []
-    for params, coupling in zip(runs, couplings):
-        # sqrt(m f) from the mantissas and exponents: exactly 2^k times larger
-        # when m and f are, and finite wherever sqrt(m) sqrt(f) is, where
-        # sqrt(m * f) overflows once m f passes 1.8e308
-        (m, i), (f, j) = math.frexp(params.m), math.frexp(params.f)
-        root = math.ldexp(math.sqrt(math.ldexp(m * f, (i + j) % 2)), (i + j) // 2)
-        rows.append([params.m, params.f, root, params.gamma, *coupling])
+    rows = [
+        [params.m, params.f, _root_of_product(params.m, params.f), params.gamma, *coupling]
+        for params, coupling in zip(runs, couplings)
+    ]
     with np.errstate(over="ignore", invalid="ignore"):
         flat = np.array(rows) @ basis.view(float).reshape(len(basis), -1)
     if not np.isfinite(flat).all():
@@ -168,10 +172,12 @@ class BlochSystem:
 def bloch_system(params: FeedbackParams) -> BlochSystem:
     """Bloch-space form of the subspace feedback dynamics.
 
-    The drive enters only the y component, with magnitude 4 sqrt(m f);
-    its sign is fixed by the generator (the velocity of the maximally
-    mixed state points along -y), which a consistency test pins against
-    wm_subspace_generator.
+    The drive enters only the y component, with magnitude 4 sqrt(m f),
+    the root taken as for the generators (_root_of_product); its sign is
+    fixed by the generator (the velocity of the maximally mixed state
+    points along -y), which a consistency test pins against
+    wm_subspace_generator. Rates scaled by 2^k scale the matrix and the
+    drive by exactly 2^k.
     """
     m, f, mu, gamma, y = params.m, params.f, params.mu, params.gamma, params.y
     matrix = -2.0 * np.array(
@@ -181,7 +187,7 @@ def bloch_system(params: FeedbackParams) -> BlochSystem:
             [0.0, -y, f],
         ]
     )
-    drive = np.array([0.0, -4.0 * np.sqrt(m * f), 0.0])
+    drive = np.array([0.0, -4.0 * _root_of_product(m, f), 0.0])
     return BlochSystem(matrix, drive)
 
 
@@ -194,14 +200,18 @@ def bloch_eigenvalues(params: FeedbackParams) -> np.ndarray:
     """Closed-form eigenvalues of the Bloch matrix, valid only for y = 0.
 
     One eigenvalue is -2f; the other two are -f - 2 gamma - 2m plus or
-    minus sqrt(f^2 - 4 mu^2), a complex pair when f^2 < 4 mu^2.
+    minus sqrt(f^2 - 4 mu^2), a complex pair when f^2 < 4 mu^2. The root
+    is taken as sqrt((f - 2|mu|)(f + 2|mu|)) by _root_of_product, so f^2
+    is never formed and f - 2|mu| is exact near the double root; rates
+    scaled by 2^k scale every eigenvalue by exactly 2^k.
     """
     if params.y != 0:
         raise RequiresZeroYError("eigenvalue formula requires y = 0")
     m, f, mu, gamma = params.m, params.f, params.mu, params.gamma
-    root = np.sqrt(complex(f * f - 4.0 * mu * mu))
+    split = 2.0 * abs(mu)
+    root = _root_of_product(abs(f - split), f + split) * (1.0 if f >= split else 1j)
     base = -f - 2.0 * gamma - 2.0 * m
-    return np.array([-2.0 * f, base + root, base - root])
+    return np.array([-2.0 * f, base + root, base - root], dtype=complex)
 
 
 @dataclass(frozen=True)

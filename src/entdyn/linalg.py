@@ -8,10 +8,12 @@ matrix of a stack in turn. Each kernel checks its inputs and raises a typed
 error instead of leaking library exceptions upward. The operand helpers
 other modules share live here too: _as_square for shape and finiteness,
 where a non-finite entry raises NonFiniteError, _dagger for the adjoint of
-a matrix or a stack, and _check_hermitian for the Hermiticity gate of an
-operator. Density matrices are gated in quantum, from margins it computes
-per matrix. Kronecker products are not wrapped here: generators builds
-every superoperator through its one two-sided-product rule.
+a matrix or a stack, _check_hermitian for the Hermiticity gate of an
+operator, and _TINY, the smallest positive normal double, below which a
+time step or a deficit has lost digits to underflow. Density matrices are
+gated in quantum, from margins it computes per matrix. Kronecker products
+are not wrapped here: generators builds every superoperator through its
+one two-sided-product rule.
 """
 from __future__ import annotations
 
@@ -38,6 +40,10 @@ _COND_LIMIT = 1e12
 
 #: Hermiticity gate of _check_hermitian, for hermitian_eig and generators.hamiltonian_superop
 _HERM_ATOL = 1e-10
+
+#: the smallest positive normal double: the least time step a TimeGrid takes,
+#: and the least deficit whose logarithm feedback takes directly
+_TINY = float(np.finfo(float).tiny)
 
 
 def _as_square(m, name: str = "matrix", *, stacked: bool = False, size: int | None = None) -> np.ndarray:

@@ -1,5 +1,6 @@
 import decimal
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,6 +282,38 @@ class TestBlochSystem:
             expected = np.array([2 * off.real, -2 * off.imag, 0.0])
             assert np.max(np.abs(s - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("m, f", [(1e200, 3e200), (1e-200, 3e-200)], ids=["overflow", "underflow"])
+    def test_drive_is_taken_without_the_rate_product(self, m, f):
+        # m f is inf or 0 as a double; the drive takes the generators' root
+        assert m * f in (0.0, np.inf)
+        drive = bloch_system(FeedbackParams(m=m, f=f)).drive
+        expected = -4.0 * np.sqrt(m) * np.sqrt(f)
+        assert drive[0] == drive[2] == 0.0
+        assert abs(drive[1] - expected) <= 1e-15 * abs(expected)
+
+    def test_rates_scaled_by_a_power_of_two_scale_the_bloch_forms_exactly(self):
+        # the matrix, the drive and the closed-form eigenvalues are
+        # homogeneous of degree 1 in the rates, and every root is taken from
+        # mantissas and exponents, so a factor 2^k carries through exactly
+        rng = np.random.default_rng(74)
+        runs = [FeedbackParams(m=1e200, f=3e200, mu=-4e199, gamma=2e199, y=5e199)]
+        for _ in range(20):
+            m, f, gamma, mu, y = 10.0 ** rng.uniform(-150.0, 150.0, 5)
+            runs.append(FeedbackParams(m=m, f=f, mu=rng.choice((-1.0, 1.0)) * mu, gamma=gamma, y=y))
+        runs.append(FeedbackParams(m=0.0, f=2.5, mu=1.25))
+        for params in runs:
+            system = bloch_system(params)
+            values = bloch_eigenvalues(replace(params, y=0.0))
+            assert np.isfinite(system.matrix).all() and np.isfinite(system.drive).all()
+            assert np.isfinite(values).all()
+            for k in range(-2, 4):
+                scaled = scaled_params(params, k)
+                factor = np.ldexp(1.0, k)
+                scaled_system = bloch_system(scaled)
+                assert np.array_equal(scaled_system.matrix, factor * system.matrix)
+                assert np.array_equal(scaled_system.drive, factor * system.drive)
+                assert np.array_equal(bloch_eigenvalues(replace(scaled, y=0.0)), factor * values)
+
 
 class TestBlochEigenvalues:
     def test_all_real_case(self):
@@ -312,6 +345,33 @@ class TestBlochEigenvalues:
             count += 1
             numeric = eig_real_3x3(bloch_system(params).matrix)
             assert_multiset_close(bloch_eigenvalues(params), numeric, 1e-9)
+
+    @pytest.mark.parametrize(
+        "params",
+        [FeedbackParams(m=0.0, f=1e200), FeedbackParams(m=1.0, f=1e160, mu=1e159, gamma=1.0)],
+        ids=["f-squared-overflows", "difference-of-squares-overflows"],
+    )
+    def test_matches_matrix_eigenvalues_where_f_squared_overflows(self, params):
+        numeric = np.linalg.eigvals(bloch_system(params).matrix)
+        values = bloch_eigenvalues(params)
+        assert np.isfinite(values).all()
+        assert_multiset_close(values, numeric, 1e-9 * np.max(np.abs(numeric)))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0], ids=["real-pair", "complex-pair"])
+    @pytest.mark.parametrize("mu", [1.0, -1.0])
+    def test_near_double_root_matches_high_precision_reference(self, side, mu):
+        # f^2 - 4 mu^2 cancels to a few digits here; (f - 2|mu|) is exact
+        f = 2.0 * (1.0 + side * 1e-9)
+        values = bloch_eigenvalues(FeedbackParams(m=0.0, f=f, mu=mu))
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            exact_f = decimal.Decimal(f)
+            square = exact_f * exact_f - 4 * decimal.Decimal(mu) ** 2
+            magnitude = float(abs(square).sqrt())
+        root = magnitude if square >= 0 else 1j * magnitude
+        expected = [-2.0 * f, -f + root, -f - root]
+        for value, target in zip(values, expected):
+            assert abs(value - target) <= 1e-15 * abs(target)
 
 
 class TestClosedFormSteadyState:

@@ -76,6 +76,8 @@ class TimeGrid:
         n = self.n_samples
         if not (math.isfinite(n) and int(n) == n and n >= 2):
             raise ValueError(f"n_samples must be an integer >= 2, got {self.n_samples}")
+        if not math.isfinite(self.span):
+            raise ValueError(f"time span from {self.t_start} to {self.t_end} overflows a double")
         # a subnormal step gives no distinct sample times
         if self.step < _TINY:
             raise ValueError(
@@ -161,7 +163,7 @@ def unitary_evolve(h, v0, grid: TimeGrid, sign: int = +1) -> Trajectory:
     obs = {"norm": np.linalg.norm(states, axis=1)}
     if v.size == 4:
         # the densities of finite unit vectors are finite: the concurrence only gates them
-        obs["concurrence"], _ = quantum._gated_concurrence(np.einsum("ki,kj->kij", states, states.conj()))
+        obs["concurrence"] = quantum._measures(np.einsum("ki,kj->kij", states, states.conj()))["concurrence"]
     return Trajectory(times, states, obs)
 
 

@@ -177,23 +177,29 @@ def bloch_system(params: FeedbackParams) -> BlochSystem:
     fixed by the generator (the velocity of the maximally mixed state
     points along -y), which a consistency test pins against
     wm_subspace_generator. Rates scaled by 2^k scale the matrix and the
-    drive by exactly 2^k.
+    drive by exactly 2^k. An entry that overflows raises NonFiniteError.
     """
     m, f, mu, gamma, y = params.m, params.f, params.mu, params.gamma, params.y
-    matrix = -2.0 * np.array(
-        [
-            [m + gamma, mu, 0.0],
-            [-mu, f + m + gamma, y],
-            [0.0, -y, f],
-        ]
-    )
+    with np.errstate(over="ignore"):
+        matrix = -2.0 * np.array(
+            [
+                [m + gamma, mu, 0.0],
+                [-mu, f + m + gamma, y],
+                [0.0, -y, f],
+            ]
+        )
     drive = np.array([0.0, -4.0 * _root_of_product(m, f), 0.0])
+    if not (np.isfinite(matrix).all() and np.isfinite(drive).all()):
+        raise NonFiniteError("Bloch system contains non-finite entries")
     return BlochSystem(matrix, drive)
 
 
 def bloch_steady_state(system: BlochSystem) -> np.ndarray:
-    """Fixed point of the affine Bloch dynamics, solving matrix s = -drive."""
-    return solve_linear(system.matrix, -np.asarray(system.drive, dtype=float)).real
+    """Fixed point of the real affine Bloch dynamics, solving matrix s = -drive."""
+    # both sides over the power of two at their peak entry: exact, and solvable at subnormal rates
+    matrix, rhs = np.asarray(system.matrix, dtype=float), -np.asarray(system.drive, dtype=float)
+    exponent = math.frexp(max(np.abs(matrix).max(), np.abs(rhs).max()))[1]
+    return solve_linear(np.ldexp(matrix, -exponent), np.ldexp(rhs, -exponent)).real
 
 
 def bloch_eigenvalues(params: FeedbackParams) -> np.ndarray:
@@ -203,7 +209,8 @@ def bloch_eigenvalues(params: FeedbackParams) -> np.ndarray:
     minus sqrt(f^2 - 4 mu^2), a complex pair when f^2 < 4 mu^2. The root
     is taken as sqrt((f - 2|mu|)(f + 2|mu|)) by _root_of_product, so f^2
     is never formed and f - 2|mu| is exact near the double root; rates
-    scaled by 2^k scale every eigenvalue by exactly 2^k.
+    scaled by 2^k scale every eigenvalue by exactly 2^k. An eigenvalue
+    that overflows raises NonFiniteError.
     """
     if params.y != 0:
         raise RequiresZeroYError("eigenvalue formula requires y = 0")
@@ -211,7 +218,10 @@ def bloch_eigenvalues(params: FeedbackParams) -> np.ndarray:
     split = 2.0 * abs(mu)
     root = _root_of_product(abs(f - split), f + split) * (1.0 if f >= split else 1j)
     base = -f - 2.0 * gamma - 2.0 * m
-    return np.array([-2.0 * f, base + root, base - root], dtype=complex)
+    values = np.array([-2.0 * f, base + root, base - root], dtype=complex)
+    if not np.isfinite(values).all():
+        raise NonFiniteError("Bloch eigenvalues are not finite")
+    return values
 
 
 @dataclass(frozen=True)

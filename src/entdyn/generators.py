@@ -227,7 +227,8 @@ def assemble_liouvillian(h, dissipators: Sequence[np.ndarray] = ()) -> np.ndarra
     """Total generator: coherent superoperator plus dissipation superoperators.
 
     h may be None for purely dissipative dynamics; dissipators are already
-    built superoperators (n^2 x n^2) and are summed as given.
+    built superoperators (n^2 x n^2) and are summed as given; a part that is
+    not a square matrix raises DimensionMismatchError, a non-finite sum NonFiniteError.
     """
     parts = [np.asarray(d, dtype=complex) for d in dissipators]
     if h is not None:
@@ -238,7 +239,11 @@ def assemble_liouvillian(h, dissipators: Sequence[np.ndarray] = ()) -> np.ndarra
     for p in parts[1:]:
         if p.shape != shape:
             raise DimensionMismatchError(f"superoperator shapes differ: {shape} vs {p.shape}")
-    if shape[0] != shape[1]:
+    if len(shape) != 2 or shape[0] != shape[1]:
         raise DimensionMismatchError(f"superoperators must be square, got {shape}")
     _matrix_side(shape[0], "superoperator")
-    return sum(parts)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(parts)
+    if not np.isfinite(total).all():
+        raise NonFiniteError("assembled generator contains non-finite entries")
+    return total

@@ -17,10 +17,12 @@ closed form; every other stack takes them from one eigh per _BLOCK
 matrices. The gates are fixed: _DENSITY_GATES for validate_density,
 _CONCURRENCE_GATES for both concurrences, which are the only check on the
 states a scenario of the command line prints, the unitary fig1 included.
-A propagated stack takes one pass, _measures: one split and one gate, then
-the concurrence, the purity and, for qubit states, the Bloch norm from the
-same blocks. The pass checks no finiteness: each propagation checks the
-entries it computed, and each public function its own input.
+_measures is the one concurrence body: both concurrences, unitary_evolve
+and every propagated stack take its one split and one gate, then the
+concurrence (2|c| for qubit blocks, Yu-Eberly for X-states, _wootters for
+any other 4x4 stack), the purity and, for qubit states, the Bloch norm.
+It checks no finiteness: each propagation checks the entries it computed,
+and each public function its own input.
 
 Vectorization is row-major: the density-matrix entry (i, j) lands at flat
 index i*n + j, so conjugation stays entrywise and A rho B maps to the
@@ -188,25 +190,6 @@ def _gated_eigenpairs(stack: np.ndarray, gates):
         yield values, vectors
 
 
-def _gated_concurrence(stack: np.ndarray):
-    """The concurrence of every matrix of a finite (N, n, n) stack once it passes _CONCURRENCE_GATES, with its blocks.
-
-    n is 4, or 2 for qubit states in the one-excitation block. Returns the
-    values and the (a, b, c, |c|) of _gated_two_level_blocks, or None for a
-    stack it does not split, which takes the eigh and Wootters route.
-    """
-    blocks = _gated_two_level_blocks(stack, _CONCURRENCE_GATES)
-    if blocks is None:
-        return _wootters(stack), None
-    a, b, _, modulus = blocks
-    if stack.shape[-1] == 2:
-        return 2.0 * modulus[0], blocks
-    geometric = np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
-    # each block's coherence against the other block's populations
-    excess = (modulus - geometric[::-1]).max(axis=0)
-    return 2.0 * np.maximum(excess, 0.0), blocks
-
-
 def _wootters(stack: np.ndarray) -> np.ndarray:
     """Wootters' concurrence of every matrix of a finite (N, 4, 4) stack, each block of it gated first."""
     parts = []
@@ -228,35 +211,36 @@ def _purity(stack: np.ndarray) -> np.ndarray:
 
 
 def _measures(stack: np.ndarray) -> dict[str, np.ndarray]:
-    """The observables of a finite (N, n, n) stack of sampled states, gated once, from one split.
+    """The observables of a finite (N, n, n) stack of states, gated once: the one body of every concurrence.
 
     For n = 2 or 4 the stack is gated with _CONCURRENCE_GATES before any
     measure is taken, so a failing state raises before a measure can
     overflow on it. A stack that splits into 2x2 blocks gives everything
-    from them: the concurrence, as concurrence and concurrence_2x2_embedded
-    give it; for n = 2 the Bloch norm sqrt((x² + y²) + z²), with
-    x = 2 Re c = Re(m_01 + m_10), y = 2 Im c = Im(m_01 - m_10) (the Bloch
-    y up to its sign) and z = a - b, bit for bit np.linalg.norm of
-    bloch_from_density; and the purity
-    Σ a² + b² + 2|c|² of the Hermitian part, within a few ulp of
-    purity's einsum. A 4x4 stack that does not split takes the concurrence
-    of the eigh and Wootters route and the purity from einsum; any other n
-    only the purity, ungated. The stack is not checked for finiteness here:
-    each propagation checks the entries it computed.
+    from them: the concurrence, 2|c| for qubits and Yu-Eberly for X-states;
+    for n = 2 the Bloch norm sqrt((x² + y²) + z²), with x = 2 Re c,
+    y = 2 Im c (the Bloch y up to its sign) and z = a - b, bit for bit
+    np.linalg.norm of bloch_from_density; and the purity Σ a² + b² + 2|c|²
+    of the Hermitian part, within a few ulp of purity's einsum. A 4x4
+    stack that does not split takes _wootters and the purity from einsum;
+    any other n only the purity, ungated. Finiteness is the caller's check.
     """
     n = stack.shape[-1]
-    measures, blocks = {}, None
-    if n in (2, 4):
-        measures["concurrence"], blocks = _gated_concurrence(stack)
+    blocks = _gated_two_level_blocks(stack, _CONCURRENCE_GATES) if n in (2, 4) else None
     if blocks is None:
+        measures = {"concurrence": _wootters(stack)} if n == 4 else {}
         measures["purity"] = _purity(stack)
         return measures
-    a, b, c, _ = blocks
+    a, b, c, modulus = blocks
     x, y = 2.0 * c.real, 2.0 * c.imag
     coherence = x * x + y * y
     if n == 2:
         z = a - b
-        measures["bloch_norm"] = np.sqrt(coherence + z * z)[0]
+        measures = {"concurrence": 2.0 * modulus[0], "bloch_norm": np.sqrt(coherence + z * z)[0]}
+    else:
+        geometric = np.sqrt(np.maximum(a, 0.0) * np.maximum(b, 0.0))
+        # each block's coherence against the other block's populations
+        excess = (modulus - geometric[::-1]).max(axis=0)
+        measures = {"concurrence": 2.0 * np.maximum(excess, 0.0)}
     measures["purity"] = (a * a + b * b + 0.5 * coherence).sum(axis=0)
     return measures
 
@@ -405,7 +389,7 @@ def concurrence(rho) -> float | np.ndarray:
     -1e-9 raises NotPSDError. A stack of N states gives an array of N values.
     """
     mat = _as_square(rho, "rho", stacked=True, size=4)
-    values, _ = _gated_concurrence(mat.reshape((-1, 4, 4)))
+    values = _measures(mat.reshape((-1, 4, 4)))["concurrence"]
     return float(values[0]) if mat.ndim == 2 else values
 
 
@@ -428,5 +412,5 @@ def concurrence_2x2_embedded(rho) -> float | np.ndarray:
     and its trace before its positivity.
     """
     mat = _as_square(rho, "rho", stacked=True, size=2)
-    values, _ = _gated_concurrence(mat.reshape((-1, 2, 2)))
+    values = _measures(mat.reshape((-1, 2, 2)))["concurrence"]
     return float(values[0]) if mat.ndim == 2 else values

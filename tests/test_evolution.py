@@ -92,6 +92,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError, match=f"^time step {step:.3g} "):
             TimeGrid(0.0, t_end, n_samples)
 
+    def test_rejects_a_span_that_overflows(self):
+        # t_end - t_start is inf although both ends are finite
+        with pytest.raises(ValueError, match=r"^time span from -1e\+308 to 1e\+308 overflows a double$"):
+            TimeGrid(-1e308, 1e308, 3)
+        assert TimeGrid(0.0, 1e308, 2).span == 1e308
+
     def test_smallest_normal_step_is_kept(self):
         tiny = np.finfo(float).tiny
         grid = TimeGrid(0.0, 2 * tiny, 3)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import entdyn.feedback
-from entdyn.errors import NonUniqueSteadyStateError, RequiresZeroYError
+from entdyn.errors import NonFiniteError, NonUniqueSteadyStateError, RequiresZeroYError
 from entdyn.evolution import TimeGrid, propagate_expm, steady_state
 from entdyn.feedback import (
     BlochSystem,
@@ -314,6 +314,27 @@ class TestBlochSystem:
                 assert np.array_equal(scaled_system.drive, factor * system.drive)
                 assert np.array_equal(bloch_eigenvalues(replace(scaled, y=0.0)), factor * values)
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            FeedbackParams(m=0.0, f=1.0, mu=1e308),
+            FeedbackParams(m=1e308, f=1e308),
+            FeedbackParams(m=1.0, f=1.0, gamma=1e308),
+            FeedbackParams(m=0.0, f=1.0, y=1e308),
+        ],
+        ids=["mu", "drive", "gamma", "y"],
+    )
+    def test_overflowing_entries_raise(self, params):
+        with pytest.raises(NonFiniteError, match="^Bloch system contains non-finite entries$"):
+            bloch_system(params)
+
+    @pytest.mark.parametrize("rate", [1e-310, 1e-315, 1e-320, 5e-324, 1e300])
+    def test_fixed_point_at_extreme_rates(self, rate):
+        # m = f = gamma gives C = 2/3 at any scale; the solve is scaled to the
+        # system's peak entry, so subnormal rates do not underflow it
+        s = bloch_steady_state(bloch_system(FeedbackParams(m=rate, f=rate, gamma=rate)))
+        assert np.max(np.abs(s - [0.0, -2.0 / 3.0, 0.0])) <= 1e-15
+
 
 class TestBlochEigenvalues:
     def test_all_real_case(self):
@@ -356,6 +377,15 @@ class TestBlochEigenvalues:
         values = bloch_eigenvalues(params)
         assert np.isfinite(values).all()
         assert_multiset_close(values, numeric, 1e-9 * np.max(np.abs(numeric)))
+
+    @pytest.mark.parametrize(
+        "params",
+        [FeedbackParams(m=0.0, f=1.0, mu=1e308), FeedbackParams(m=1e308, f=1e308), FeedbackParams(m=1.0, f=1.0, gamma=1e308)],
+        ids=["mu", "m-and-f", "gamma"],
+    )
+    def test_overflowing_eigenvalues_raise(self, params):
+        with pytest.raises(NonFiniteError, match="^Bloch eigenvalues are not finite$"):
+            bloch_eigenvalues(params)
 
     @pytest.mark.parametrize("side", [1.0, -1.0], ids=["real-pair", "complex-pair"])
     @pytest.mark.parametrize("mu", [1.0, -1.0])

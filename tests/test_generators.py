@@ -423,6 +423,19 @@ class TestAssembleLiouvillian:
         with pytest.raises(DimensionMismatchError, match=r"^superoperators must be square, got \(16, 4\)$"):
             assemble_liouvillian(None, [np.zeros((16, 4)), np.zeros((16, 4))])
 
+    def test_rejects_a_part_that_is_not_a_matrix(self):
+        with pytest.raises(DimensionMismatchError, match=r"^superoperators must be square, got \(16,\)$"):
+            assemble_liouvillian(None, [np.zeros(16)])
+
+    @pytest.mark.parametrize(
+        "parts",
+        [[np.full((4, 4), np.inf)], [np.full((4, 4), np.nan)], [np.full((4, 4), 1e308)] * 2],
+        ids=["inf", "nan", "overflowing-sum"],
+    )
+    def test_rejects_a_non_finite_sum(self, parts):
+        with pytest.raises(NonFiniteError, match="^assembled generator contains non-finite entries$"):
+            assemble_liouvillian(None, parts)
+
     def test_trace_and_hermiticity_preservation(self):
         rng = np.random.default_rng(50)
         h = random_hermitian(rng, 4)

@@ -11,9 +11,9 @@ from entdyn.errors import (
     NotPSDError,
     OutsideBlochBallError,
 )
-from entdyn.evolution import steady_state
+from entdyn.evolution import TimeGrid, steady_state, unitary_evolve
 from entdyn.feedback import FeedbackParams, wm_subspace_generator
-from entdyn.generators import assemble_liouvillian
+from entdyn.generators import HamiltonianParams, assemble_liouvillian, build_hamiltonian
 from entdyn.quantum import (
     PAULI_X,
     PAULI_Y,
@@ -31,7 +31,7 @@ from entdyn.quantum import (
     validate_density,
     vectorize,
 )
-from helpers import random_density, random_pure, random_unitary
+from helpers import random_density, random_hermitian, random_pure, random_unitary
 
 
 def decayed_coherence_state(t, rate=1.0):
@@ -522,6 +522,37 @@ class TestTwoLevelSplit:
         assert entdyn.quantum._measures(states)["purity"].tobytes() == einsum.tobytes()
         for rho in (states[0], random_density(rng, 2), density_from_pure(bell_state())):
             assert purity(rho) == np.einsum("ij,ji->", rho, rho).real
+
+
+class TestOneConcurrenceBody:
+    """Every concurrence of the package is _measures' concurrence, bit for bit."""
+
+    def test_public_concurrences_and_unitary_evolve_read_the_measures(self):
+        rng = np.random.default_rng(77)
+        stacks = {
+            "qubit": (concurrence_2x2_embedded, random_stack(rng, 600, 2)),
+            "x-state": (concurrence, x_state_family(rng)),
+            "wootters": (concurrence, random_stack(rng, 600, 4)),
+        }
+        for name, (function, states) in stacks.items():
+            assert (entdyn.quantum._two_level_blocks(states) is None) == (name == "wootters")
+            expected = entdyn.quantum._measures(states)["concurrence"]
+            assert function(states).tobytes() == expected.tobytes(), name
+            for k in range(0, len(states), 37):
+                single = entdyn.quantum._measures(states[k : k + 1])["concurrence"][0]
+                assert np.float64(function(states[k])).tobytes() == single.tobytes(), (name, k)
+        # from |01> under an exchange Hamiltonian every sample is an X-state;
+        # from a random vector under a random Hamiltonian none is
+        runs = {
+            "x-state": (build_hamiltonian(HamiltonianParams(0.3, -0.2, 0.7)), np.array([0, 1, 0, 0], dtype=complex)),
+            "wootters": (random_hermitian(rng, 4), random_pure(rng, 4)),
+        }
+        for name, (h, v0) in runs.items():
+            traj = unitary_evolve(h, v0, TimeGrid(0.0, np.pi, 301))
+            densities = np.einsum("ki,kj->kij", traj.states, traj.states.conj())
+            assert (entdyn.quantum._two_level_blocks(densities) is None) == (name == "wootters")
+            expected = entdyn.quantum._measures(densities)["concurrence"]
+            assert traj.observables["concurrence"].tobytes() == expected.tobytes(), name
 
 
 class TestStacks:

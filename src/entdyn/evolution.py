@@ -48,7 +48,7 @@ from .errors import (
     NonUniqueSteadyStateError,
     StepUnderflowError,
 )
-from .linalg import _TINY, _as_square, _dagger, expm, hermitian_eig
+from .linalg import _TINY, _as_square, _dagger, _ldexp, _peak_normed, expm, hermitian_eig
 
 __all__ = [
     "TimeGrid",
@@ -341,22 +341,6 @@ def _transposition(n: int) -> np.ndarray:
     return np.arange(n * n).reshape(n, n).T.reshape(-1)
 
 
-def _ldexp(gen: np.ndarray, exponent: int) -> np.ndarray:
-    """gen * 2^exponent on the real and imaginary parts apart: numpy's complex division by a subnormal 2^-exponent overflows."""
-    return np.ldexp(np.ascontiguousarray(gen).view(float), exponent).view(complex)
-
-
-def _peak_normed(gen: np.ndarray) -> tuple[np.ndarray, int]:
-    """gen / 2^e and e for the largest 2^e at most gen's peak entry (e = -1 for a zero gen, which stays zero).
-
-    The scaling is exact, and the result's Frobenius norm is finite for any finite gen.
-    """
-    # real and imaginary parts apart: |z| itself can overflow
-    peak = max(abs(gen.real).max(), abs(gen.imag).max())
-    exponent = math.frexp(peak)[1] - 1
-    return _ldexp(gen, -exponent), exponent
-
-
 def _trace_preserving(p: np.ndarray, identity: np.ndarray) -> np.ndarray:
     """P with the deficit e_j - (e P)_j of every column j spread evenly over its nonzero diagonal rows, so that e P = e.
 
@@ -437,7 +421,7 @@ def _scaled_powers(gen: np.ndarray, support: np.ndarray) -> tuple[np.ndarray, fl
     beyond the largest double raises NonFiniteError.
     """
     normed, exponent = _peak_normed(gen)
-    # a zero L has exponent -1 and frexp(0) gives 0, so s = 1/2 scales only zero powers
+    # a zero L has exponent 0 and frexp(0) gives 0, so s = 1 scales only zero powers
     exponent += math.frexp(np.linalg.norm(normed))[1]
     if exponent > _MAX_EXPONENT + 1:
         raise NonFiniteError("generator norm exceeds the largest double")

@@ -196,10 +196,9 @@ def bloch_system(params: FeedbackParams) -> BlochSystem:
 
 def bloch_steady_state(system: BlochSystem) -> np.ndarray:
     """Fixed point of the real affine Bloch dynamics, solving matrix s = -drive."""
-    # both sides over the power of two at their peak entry: exact, and solvable at subnormal rates
-    matrix, rhs = np.asarray(system.matrix, dtype=float), -np.asarray(system.drive, dtype=float)
-    exponent = math.frexp(max(np.abs(matrix).max(), np.abs(rhs).max()))[1]
-    return solve_linear(np.ldexp(matrix, -exponent), np.ldexp(rhs, -exponent)).real
+    # solve_linear scales both sides by the power of two at the matrix's peak,
+    # which the drive 4 sqrt(m f) never exceeds: solvable at subnormal rates
+    return solve_linear(system.matrix, -np.asarray(system.drive)).real
 
 
 def bloch_eigenvalues(params: FeedbackParams) -> np.ndarray:

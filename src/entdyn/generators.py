@@ -174,11 +174,12 @@ def pure_dephasing_from_amplitudes(amplitudes) -> PureDephasing:
     with the sum of the per-level Lindblad dissipators.
     """
     amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
+    if not np.isfinite(amps).all():
         raise ValueError("amplitudes contain non-finite entries")
-    n = amps.size
-    strengths = np.abs(amps) ** 2
-    rates = 0.5 * (strengths[:, None] + strengths[None, :])
+    # a strength beyond the largest double is inf, which the rate check refuses
+    with np.errstate(over="ignore"):
+        strengths = np.abs(amps) ** 2
+        rates = 0.5 * (strengths[:, None] + strengths[None, :])
     np.fill_diagonal(rates, 0.0)
     return PureDephasing(rates, phenomenological_superop(rates))
 
@@ -208,6 +209,8 @@ def check_dephasing_constraints(rates) -> ConstraintCheck:
     mat = validate_dephasing_rates(rates)
     if mat.shape != (4, 4):
         raise DimensionMismatchError(f"expected 4x4 rates, got {mat.shape}")
+    # scaled down only, not by linalg._peak_normed, which also scales up: at
+    # subnormal rates the absolute floor below would overflow math.ldexp
     exponent = max(math.frexp(float(np.max(mat)))[1], 0)
     mat = np.ldexp(mat, -exponent)
     tol = _CONSTRAINT_RTOL * float(np.max(mat))

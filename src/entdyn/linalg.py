@@ -1,19 +1,18 @@
 """Dense linear-algebra kernels with validated contracts, in numpy alone.
 
-Three public kernels: hermitian_eig and solve_linear, thin wrappers over
-numpy's LAPACK-backed routines, and expm, a [13/13] Padé scaling and squaring
-written here so that no part of the package imports scipy: _scaled_exponential
-gives a matrix's exp(2^-s A) and s, and expm squares it s times, on each
-matrix of a stack in turn. Each kernel checks its inputs and raises a typed
-error instead of leaking library exceptions upward. The operand helpers
-other modules share live here too: _as_square for shape and finiteness,
-where a non-finite entry raises NonFiniteError, _dagger for the adjoint of
-a matrix or a stack, _check_hermitian for the Hermiticity gate of an
-operator, and _TINY, the smallest positive normal double, below which a
-time step or a deficit has lost digits to underflow. Density matrices are
-gated in quantum, from margins it computes per matrix. Kronecker products
-are not wrapped here: generators builds every superoperator through its
-one two-sided-product rule.
+Three public kernels: hermitian_eig, a thin wrapper over numpy's eigh;
+solve_linear, an LU solve with one refinement step of a system first divided
+by the power of two at its peak entry; and expm, a [13/13] Padé scaling and
+squaring written here so that no part of the package imports scipy:
+_scaled_exponential gives a matrix's exp(2^-s A) and s, and expm squares it
+s times, on each matrix of a stack in turn. Each kernel raises a typed error
+instead of leaking library exceptions upward. The operand helpers other
+modules share live here too: _as_square for shape and finiteness, _dagger
+for the adjoint of a matrix or a stack, _check_hermitian for the Hermiticity
+gate of an operator, _peak_normed and _ldexp, the one exact power-of-two
+rescale, and _TINY, the smallest positive normal double, below which a time
+step or a deficit has lost digits to underflow. Density matrices are gated
+in quantum; generators builds every superoperator by its one two-sided product.
 """
 from __future__ import annotations
 
@@ -44,6 +43,19 @@ _HERM_ATOL = 1e-10
 #: the smallest positive normal double: the least time step a TimeGrid takes,
 #: and the least deficit whose logarithm feedback takes directly
 _TINY = float(np.finfo(float).tiny)
+
+
+def _ldexp(m: np.ndarray, exponent: int) -> np.ndarray:
+    """Complex m * 2^exponent on the real and imaginary parts apart: numpy's complex division by a subnormal 2^-exponent overflows."""
+    return np.ldexp(np.ascontiguousarray(m).view(float), exponent).view(complex)
+
+
+def _peak_normed(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Complex m / 2^e and e = frexp(peak)[1], so m's peak entry lands in [0.5, 1) (e = 0 for a zero m): exact, and of finite norm."""
+    # real and imaginary parts apart: |z| itself can overflow
+    peak = max(abs(m.real).max(), abs(m.imag).max())
+    exponent = math.frexp(peak)[1]
+    return _ldexp(m, -exponent), exponent
 
 
 def _as_square(m, name: str = "matrix", *, stacked: bool = False, size: int | None = None) -> np.ndarray:
@@ -231,26 +243,35 @@ def _scaled_exponential(a: np.ndarray) -> tuple[np.ndarray, int]:
 def solve_linear(a, b) -> np.ndarray:
     """Solve a x = b for a square system, with one iterative-refinement step.
 
-    Raises SingularMatrixError when the system is singular or its condition
-    number exceeds 1e12, NoConvergenceError if the singular value solver
-    behind that condition number fails.
+    b is a vector or an (n, k) matrix. Both sides are first divided by the
+    power of two at a's peak entry (_peak_normed): exact, so the bits do not
+    depend on a power-of-two scale. Raises DimensionMismatchError for a b of
+    another shape, NonFiniteError for a non-finite b or solution,
+    SingularMatrixError for a singular system or a condition number above
+    1e12, NoConvergenceError if the singular value solver behind it fails.
     """
     mat = _as_square(a, "a")
     rhs = np.asarray(b, dtype=complex)
-    if rhs.shape[0] != mat.shape[0]:
-        raise DimensionMismatchError(
-            f"rhs length {rhs.shape[0]} does not match system size {mat.shape[0]}"
-        )
-    if mat.size:
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != mat.shape[0]:
+        raise DimensionMismatchError(f"rhs of shape {rhs.shape} does not match system size {mat.shape[0]}")
+    if not np.isfinite(rhs).all():
+        raise NonFiniteError("rhs contains non-finite entries")
+    # a scaled b beyond the largest double is inf, and the solution with it
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mat.size:
+            mat, exponent = _peak_normed(mat)
+            rhs = _ldexp(rhs, -exponent)
+            try:
+                cond = np.linalg.cond(mat)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
+            if not np.isfinite(cond) or cond > _COND_LIMIT:
+                raise SingularMatrixError(f"condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}")
         try:
-            cond = np.linalg.cond(mat)
+            x = np.linalg.solve(mat, rhs)
+            x = x + np.linalg.solve(mat, rhs - mat @ x)
         except np.linalg.LinAlgError as exc:
-            raise NoConvergenceError(f"singular value solver failed: {exc}") from exc
-        if not np.isfinite(cond) or cond > _COND_LIMIT:
-            raise SingularMatrixError(f"condition number {cond:.3e} exceeds {_COND_LIMIT:.1e}")
-    try:
-        x = np.linalg.solve(mat, rhs)
-        x = x + np.linalg.solve(mat, rhs - mat @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
+            raise SingularMatrixError(str(exc)) from exc
+    if not np.isfinite(x).all():
+        raise NonFiniteError("solution exceeds the largest double")
     return x

@@ -42,6 +42,7 @@ from .errors import (
     InvalidStateError,
     LeakyStateError,
     NoConvergenceError,
+    NonFiniteError,
     NotHermitianError,
     NotPSDError,
     OutsideBlochBallError,
@@ -321,6 +322,9 @@ def density_from_bloch(s) -> np.ndarray:
     vec = np.asarray(s, dtype=float).reshape(-1)
     if vec.size != 3:
         raise DimensionMismatchError(f"Bloch vector must have 3 components, got {vec.size}")
+    # before the ball test: a NaN norm fails the comparison
+    if not np.isfinite(vec).all():
+        raise NonFiniteError("Bloch vector contains non-finite components")
     norm = np.linalg.norm(vec)
     if norm > 1.0 + 1e-9:
         raise OutsideBlochBallError(f"|s| = {norm:.12f} exceeds 1")

@@ -7,7 +7,7 @@ import pytest
 
 import entdyn.feedback
 from entdyn.errors import NonFiniteError, NonUniqueSteadyStateError, RequiresZeroYError
-from entdyn.evolution import TimeGrid, propagate_expm, steady_state
+from entdyn.evolution import TimeGrid, propagate_expm, propagate_ode, steady_state
 from entdyn.feedback import (
     BlochSystem,
     FeedbackParams,
@@ -204,22 +204,27 @@ class TestUnitRateBasis:
 
     def test_rates_scaled_by_a_power_of_two_scale_the_generators_exactly(self):
         # sqrt(m f) scales by exactly 2^k with m and f, so each generator
-        # does, and propagate_expm over the grid scaled by 2^-k gives the
-        # same states bit for bit. Dormand-Prince is left out until its first
-        # step no longer takes the whole span on a state whose slow dynamics
-        # the fast generator's powers round away (ROADMAP item 1)
+        # does, and each route over the grid scaled by 2^-k gives the same
+        # states bit for bit: Dormand-Prince takes the same steps, each 2^-k
+        # as long, as its powers are of L over a power of two near its norm
         rng = np.random.default_rng(70)
         r0 = vectorize(density_from_pure(bell_state()))
         for _ in range(10):
             params = random_params(rng, y=rng.uniform(-2.0, 2.0))
             full, sub = wm_full_generator(params), wm_subspace_generator(params)
             states = propagate_expm(full, r0, TimeGrid(0.0, 5.0, 11)).states
+            ode = propagate_ode(full, r0, TimeGrid(0.0, 5.0, 11))
             for k in (-2, -1, 1, 2, 3):
                 scaled = scaled_params(params, k)
                 assert np.array_equal(wm_full_generator(scaled), np.ldexp(1.0, k) * full)
                 assert np.array_equal(wm_subspace_generator(scaled), np.ldexp(1.0, k) * sub)
                 grid = TimeGrid(0.0, np.ldexp(5.0, -k), 11)
                 assert np.array_equal(propagate_expm(wm_full_generator(scaled), r0, grid).states, states)
+                scaled_ode = propagate_ode(wm_full_generator(scaled), r0, grid)
+                assert np.array_equal(scaled_ode.states, ode.states)
+                for key in ("accepted", "rejected", "runs", "support"):
+                    assert scaled_ode.diagnostics[key] == ode.diagnostics[key]
+                assert scaled_ode.diagnostics["h_min"] == np.ldexp(ode.diagnostics["h_min"], -k)
 
     @pytest.mark.parametrize("m, f", [(1e200, 3e200), (1e-200, 3e-200)], ids=["overflow", "underflow"])
     def test_root_of_the_rate_product_is_taken_without_the_product(self, m, f):

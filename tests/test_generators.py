@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,14 @@ class TestPureDephasing:
     def test_rejects_a_nan_amplitude(self):
         with pytest.raises(ValueError, match="^amplitudes contain non-finite entries$"):
             pure_dephasing_from_amplitudes([0.0, np.nan, 1.0, 0.0])
+
+    @pytest.mark.parametrize("big", [1e200, 1.3e154], ids=["square", "sum"])
+    def test_rejects_an_overflowing_strength_without_a_warning(self, big):
+        # |a|^2 overflows for 1e200, the pair sum of two strengths for 1.3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^dephasing rates must be finite$"):
+                pure_dephasing_from_amplitudes([big, big, 1.0, 1.0])
 
     def test_alternating_amplitudes_rates(self):
         g = 0.35

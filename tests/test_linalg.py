@@ -375,6 +375,53 @@ class TestSolveLinear:
         with pytest.raises(DimensionMismatchError):
             solve_linear(np.eye(3), np.ones(2))
 
+    @pytest.mark.parametrize("b", [np.array(1.0), np.ones((2, 1, 1))], ids=["0-d", "3-d"])
+    def test_rejects_rhs_of_other_dimension(self, b):
+        with pytest.raises(DimensionMismatchError, match=r"^rhs of shape \(.*\) does not match system size 2$"):
+            solve_linear(np.eye(2), b)
+
+    def test_accepts_a_matrix_rhs(self):
+        a = np.array([[2.0, 1.0], [1.0, 3.0]])
+        b = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, -1.0]])
+        x = solve_linear(a, b)
+        assert x.shape == (2, 3)
+        assert np.max(np.abs(a @ x - b)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rhs(self, bad):
+        with pytest.raises(NonFiniteError, match="^rhs contains non-finite entries$"):
+            solve_linear(np.eye(2), [bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (np.eye(2) * 1e-300, [1e300, 1.0]),
+            (np.eye(2) * 0.5, [1.5e308, 0.0]),
+            (np.diag([1.0, 1e-12]), [1.0, 1.7e308]),
+        ],
+        ids=["scaled-rhs", "solution", "ill-conditioned-solution"],
+    )
+    def test_overflow_is_non_finite_without_a_warning(self, a, b):
+        # the first overflows as b is scaled up to a's peak, the others in the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^solution exceeds the largest double$"):
+                solve_linear(a, b)
+
+    def test_system_scaled_by_a_power_of_two_gives_the_same_bits(self):
+        # dividing by the power of two at a's peak is exact, so the scale
+        # drops out before the condition number, LU and refinement: entries
+        # below 16 stay exact as subnormals down to 2^-1070 and finite up to 2^1020
+        rng = np.random.default_rng(18)
+        a = rng.integers(-4, 5, size=(4, 4)) + 1j * rng.integers(-4, 5, size=(4, 4)) + 8 * np.eye(4)
+        b = rng.integers(-8, 9, size=4) + 1j * rng.integers(-8, 9, size=4)
+        x = solve_linear(a, b)
+        for k in (-1070, -1060, -1040, -1000, 1000, 1020):
+            scaled_a = np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+            scaled_b = np.ldexp(b.real, k) + 1j * np.ldexp(b.imag, k)
+            assert np.array_equal(np.ldexp(scaled_a.real, -k), a.real)
+            assert np.array_equal(solve_linear(scaled_a, scaled_b), x)
+
 
 class TestEigReal3x3:
     def test_diagonal(self):

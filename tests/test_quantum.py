@@ -147,6 +147,12 @@ class TestBloch:
         with pytest.raises(OutsideBlochBallError):
             density_from_bloch([1.1, 0.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_component(self, bad):
+        # a NaN norm passes the ball test, so finiteness is checked first
+        with pytest.raises(NonFiniteError, match="^Bloch vector contains non-finite components$"):
+            density_from_bloch([bad, 0.0, 0.0])
+
     def test_rejects_two_components(self):
         with pytest.raises(DimensionMismatchError, match="^Bloch vector must have 3 components, got 2$"):
             density_from_bloch([0.5, 0.5])
